@@ -24,7 +24,6 @@ from .coefficients import (
     sigma,
     sigma_pair,
     tau,
-    tau_pair,
     tau_sup,
 )
 from .concentration import (

@@ -21,12 +21,9 @@ __all__ = [
     "sigma",
     "sigma_vals",
     "sigma_pair",
-    "sigma_pair_vals",
     "sigma_range_sup",
     "tau",
     "tau_vals",
-    "tau_pair",
-    "tau_pair_vals",
     "tau_sup",
     "f_softabs",
 ]
@@ -113,10 +110,6 @@ def sigma_pair(kappa: float, t: float, theta: float, index: int) -> ExtReal:
     return sigma(kappa, (1.0 - t) if index == 0 else t, theta)
 
 
-def sigma_pair_vals(kappa: float, t: float, thetas, index: int) -> np.ndarray:
-    return sigma_vals(kappa, (1.0 - t) if index == 0 else t, thetas)
-
-
 def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) -> ExtReal:
     """Supremum of the ratio over a theta interval.
 
@@ -154,14 +147,6 @@ def tau(K: float, N: float, t: float, theta: float) -> ExtReal:
     """Distortion coefficient with dimensional weighting, N < 0."""
     v = float(tau_vals(K, N, t, np.asarray([theta]))[0])
     return EXT_INF if math.isinf(v) else ExtReal(v)
-
-
-def tau_pair(K: float, N: float, t: float, theta: float, index: int) -> ExtReal:
-    return tau(K, N, (1.0 - t) if index == 0 else t, theta)
-
-
-def tau_pair_vals(K: float, N: float, t: float, thetas, index: int) -> np.ndarray:
-    return tau_vals(K, N, (1.0 - t) if index == 0 else t, thetas)
 
 
 def tau_sup(K: float, N: float, t: float, theta_max: float) -> ExtReal:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 
 
@@ -58,7 +57,6 @@ class RunConfig:
     # reproducibility
     seed: int = 0
     output_dir: str = "reports"
-    threads: int = 1
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)
@@ -86,12 +84,5 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def default_config() -> RunConfig:
-    """Default configuration; MMLAB_THREADS caps the worker count."""
-    cfg = RunConfig()
-    threads = os.environ.get("MMLAB_THREADS")
-    if threads:
-        try:
-            cfg = cfg.replace(threads=max(1, int(threads)))
-        except ValueError:
-            pass
-    return cfg
+    """Default configuration."""
+    return RunConfig()

@@ -33,11 +33,8 @@ from .errors import (
     ValidationError,
 )
 from .transport import (
-    PiecewiseQuantile,
+    MonotonePlan,
     WeightedOneDimSpace,
-    _merged_intervals,
-    _validate_density,
-    displacement_interpolate_1d,
     interval_mass,
     w2_exact,
 )
@@ -88,7 +85,7 @@ def renyi_entropy(mu, nu, nprime: float) -> ExtReal:
 def renyi_entropy_1d(space: WeightedOneDimSpace, rho_nu, nprime: float) -> ExtReal:
     """Entropy of the density ``rho_nu`` (per length) relative to the space
     measure, both piecewise constant on cells."""
-    rho_nu = _validate_density(space, rho_nu)
+    rho_nu = space.validate_density(rho_nu)
     return renyi_entropy(space.cell_masses, rho_nu * space.h, nprime)
 
 
@@ -101,72 +98,54 @@ def _gauss_nodes(order: int):
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
 
 
-def _coef_vals(variant: str, K: float, nprime: float, t: float,
-               thetas: np.ndarray, index: int) -> np.ndarray:
-    frac = (1.0 - t) if index == 0 else t
-    if variant == "CD":
-        return tau_vals(K, nprime, frac, thetas)
-    if variant == "CDstar":
-        return sigma_vals(K / nprime, frac, thetas)
-    raise ValidationError(f"variant must be CD or CDstar, got {variant!r}")
-
-
 def cd_rhs(space: WeightedOneDimSpace, rho0, rho1, K: float, nprime: float,
            t: float, variant: str = "CD", *,
            config: RunConfig | None = None) -> ExtReal:
     """Distortion-weighted endpoint-entropy integral along the monotone
     coupling of the two densities.
 
-    Integration runs over the quantile parametrisation: on each merged mass
-    interval both quantiles are affine and the relative densities constant,
-    so only the distortion coefficient needs quadrature (Gauss-Legendre of
-    the configured order; intervals on which the displacement changes sign
-    are split at the crossing).  Returns +inf as soon as a coefficient hits
-    its closed branch.
+    Integration runs over the pieces of the ``MonotonePlan``: on each both
+    quantiles are affine, the relative densities constant and the signed
+    displacement of one sign, so only the distortion coefficient needs
+    quadrature (Gauss-Legendre of the configured order).  Returns +inf as
+    soon as a coefficient hits its closed branch.
     """
     cfg = config or default_config()
+    return _plan_rhs(MonotonePlan.build(space, rho0, rho1), K, nprime, t,
+                     variant, cfg.cd_quad_order)
+
+
+def _plan_rhs(plan: MonotonePlan, K: float, nprime: float, t: float,
+              variant: str, quad_order: int) -> ExtReal:
     if nprime >= 0:
         raise InvalidDimension(f"N' must be negative, got {nprime}")
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t must lie in [0,1], got {t}")
-    rho0 = _validate_density(space, rho0)
-    rho1 = _validate_density(space, rho1)
-    mu_rho = space.density
-    h = space.h
-    q0 = PiecewiseQuantile.from_cells(space.cell_edges, rho0 * h)
-    q1 = PiecewiseQuantile.from_cells(space.cell_edges, rho1 * h)
-    a, b, mid, p0, p1 = _merged_intervals(q0, q1)
-    d_a = q0.affine_at(a, p0) - q1.affine_at(a, p1)
-    d_b = q0.affine_at(b, p0) - q1.affine_at(b, p1)
-    # split intervals where the signed displacement crosses zero
-    cross = d_a * d_b < 0
-    if np.any(cross):
-        root = a[cross] + (b[cross] - a[cross]) * d_a[cross] / (d_a[cross] - d_b[cross])
-        b_left = b.copy()
-        b_left[cross] = root
-        a = np.concatenate([a, root])
-        b = np.concatenate([b_left, b[cross]])
-        order = np.argsort(a, kind="stable")
-        a, b = a[order], b[order]
-        mid = 0.5 * (a + b)
-        p0 = q0.piece_of(mid)
-        p1 = q1.piece_of(mid)
-        d_a = q0.affine_at(a, p0) - q1.affine_at(a, p1)
-        d_b = q0.affine_at(b, p0) - q1.affine_at(b, p1)
+    if variant not in ("CD", "CDstar"):
+        raise ValidationError(f"variant must be CD or CDstar, got {variant!r}")
+    d_a = plan.x0_lo - plan.x1_lo
+    d_b = plan.x0_hi - plan.x1_hi
     theta_max = float(np.max(np.maximum(np.abs(d_a), np.abs(d_b)), initial=0.0))
     kappa = K / (nprime - 1.0) if variant == "CD" else K / nprime
     if kappa > 0 and theta_max >= omega(kappa):
         return EXT_INF
-    gx, gw = _gauss_nodes(cfg.cd_quad_order)
-    # displacement magnitude at quadrature nodes, affine per interval
+    space = plan.space
+    if t == 0.0 or t == 1.0:
+        # the coefficients are exactly 1 and 0: the integral is the endpoint
+        # entropy, summed over cells as renyi_entropy_1d sums it
+        rho = plan.rho0 if t == 0.0 else plan.rho1
+        return renyi_entropy(space.cell_masses, rho * space.h, nprime)
+    mu_rho = space.density
+    gx, gw = _gauss_nodes(quad_order)
+    # displacement magnitude at quadrature nodes, affine per piece
     th = np.abs(d_a[:, None] + (d_b - d_a)[:, None] * gx[None, :])
-    lengths = b - a
+    lengths = plan.u_hi - plan.u_lo
     total = 0.0
-    for index, (q, p, rho) in enumerate(((q0, p0, rho0), (q1, p1, rho1))):
-        cells = q.cells[p]
+    for frac, cells, rho in ((1.0 - t, plan.cell0, plan.rho0),
+                             (t, plan.cell1, plan.rho1)):
         rel = rho[cells] / mu_rho[cells]
-        coef = _coef_vals(variant, K, nprime, t, th.ravel(), index)
-        coef = coef.reshape(th.shape)
+        coef = (tau_vals(K, nprime, frac, th) if variant == "CD"
+                else sigma_vals(K / nprime, frac, th))
         if np.any(np.isinf(coef)):
             return EXT_INF
         per_interval = (coef * gw[None, :]).sum(axis=1) * lengths
@@ -308,18 +287,16 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     shift = None
     if space.kind == "circle":
         space, rho0, rho1, shift = _unroll_circle(space, rho0, rho1, cut)
-    else:
-        rho0 = _validate_density(space, rho0)
-        rho1 = _validate_density(space, rho1)
+    plan = MonotonePlan.build(space, rho0, rho1)
     tol = cd_budget(space.h, cfg)
     cells = []
     worst = (math.inf, None, None)
     for t in t_grid:
-        rho_t = displacement_interpolate_1d(space, rho0, rho1, float(t))
+        rho_t = plan.interpolate(float(t))
         for np_ in nprime_grid:
             lhs = renyi_entropy_1d(space, rho_t, float(np_))
-            rhs = cd_rhs(space, rho0, rho1, K, float(np_), float(t), variant,
-                         config=cfg)
+            rhs = _plan_rhs(plan, K, float(np_), float(t), variant,
+                            cfg.cd_quad_order)
             margin, rel, _ = _margin(lhs, rhs)
             ok = rel >= -tol
             cells.append(CdCell(float(t), float(np_),

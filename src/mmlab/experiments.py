@@ -340,7 +340,7 @@ def calibrate_cd_budget(K: float = 1.0, N: float = -1.0, lam: float = 1.0,
     det = h1 * h2 * h2 - h2 * h1 * h1
     c1 = (e1 * h2 * h2 - e2 * h1 * h1) / det
     c2 = (e2 * h1 - e1 * h2) / det
-    if c2 < 0:
+    if c2 <= 0:  # also maps the -0.0 of all-zero margins to 0.0
         c2 = 0.0
         c1 = max(e1 / h1, e2 / h2)
     if c1 < 0:

@@ -39,6 +39,7 @@ __all__ = [
     "box_upper_bound_common_space",
     "discretize",
     "PiecewiseQuantile",
+    "MonotonePlan",
 ]
 
 
@@ -122,6 +123,18 @@ class WeightedOneDimSpace:
     def cell_masses(self) -> np.ndarray:
         return np.exp(self.log_density) * self.h
 
+    def validate_density(self, rho) -> np.ndarray:
+        """Density samples (per length) on this grid, with mass 1 within 1e-6."""
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != self.grid.shape:
+            raise ValidationError("density samples must match the space grid")
+        if np.any(rho < 0) or not np.all(np.isfinite(rho)):
+            raise ValidationError("density samples must be finite and nonnegative")
+        mass = float(rho.sum() * self.h)
+        if abs(mass - 1.0) > 1e-6:
+            raise ValidationError(f"density mass {mass!r} deviates from 1 beyond 1e-06")
+        return rho
+
     @classmethod
     def from_density(cls, kind: str, total_length: float, m: int, density,
                      *, origin: float = 0.0, normalize: bool = False,
@@ -186,28 +199,6 @@ def discretize(space: WeightedOneDimSpace) -> FiniteMmSpace:
     return FiniteMmSpace(tuple(range(space.m)), dist, w, space.tolerances)
 
 
-def _validate_density(space: WeightedOneDimSpace, rho, *, mass_tol: float = 1e-6) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != space.grid.shape:
-        raise ValidationError("density samples must match the space grid")
-    if np.any(rho < 0) or not np.all(np.isfinite(rho)):
-        raise ValidationError("density samples must be finite and nonnegative")
-    mass = float(rho.sum() * space.h)
-    if abs(mass - 1.0) > mass_tol:
-        raise ValidationError(f"density mass {mass!r} deviates from 1 beyond {mass_tol}")
-    return rho
-
-
-def _require_contiguous_support(rho: np.ndarray) -> None:
-    pos = np.flatnonzero(rho > 0)
-    if pos.size == 0:
-        raise DegenerateDensity("density has empty support")
-    if np.any(np.diff(pos) > 1):
-        raise DegenerateDensity(
-            "density vanishes on an interior grid cell of its support"
-        )
-
-
 # ---------------------------------------------------------------------------
 # piecewise-linear quantile functions
 
@@ -265,31 +256,140 @@ class PiecewiseQuantile:
         frac = np.where(b1 > b0, (u - b0) / np.where(b1 > b0, b1 - b0, 1.0), 0.0)
         return self.x_lo[piece] + frac * (self.x_hi[piece] - self.x_lo[piece])
 
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.affine_at(u, self.piece_of(u))
+
+# ---------------------------------------------------------------------------
+# the monotone transport plan between two densities
 
 
-def _merged_intervals(q0: PiecewiseQuantile, q1: PiecewiseQuantile):
-    """Mass intervals on which both quantiles are affine."""
-    breaks = np.union1d(q0.breaks, q1.breaks)
-    a = breaks[:-1]
-    b = breaks[1:]
-    keep = b > a
-    a, b = a[keep], b[keep]
-    mid = 0.5 * (a + b)
-    p0 = q0.piece_of(mid)
-    p1 = q1.piece_of(mid)
-    return a, b, mid, p0, p1
+@dataclass(frozen=True)
+class MonotonePlan:
+    """Monotone (quantile) coupling of two densities, built once per pair.
 
+    The mass axis [0, 1] is cut into pieces on which both quantiles are
+    affine and the displacement Q0 - Q1 keeps one sign: the merged quantile
+    breaks, split where the displacement crosses zero (``crossing`` marks
+    each second half).  Piece j spans masses [u_lo[j], u_hi[j]]; over it Q0
+    runs from x0_lo[j] to x0_hi[j] and Q1 from x1_lo[j] to x1_hi[j], and
+    cell0[j], cell1[j] are the cells (or atoms) it comes from.  A circle is
+    cut open at its grid origin; callers rotate the densities to move the cut.
+    """
 
-def quantile_sq_distance(q0: PiecewiseQuantile, q1: PiecewiseQuantile) -> float:
-    """Exact integral of (Q0 - Q1)^2 du; Simpson is exact per affine piece."""
-    a, b, mid, p0, p1 = _merged_intervals(q0, q1)
-    da = q0.affine_at(a, p0) - q1.affine_at(a, p1)
-    dm = q0.affine_at(mid, p0) - q1.affine_at(mid, p1)
-    db = q0.affine_at(b, p0) - q1.affine_at(b, p1)
-    return float(np.sum((b - a) / 6.0 * (da * da + 4.0 * dm * dm + db * db)))
+    space: WeightedOneDimSpace
+    rho0: np.ndarray
+    rho1: np.ndarray
+    u_lo: np.ndarray
+    u_hi: np.ndarray
+    x0_lo: np.ndarray
+    x0_hi: np.ndarray
+    x1_lo: np.ndarray
+    x1_hi: np.ndarray
+    cell0: np.ndarray
+    cell1: np.ndarray
+    crossing: np.ndarray
+
+    @classmethod
+    def build(cls, space: WeightedOneDimSpace, rho0, rho1, *,
+              model: str = "cells") -> "MonotonePlan":
+        """Plan of two densities per length on the space grid.
+
+        ``model="cells"`` treats them as piecewise constant per cell;
+        ``model="atoms"`` puts each cell's mass at its center.
+        """
+        rho0 = space.validate_density(rho0)
+        rho1 = space.validate_density(rho1)
+        if model == "cells":
+            q0 = PiecewiseQuantile.from_cells(space.cell_edges, rho0 * space.h)
+            q1 = PiecewiseQuantile.from_cells(space.cell_edges, rho1 * space.h)
+        elif model == "atoms":
+            q0 = PiecewiseQuantile.from_atoms(space.grid, rho0 * space.h)
+            q1 = PiecewiseQuantile.from_atoms(space.grid, rho1 * space.h)
+        else:
+            raise ValidationError(f"unknown quantile model {model!r}")
+        breaks = np.union1d(q0.breaks, q1.breaks)
+        a, b = breaks[:-1], breaks[1:]
+        keep = b > a
+        a, b = a[keep], b[keep]
+        mid = 0.5 * (a + b)
+        p0 = q0.piece_of(mid)
+        p1 = q1.piece_of(mid)
+        ends = np.stack((a, b))
+        x0 = q0.affine_at(ends, p0)
+        x1 = q1.affine_at(ends, p1)
+        d_a, d_b = x0 - x1
+        # an interval where the displacement changes sign becomes two
+        # pieces, [a, root] followed by [root, b]
+        cross = d_a * d_b < 0
+        root = a[cross] + (b[cross] - a[cross]) * d_a[cross] / (d_a[cross] - d_b[cross])
+        reps = 1 + cross
+        second = (np.cumsum(reps) - 1)[cross]
+        # rows: u, Q0 and Q1, each at the low and then the high piece end
+        lo_hi = np.repeat(np.concatenate((ends, x0, x1)), reps, axis=1)
+        at_root = np.stack((root, q0.affine_at(root, p0[cross]),
+                            q1.affine_at(root, p1[cross])))
+        lo_hi[0::2, second] = at_root
+        lo_hi[1::2, second - 1] = at_root
+        cell0, cell1 = np.repeat(np.stack((q0.cells[p0], q1.cells[p1])), reps, axis=1)
+        crossing = np.zeros(cell0.size, dtype=bool)
+        crossing[second] = True
+        return cls(space, rho0, rho1, *lo_hi, cell0, cell1, crossing)
+
+    def sq_distance(self) -> float:
+        """Exact integral of (Q0 - Q1)^2 du; Simpson is exact per affine piece."""
+        d_lo = self.x0_lo - self.x1_lo
+        d_hi = self.x0_hi - self.x1_hi
+        d_mid = 0.5 * (d_lo + d_hi)
+        return float(np.sum((self.u_hi - self.u_lo) / 6.0
+                            * (d_lo * d_lo + 4.0 * d_mid * d_mid + d_hi * d_hi)))
+
+    def interpolate(self, t: float) -> np.ndarray:
+        """Cell densities of the monotone-map interpolant at fraction ``t``.
+
+        The exact interpolant is piecewise constant on the pieces, resampled
+        onto the grid by exact cell averaging; at t = 0 and t = 1 it is the
+        endpoint density itself.
+        """
+        if not 0.0 <= t <= 1.0:
+            raise ValidationError(f"t must lie in [0,1], got {t}")
+        for rho in (self.rho0, self.rho1):
+            if np.any(np.diff(np.flatnonzero(rho > 0)) > 1):
+                raise DegenerateDensity(
+                    "density vanishes on an interior grid cell of its support")
+        if t == 0.0:
+            return self.rho0.copy()
+        if t == 1.0:
+            return self.rho1.copy()
+        space = self.space
+        edges, h, m = space.cell_edges, space.h, space.m
+        # the interpolant stays affine across a zero crossing, so each split
+        # interval is spread whole and no cell mass depends on the root
+        starts = ~self.crossing
+        ends = np.append(starts[1:], True)
+        lo = (1.0 - t) * self.x0_lo[starts] + t * self.x1_lo[starts]
+        hi = (1.0 - t) * self.x0_hi[ends] + t * self.x1_hi[ends]
+        mass = self.u_hi[ends] - self.u_lo[starts]
+        # a piece narrower than `tiny` is a point mass at its middle
+        tiny = 1e-15 * max(space.total_length, 1.0)
+        point = hi - lo <= tiny
+        cell_of = lambda x: np.clip((x - edges[0]) // h, 0, m - 1)  # noqa: E731
+        c_lo = np.where(point, cell_of(0.5 * (lo + hi)), cell_of(lo)).astype(np.intp)
+        c_hi = np.where(point, cell_of(0.5 * (lo + hi)), cell_of(hi)).astype(np.intp)
+        # piece j adds to cells c_lo[j]..c_hi[j]: its whole mass when that is
+        # one cell, else the two partial overlaps and dens * h in between
+        wide = c_hi > c_lo
+        dens = mass / np.where(wide, hi - lo, 1.0)
+        counts = c_hi - c_lo + 1
+        first = np.cumsum(counts) - counts
+        cells = np.repeat(c_lo - first, counts) + np.arange(counts.sum())
+        vals = np.repeat(dens * h, counts)
+        vals[first[~wide]] = mass[~wide]
+        vals[first[wide]] = dens[wide] * (edges[c_lo[wide] + 1] - lo[wide])
+        vals[(first + counts - 1)[wide]] = dens[wide] * (hi[wide] - edges[c_hi[wide]])
+        # bincount adds in piece order, as a loop over the pieces would
+        out = np.bincount(cells, weights=vals, minlength=m)
+        total = out.sum()
+        if abs(total - 1.0) > space.tolerances.interp_mass:
+            raise SolverFailure(f"interpolant lost mass: total {total!r}")
+        return out / h
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +418,8 @@ def w2_exact(space: FiniteMmSpace, mu, nu, *,
 
     Solved with the HiGHS dual simplex; optimality is certified from the
     returned duals (nonnegative reduced costs and a primal-dual gap below
-    ``solver`` tolerance times the cost scale), otherwise ``SolverFailure``
-    is raised.
+    ``solver`` tolerance times the cost scale) and from the plan's
+    marginals; otherwise ``SolverFailure`` is raised.
     """
     cfg = config or default_config()
     tol = cfg.tolerances.solver
@@ -358,7 +458,10 @@ def w2_exact(space: FiniteMmSpace, mu, nu, *,
         raise SolverFailure(f"primal-dual gap {gap:.3e} exceeds tolerance")
     plan = np.zeros((space.n, space.n))
     plan[np.ix_(sa, sb)] = res.x.reshape(na, nb)
-    coupling = Coupling(plan, mu, nu, marginal_tol=max(1e-10, tol * 10))
+    try:
+        coupling = Coupling(plan, mu, nu, marginal_tol=max(1e-10, tol * 10))
+    except ValidationError as e:  # the solver's plan, not the input, is at fault
+        raise SolverFailure(f"transport plan fails its certificate: {e}") from e
     value = math.sqrt(max(float(res.fun), 0.0))
     return TransportPlanReport(value=value, coupling=coupling, dual_gap=gap,
                                iterations=int(res.nit), method="lp-highs-ds")
@@ -379,17 +482,8 @@ def w2_quantile_1d(space: WeightedOneDimSpace, rho0, rho1, *,
     """
     if space.kind != "segment":
         raise NonSegment("quantile transport requires a segment space")
-    rho0 = _validate_density(space, rho0)
-    rho1 = _validate_density(space, rho1)
-    if model == "cells":
-        q0 = PiecewiseQuantile.from_cells(space.cell_edges, rho0 * space.h)
-        q1 = PiecewiseQuantile.from_cells(space.cell_edges, rho1 * space.h)
-    elif model == "atoms":
-        q0 = PiecewiseQuantile.from_atoms(space.grid, rho0 * space.h)
-        q1 = PiecewiseQuantile.from_atoms(space.grid, rho1 * space.h)
-    else:
-        raise ValidationError(f"unknown quantile model {model!r}")
-    value = math.sqrt(max(quantile_sq_distance(q0, q1), 0.0))
+    plan = MonotonePlan.build(space, rho0, rho1, model=model)
+    value = math.sqrt(max(plan.sq_distance(), 0.0))
     return TransportPlanReport(value=value, coupling=None, dual_gap=0.0,
                                iterations=0, method=f"quantile-{model}",
                                map_description="monotone (quantile) coupling")
@@ -403,20 +497,10 @@ def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
     """
     if space.kind != "circle":
         raise ValidationError("cut search applies to circle spaces")
-    rho0 = _validate_density(space, rho0)
-    rho1 = _validate_density(space, rho1)
-    m = space.m
-    h = space.h
-    edges = np.arange(m + 1) * h
     best = (math.inf, -1)
-    m0 = rho0 * h
-    m1 = rho1 * h
-    for cut in range(m):
-        w0 = np.roll(m0, -cut)
-        w1 = np.roll(m1, -cut)
-        q0 = PiecewiseQuantile.from_cells(edges, w0)
-        q1 = PiecewiseQuantile.from_cells(edges, w1)
-        val = quantile_sq_distance(q0, q1)
+    for cut in range(space.m):
+        plan = MonotonePlan.build(space, np.roll(rho0, -cut), np.roll(rho1, -cut))
+        val = plan.sq_distance()
         if val < best[0] - 1e-15:
             best = (val, cut)
     return math.sqrt(max(best[0], 0.0)), best[1]
@@ -424,50 +508,11 @@ def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
 
 def displacement_interpolate_1d(space: WeightedOneDimSpace, rho0, rho1,
                                 t: float) -> np.ndarray:
-    """Density of the monotone-map interpolant at fraction ``t``.
-
-    The exact interpolant of piecewise-constant densities is piecewise
-    constant on the merged quantile intervals; it is resampled onto the
-    space grid by exact cell averaging.  For circles the caller must supply
+    """Density of the monotone-map interpolant at fraction ``t`` (see
+    ``MonotonePlan.interpolate``).  For circles the caller must supply
     densities already aligned so transport does not cross the grid boundary
-    (an optimal cut has been selected upstream).
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must lie in [0,1], got {t}")
-    rho0 = _validate_density(space, rho0)
-    rho1 = _validate_density(space, rho1)
-    _require_contiguous_support(rho0)
-    _require_contiguous_support(rho1)
-    edges = space.cell_edges
-    h = space.h
-    q0 = PiecewiseQuantile.from_cells(edges, rho0 * h)
-    q1 = PiecewiseQuantile.from_cells(edges, rho1 * h)
-    a, b, mid, p0, p1 = _merged_intervals(q0, q1)
-    xa = (1.0 - t) * q0.affine_at(a, p0) + t * q1.affine_at(a, p1)
-    xb = (1.0 - t) * q0.affine_at(b, p0) + t * q1.affine_at(b, p1)
-    masses = b - a
-    out = np.zeros(space.m)
-    x0 = edges[0]
-    tiny = 1e-15 * max(space.total_length, 1.0)
-    for lo, hi, mass in zip(xa, xb, masses):
-        if hi - lo <= tiny:
-            cell = int(np.clip((0.5 * (lo + hi) - x0) // h, 0, space.m - 1))
-            out[cell] += mass
-            continue
-        c_lo = int(np.clip((lo - x0) // h, 0, space.m - 1))
-        c_hi = int(np.clip((hi - x0) // h, 0, space.m - 1))
-        if c_lo == c_hi:
-            out[c_lo] += mass
-            continue
-        dens = mass / (hi - lo)
-        out[c_lo] += dens * (edges[c_lo + 1] - lo)
-        out[c_hi] += dens * (hi - edges[c_hi])
-        if c_hi > c_lo + 1:
-            out[c_lo + 1:c_hi] += dens * h
-    total = out.sum()
-    if abs(total - 1.0) > space.tolerances.interp_mass:
-        raise SolverFailure(f"interpolant lost mass: total {total!r}")
-    return out / h
+    (an optimal cut has been selected upstream)."""
+    return MonotonePlan.build(space, rho0, rho1).interpolate(t)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,25 @@ def test_cd_check_flat_circle_passes_zero_curvature(inputs):
     assert res.returncode == 0, res.stdout + res.stderr
 
 
+def test_w2_solver_fault_is_not_an_input_error(tmp_path):
+    # valid Dirichlet(0.3) masses on which the LP's plan has missed the
+    # coupling's marginal tolerance (by 2.3e-9 against 1e-9): that is a
+    # failed certification, exit 1, never an input error
+    rng = np.random.default_rng(0)
+    space = FiniteMmSpace.from_points(rng.random((64, 3)), np.full(64, 1 / 64))
+    paths = {"space": tmp_path / "space.json", "mu": tmp_path / "mu.json",
+             "nu": tmp_path / "nu.json"}
+    paths["space"].write_text(space.to_json())
+    for name in ("mu", "nu"):
+        weights = rng.dirichlet(0.3 * np.ones(64))
+        paths[name].write_text(json.dumps({"weights": list(weights)}))
+    res = run_cli("w2", *(f"--{k}={v}" for k, v in paths.items()),
+                  "--out", str(tmp_path / "reports"))
+    assert res.returncode != 2, res.stderr
+    if res.returncode != 0:
+        assert res.stderr.startswith("check failed"), res.stderr
+
+
 def test_usage_errors_exit_two(inputs):
     res = run_cli("w2", "--space", str(inputs["space"]),
                   "--mu", str(inputs["mu"]))

@@ -17,7 +17,7 @@ from mmlab.curvature import (
 )
 from mmlab.errors import InvalidDimension, ValidationError
 from mmlab.experiments import cosh_family, smooth_density_pairs
-from mmlab.transport import WeightedOneDimSpace
+from mmlab.transport import PiecewiseQuantile, WeightedOneDimSpace
 
 
 def uniform_circle(m=128, C=8.0):
@@ -37,6 +37,33 @@ def half_arc_translates(space, width_frac=0.05, c0_frac=0.1, c1_frac=0.35):
     rho0 /= rho0.sum() * space.h
     rho1 /= rho1.sum() * space.h
     return rho0, rho1
+
+
+def seeded_cosh_pair(seed, m=512, pair=3):
+    """A certified cosh control with K in [0.5, 4], N in [-3, -0.5] and a
+    pair of floor-plus-bump densities, drawn from a seed sequence
+    (seed, 1, 1); the pair index counts the pairs drawn before it."""
+    rng = np.random.default_rng([seed, 1, 1])
+    K = float(rng.uniform(0.5, 4.0))
+    N = float(rng.uniform(-3.0, -0.5))
+    lam = math.sqrt(K / (1.0 - N)) * float(rng.uniform(1.0, 1.5))
+    L = float(rng.uniform(2.5, 3.5)) / lam
+    length = 2.0 * L
+    h = length / m
+    x = (np.arange(m) + 0.5) * h
+
+    def bumps():
+        rho = np.full(m, 0.05 / length)
+        for _ in range(int(rng.integers(1, 4))):
+            c = rng.uniform(0.1 * length, 0.9 * length)
+            w = rng.uniform(0.05, 0.25) * length
+            rho = rho + np.exp(-((x - c) / w) ** 2)
+        return rho / (rho.sum() * h)
+
+    for _ in range(pair + 1):
+        rho0, rho1 = bumps(), bumps()
+        rng.uniform(0.1, 0.9)  # an interpolation time, drawn with each pair
+    return cosh_family(K, N, lam, L, m), rho0, rho1, K, N
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +163,37 @@ def test_cd_check_positive_control_passes():
 
 
 def test_cd_check_endpoints_near_equality():
+    # at t = 0 and t = 1 both sides are the endpoint entropy, summed over
+    # the same cells; summed differently, the seeded pairs miss the budget
+    # at N' = -0.1 (by 1.2e-11 to 2.4e-11 relative at t = 1)
     space = cosh_family(1.0, -1.0, 1.0, 3.0, 128)
-    rho0, rho1 = smooth_density_pairs(space, 1, seed=3)[0]
-    rep = cd_check_1d(space, rho0, rho1, 1.0, -1.0, t_grid=[0.0, 1.0],
-                      nprime_grid=[-1.0, -0.5])
-    for cell in rep.cells:
-        assert abs(cell.rel_margin) <= 1e-9
+    cases = [(space, *smooth_density_pairs(space, 1, seed=3)[0], 1.0, -1.0)]
+    cases += [seeded_cosh_pair(seed) for seed in (0, 4, 8)]
+    for space, rho0, rho1, K, N in cases:
+        rep = cd_check_1d(space, rho0, rho1, K, N, t_grid=[0.0, 1.0],
+                          nprime_grid=[N, N / 2.0, -0.1])
+        assert rep.verdict
+        for cell in rep.cells:
+            assert cell.lhs == cell.rhs and cell.rel_margin == 0.0
+
+
+def test_cd_check_builds_one_plan(monkeypatch):
+    calls = []
+    from_cells = PiecewiseQuantile.from_cells.__func__
+
+    def counted(cls, edges, masses):
+        calls.append(masses.size)
+        return from_cells(cls, edges, masses)
+
+    monkeypatch.setattr(PiecewiseQuantile, "from_cells", classmethod(counted))
+    space = cosh_family(1.0, -1.0, 1.0, 3.0, 96)
+    rho0, rho1 = smooth_density_pairs(space, 1, seed=4)[0]
+    cd_check_1d(space, rho0, rho1, 1.0, -1.0)
+    assert len(calls) == 2
+    circle = uniform_circle(m=64)
+    cd_check_1d(circle, *half_arc_translates(circle), 0.0, -1.0,
+                nprime_grid=[-1.0, -0.5])
+    assert len(calls) == 4
 
 
 def test_cd_check_flat_circle_fails_positive_curvature():

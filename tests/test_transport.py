@@ -5,7 +5,10 @@ import pytest
 
 from mmlab.core import FiniteMmSpace
 from mmlab.errors import DegenerateDensity, NonSegment, ValidationError
+from mmlab.experiments import cosh_family
 from mmlab.transport import (
+    MonotonePlan,
+    PiecewiseQuantile,
     WeightedOneDimSpace,
     box_upper_bound_common_space,
     discretize,
@@ -251,6 +254,141 @@ def test_interpolation_geodesic_property():
             rt = displacement_interpolate_1d(sp, rho0, rho1, t)
             dst = w2_quantile_1d(sp, rs, rt).value
             assert abs(dst - (t - s) * d01) <= tol
+
+
+def merged_intervals(q0, q1):
+    """Mass intervals on which both quantiles are affine, unsplit."""
+    breaks = np.union1d(q0.breaks, q1.breaks)
+    a, b = breaks[:-1], breaks[1:]
+    keep = b > a
+    a, b = a[keep], b[keep]
+    mid = 0.5 * (a + b)
+    return a, b, mid, q0.piece_of(mid), q1.piece_of(mid)
+
+
+def cell_quantiles(space, rho0, rho1):
+    edges = space.cell_edges
+    return (PiecewiseQuantile.from_cells(edges, rho0 * space.h),
+            PiecewiseQuantile.from_cells(edges, rho1 * space.h))
+
+
+def loop_interpolate(space, rho0, rho1, t):
+    """Reference interpolant: one Python pass over the merged intervals,
+    each spread over the cells it covers."""
+    q0, q1 = cell_quantiles(space, rho0, rho1)
+    a, b, _, p0, p1 = merged_intervals(q0, q1)
+    xa = (1.0 - t) * q0.affine_at(a, p0) + t * q1.affine_at(a, p1)
+    xb = (1.0 - t) * q0.affine_at(b, p0) + t * q1.affine_at(b, p1)
+    return loop_spread(space, xa, xb, b - a)
+
+
+def loop_spread(space, xa, xb, masses):
+    edges, h, m = space.cell_edges, space.h, space.m
+    out = np.zeros(m)
+    x0 = edges[0]
+    tiny = 1e-15 * max(space.total_length, 1.0)
+    for lo, hi, mass in zip(xa, xb, masses):
+        if hi - lo <= tiny:
+            cell = int(np.clip((0.5 * (lo + hi) - x0) // h, 0, m - 1))
+            out[cell] += mass
+            continue
+        c_lo = int(np.clip((lo - x0) // h, 0, m - 1))
+        c_hi = int(np.clip((hi - x0) // h, 0, m - 1))
+        if c_lo == c_hi:
+            out[c_lo] += mass
+            continue
+        dens = mass / (hi - lo)
+        out[c_lo] += dens * (edges[c_lo + 1] - lo)
+        out[c_hi] += dens * (hi - edges[c_hi])
+        if c_hi > c_lo + 1:
+            out[c_lo + 1:c_hi] += dens * h
+    return out / h
+
+
+def simpson_sq_distance(q0, q1):
+    """Simpson on the unsplit merged intervals, exact per affine piece."""
+    a, b, mid, p0, p1 = merged_intervals(q0, q1)
+    da = q0.affine_at(a, p0) - q1.affine_at(a, p1)
+    dm = q0.affine_at(mid, p0) - q1.affine_at(mid, p1)
+    db = q0.affine_at(b, p0) - q1.affine_at(b, p1)
+    return float(np.sum((b - a) / 6.0 * (da * da + 4.0 * dm * dm + db * db)))
+
+
+def oracle_pairs():
+    rng = np.random.default_rng(17)
+    for m, L in ((64, 4.0), (256, 5.0)):
+        sp = segment(m, L=L)
+        for _ in range(3):
+            yield sp, random_density(sp, rng, bumps=3), random_density(sp, rng)
+    for K, N, m in ((1.0, -1.0, 128), (4.0, -2.5, 512)):
+        sp = cosh_family(K, N, 1.5 * math.sqrt(K / (1.0 - N)), 3.0, m)
+        for _ in range(2):
+            yield sp, random_density(sp, rng, bumps=2), random_density(sp, rng, bumps=1)
+
+
+def assert_matches_loop(sp, rho0, rho1, t):
+    got = MonotonePlan.build(sp, rho0, rho1).interpolate(t)
+    ref = loop_interpolate(sp, rho0, rho1, t)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), t
+    assert abs(got.sum() * sp.h - 1.0) <= 1e-12
+
+
+def test_interpolation_matches_loop_oracle():
+    for sp, rho0, rho1 in oracle_pairs():
+        for t in np.arange(1, 10) / 10.0:
+            assert_matches_loop(sp, rho0, rho1, t)
+
+
+def test_interpolation_point_piece_matches_loop_oracle():
+    # equal first halves, mirrored second halves: the two cumulative sums
+    # agree on the first half, and the totals differ by rounding, so
+    # breaks there come in pairs about 1e-17 apart
+    sp = segment(64, L=4.0)
+    rho0 = random_density(sp, np.random.default_rng(5), bumps=3)
+    rho1 = rho0.copy()
+    rho1[32:] = rho0[32:][::-1]
+    rho1 /= rho1.sum() * sp.h
+    plan = MonotonePlan.build(sp, rho0, rho1)
+    width = plan.u_hi - plan.u_lo
+    assert np.any((width > 0) & (width < 1e-16))
+    for t in (0.1, 0.5, 0.9):
+        assert_matches_loop(sp, rho0, rho1, t)
+
+
+def test_interpolation_spreads_wide_pieces_like_the_loop():
+    # on one grid a plan's pieces span at most two cells; a plan made by
+    # hand with wider pieces reaches the cells wholly inside a piece
+    sp = segment(16, L=4.0)
+    u = np.array([0.0, 0.25, 0.7, 1.0])
+    x0 = np.array([0.0, 0.6, 2.9, 4.0])
+    x1 = np.array([0.3, 1.0, 1.7, 3.1])
+    rho = np.full(16, 0.25)
+    none = np.zeros(3, dtype=int)
+    plan = MonotonePlan(sp, rho, rho, u[:-1], u[1:], x0[:-1], x0[1:],
+                        x1[:-1], x1[1:], none, none, none.astype(bool))
+    for t in (0.2, 0.5, 0.8):
+        x = (1.0 - t) * x0 + t * x1
+        ref = loop_spread(sp, x[:-1], x[1:], np.diff(u))
+        got = plan.interpolate(t)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), t
+
+
+def test_plan_splits_at_displacement_sign_changes():
+    splits = 0
+    for sp, rho0, rho1 in oracle_pairs():
+        plan = MonotonePlan.build(sp, rho0, rho1)
+        d_lo = plan.x0_lo - plan.x1_lo
+        d_hi = plan.x0_hi - plan.x1_hi
+        # one sign per piece, up to the rounding of positions at a root
+        flips = d_lo * d_hi < 0
+        ulps = 4.0 * np.finfo(float).eps * sp.total_length
+        assert np.all(np.minimum(np.abs(d_lo), np.abs(d_hi))[flips] <= ulps)
+        assert np.array_equal(plan.u_lo[1:], plan.u_hi[:-1])
+        splits += int(plan.crossing.sum())
+        q0, q1 = cell_quantiles(sp, rho0, rho1)
+        assert plan.sq_distance() == pytest.approx(simpson_sq_distance(q0, q1),
+                                                   rel=1e-12)
+    assert splits > 0
 
 
 def test_interpolation_rejects_support_gap():
