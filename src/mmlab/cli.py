@@ -9,6 +9,7 @@ solver certification, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -33,7 +34,12 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
-from .reporting import ExperimentReport, atomic_write_text, canonical_json, params_hash
+from .reporting import (
+    ExperimentReport,
+    atomic_write_text,
+    params_hash,
+    write_report,
+)
 from .transport import (
     WeightedOneDimSpace,
     ky_fan,
@@ -127,28 +133,8 @@ def _flags_of(args) -> dict:
             if k not in ("func", "out") and v is not None}
 
 
-def _config_doc(cfg: RunConfig) -> dict:
-    doc = cfg.to_dict()
-    doc.pop("output_dir", None)
-    return doc
-
-
-def _emit(cfg: RunConfig, name: str, doc: dict, args) -> Path:
-    """Write a single JSON report; flags round-trip through metadata."""
-    flags = _flags_of(args)
-    doc = dict(doc)
-    doc["metadata"] = {"params": flags, "config": _config_doc(cfg)}
-    out = Path(cfg.output_dir) / f"{name}-{params_hash(flags)}.json"
-    atomic_write_text(out, canonical_json(doc))
-    return out
-
-
-def _finish_report(cfg: RunConfig, rep: ExperimentReport, args, ok: bool) -> int:
-    rep.metadata.setdefault("params", {}).update(_flags_of(args))
-    rep.metadata["config"] = _config_doc(cfg)
-    csv_path, json_path = rep.write(cfg.output_dir)
-    print(f"{rep.name}: {'pass' if ok else 'FAIL'} ({csv_path})")
-    return 0 if ok else 1
+def _experiment(rep: ExperimentReport, ok: bool):
+    return rep.name, rep, ok, f"{rep.name}: {'pass' if ok else 'FAIL'}"
 
 
 def _default_density_pair(space: WeightedOneDimSpace, seed: int):
@@ -174,77 +160,62 @@ def _default_density_pair(space: WeightedOneDimSpace, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns (report name, document or
+# ExperimentReport, verdict, summary line); main writes the report
 
 
-def _cmd_w2(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_w2(args, cfg):
     space = _load_finite_space(args.space)
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
     rep = w2_exact(space, mu, nu, config=cfg)
-    out = _emit(cfg, "w2", {"value": rep.value, "dual_gap": rep.dual_gap,
-                            "iterations": rep.iterations,
-                            "method": rep.method}, args)
-    print(f"w2: {rep.value!r} (dual gap {rep.dual_gap:.2e}) -> {out}")
-    return 0
+    return ("w2", {"value": rep.value, "dual_gap": rep.dual_gap,
+                   "iterations": rep.iterations, "method": rep.method}, True,
+            f"w2: {rep.value!r} (dual gap {rep.dual_gap:.2e})")
 
 
-def _cmd_prokhorov(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_prokhorov(args, cfg):
     space = _load_finite_space(args.space)
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
     val = prokhorov(space, mu, nu, config=cfg)
-    out = _emit(cfg, "prokhorov", {"value": val, "box_upper": 2.0 * val}, args)
-    print(f"prokhorov: {val!r} -> {out}")
-    return 0
+    return ("prokhorov", {"value": val, "box_upper": 2.0 * val}, True,
+            f"prokhorov: {val!r}")
 
 
-def _cmd_kyfan(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_kyfan(args, cfg):
     w = _load_weights(args.weights, "--weights")
     f = _load_values(args.f, "--f")
     g = _load_values(args.g, "--g")
     val = ky_fan(w, f, g)
-    out = _emit(cfg, "kyfan", {"value": val}, args)
-    print(f"kyfan: {val!r} -> {out}")
-    return 0
+    return "kyfan", {"value": val}, True, f"kyfan: {val!r}"
 
 
-def _cmd_entropy(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_entropy(args, cfg):
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
-    val = renyi_entropy(mu, nu, args.nprime)
-    out = _emit(cfg, "entropy", {"value": val.value, "nprime": args.nprime}, args)
-    print(f"entropy: {val!r} -> {out}")
-    return 0
+    val = renyi_entropy(mu, nu, args.nprime).value
+    return ("entropy", {"value": val, "nprime": args.nprime}, True,
+            f"entropy: {val!r}")
 
 
-def _cmd_sep(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_sep(args, cfg):
     space = _load_finite_space(args.space)
     res = separation(space, space.weights, args.k0, args.k1, config=cfg)
-    out = _emit(cfg, "sep", {"value": res.value, "exact": res.exact,
-                             "method": res.method}, args)
-    print(f"sep: {res.value!r} ({res.method}) -> {out}")
-    return 0
+    return ("sep", {"value": res.value, "exact": res.exact,
+                    "method": res.method}, True,
+            f"sep: {res.value!r} ({res.method})")
 
 
-def _cmd_obsdiam(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_obsdiam(args, cfg):
     space = _load_finite_space(args.space)
     sw = obsdiam_sandwich(space, space.weights, args.kappa, config=cfg)
-    out = _emit(cfg, "obsdiam", {"lower": sw.lower, "upper": sw.upper,
-                                 "witness": sw.witness,
-                                 "upper_exact": sw.upper_exact}, args)
-    print(f"obsdiam: [{sw.lower!r}, {sw.upper!r}] -> {out}")
-    return 0
+    return ("obsdiam", {"lower": sw.lower, "upper": sw.upper,
+                        "witness": sw.witness, "upper_exact": sw.upper_exact},
+            True, f"obsdiam: [{sw.lower!r}, {sw.upper!r}]")
 
 
-def _cmd_cd_check(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_cd_check(args, cfg):
     space = _load_1d_space(args.space)
     if args.rho0 and args.rho1:
         rho0 = _load_density(args.rho0, "--rho0", space)
@@ -257,103 +228,86 @@ def _cmd_cd_check(args) -> int:
     nprimes = _csv_floats(args.nprimes, "--nprimes") if args.nprimes else None
     rep = cd_check_1d(space, rho0, rho1, args.K, args.N, t_grid, nprimes,
                       args.variant, cut=args.cut, config=cfg)
-    out = Path(cfg.output_dir) / f"cd-check-{params_hash(_flags_of(args))}.json"
-    atomic_write_text(out, rep.to_json() + "\n")
-    status = "pass" if rep.verdict else "FAIL"
-    print(f"cd-check [{rep.variant}]: {status}, min relative margin "
-          f"{rep.min_rel_margin!r} at t={rep.worst_t!r}, N'={rep.worst_nprime!r} "
-          f"-> {out}")
-    return 0 if rep.verdict else 1
+    return ("cd-check", dataclasses.asdict(rep), rep.verdict,
+            f"cd-check [{rep.variant}]: {'pass' if rep.verdict else 'FAIL'}, "
+            f"min relative margin {rep.min_rel_margin!r} at t={rep.worst_t!r}, "
+            f"N'={rep.worst_nprime!r}")
 
 
-def _cmd_bm_check(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_bm_check(args, cfg):
     space = _load_1d_space(args.space)
     a0 = _csv_floats(args.a0, "--a0")
     a1 = _csv_floats(args.a1, "--a1")
     if len(a0) != 2 or len(a1) != 2:
         raise ValidationError("--a0/--a1 must be lo,hi pairs")
     res = bm_check(space, a0, a1, args.t, args.K, args.N, config=cfg)
-    out = _emit(cfg, "bm-check", {"lhs": res.lhs, "rhs": res.rhs,
-                                  "margin": res.margin, "ok": res.ok,
-                                  "a_t": list(res.a_t),
-                                  "masses": list(res.masses)}, args)
-    print(f"bm-check: {'pass' if res.ok else 'FAIL'} margin {res.margin!r} -> {out}")
-    return 0 if res.ok else 1
+    return ("bm-check", {"lhs": res.lhs, "rhs": res.rhs, "margin": res.margin,
+                         "ok": res.ok, "a_t": list(res.a_t),
+                         "masses": list(res.masses)}, res.ok,
+            f"bm-check: {'pass' if res.ok else 'FAIL'} margin {res.margin!r}")
 
 
-def _cmd_convexity(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_convexity(args, cfg):
     f = _load_values(args.f, "--f")
     rep = kn_convexity_check(f, args.K, args.N, args.h,
                              periodic=args.periodic, config=cfg)
-    out = Path(cfg.output_dir) / f"convexity-{params_hash(_flags_of(args))}.json"
-    atomic_write_text(out, rep.to_json() + "\n")
-    print(f"convexity: {'pass' if rep.verdict else 'FAIL'} min residual "
-          f"{rep.min_residual!r} (tol {rep.tol!r}) -> {out}")
-    return 0 if rep.verdict else 1
+    return ("convexity", dataclasses.asdict(rep), rep.verdict,
+            f"convexity: {'pass' if rep.verdict else 'FAIL'} min residual "
+            f"{rep.min_residual!r} (tol {rep.tol!r})")
 
 
-def _cmd_counterexample(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_counterexample(args, cfg):
     D = None if args.D == "auto" else float(args.D)
     params = experiments.CounterexampleParams(
         K=args.K, N=args.N, D=D,
         n_list=tuple(_csv_ints(args.n_list, "--n-list")),
         m=args.M, eps=args.eps)
     rep = experiments.counterexample_report(params, config=cfg)
-    ok = rep.metadata["all_convexity_pass"] and rep.metadata["all_mass_bounded"]
-    return _finish_report(cfg, rep, args, ok)
+    return _experiment(rep, rep.metadata["all_convexity_pass"]
+                       and rep.metadata["all_mass_bounded"])
 
 
-def _cmd_cosh_family(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_cosh_family(args, cfg):
     space = experiments.cosh_family(args.K, args.N, args.lam, args.L, args.M,
                                     config=cfg)
+    # the space file is an input for the 1D commands, not a report
     out_space = Path(args.out_space) if args.out_space else (
         Path(cfg.output_dir) / f"cosh-space-{params_hash(_flags_of(args))}.json")
     atomic_write_text(out_space, space.to_json() + "\n")
-    out = _emit(cfg, "cosh-family", {"certified": True,
-                                     "space_file": str(out_space),
-                                     "grid_size": space.m,
-                                     "h": space.h}, args)
-    print(f"cosh-family: certified -> {out_space} (report {out})")
-    return 0
+    return ("cosh-family", {"certified": True, "space_file": out_space.name,
+                            "grid_size": space.m, "h": space.h}, True,
+            f"cosh-family: certified, space {out_space}")
 
 
-def _cmd_sinh_example(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_sinh_example(args, cfg):
     rep = experiments.sinh_example_report(
         args.K, args.N,
         C_list=_csv_floats(args.C_list, "--C-list"),
         R_list=_csv_floats(args.R_list, "--R-list"), config=cfg)
-    ok = (rep.metadata["all_convexity_pass"] and rep.metadata["order_ratios_ok"]
-          and rep.metadata["all_divergent"])
-    return _finish_report(cfg, rep, args, ok)
+    return _experiment(rep, rep.metadata["all_convexity_pass"]
+                       and rep.metadata["order_ratios_ok"]
+                       and rep.metadata["all_divergent"])
 
 
-def _cmd_bm_collapse(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_bm_collapse(args, cfg):
     space = _load_1d_space(args.space)
     rep = experiments.bm_collapse_sweep(
         space, _csv_floats(args.a0, "--a0"), _csv_floats(args.a1, "--a1"),
         args.t, _csv_floats(args.K_list, "--K-list"), args.N, config=cfg)
-    return _finish_report(cfg, rep, args, rep.metadata["rhs_strictly_decreasing"])
+    return _experiment(rep, rep.metadata["rhs_strictly_decreasing"])
 
 
-def _cmd_verify_bounds(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_verify_bounds(args, cfg):
     rep = experiments.verify_separation_bounds(
         K_list=_csv_floats(args.K_list, "--K-list"),
         kappas=_csv_floats(args.kappas, "--kappas"),
         N=args.N, lam0=args.lam0, L0=args.L0, m=args.M, slack=args.slack,
         config=cfg)
-    ok = rep.metadata["all_sep_bounded"] and rep.metadata["scaling_within_10pct"]
-    return _finish_report(cfg, rep, args, ok)
+    return _experiment(rep, rep.metadata["all_sep_bounded"]
+                       and rep.metadata["scaling_within_10pct"])
 
 
-def _cmd_lemma_suite(args) -> int:
-    cfg = _config_from_args(args)
+def _cmd_lemma_suite(args, cfg):
     if args.space:
         space = _load_finite_space(args.space)
     else:
@@ -372,7 +326,7 @@ def _cmd_lemma_suite(args) -> int:
     )
     for check, count in sorted(suite.passes.items()):
         rep.add(check=check, passes=count, trials=suite.trials)
-    return _finish_report(cfg, rep, args, suite.all_passed)
+    return _experiment(rep, suite.all_passed)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +428,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config_from_args(args)
+        name, rep, ok, line = args.func(args, cfg)
+        params = _flags_of(args)
+        if isinstance(rep, ExperimentReport):
+            rep.metadata.setdefault("params", {}).update(params)
+            _, out = rep.write(cfg.output_dir, cfg)
+        else:
+            out = write_report(cfg.output_dir, name, rep, params, cfg)
+        print(f"{line} -> {out}")
+        return 0 if ok else 1
     except _CHECK_ERRORS as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1

@@ -287,12 +287,6 @@ class Coupling:
         object.__setattr__(self, "mu", np.array(mu, copy=True))
         object.__setattr__(self, "nu", np.array(nu, copy=True))
 
-    def cost(self, cost_matrix) -> float:
-        return float(np.sum(self.matrix * np.asarray(cost_matrix, dtype=float)))
-
-    def mass_on(self, mask) -> float:
-        return float(np.sum(self.matrix[np.asarray(mask, dtype=bool)]))
-
 
 def condition_measure(mu, subset, *, tol: float = 1e-12) -> np.ndarray:
     """Restrict ``mu`` to ``subset`` and renormalise.

@@ -9,7 +9,6 @@ inside integrands (coupling-null sets never contribute).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -185,27 +184,6 @@ class CdReport:
     budget: dict
     coupling: str = "monotone quantile coupling"
     cut: int | None = None
-
-    def to_json(self) -> str:
-        doc = {
-            "variant": self.variant,
-            "K": self.K,
-            "N": self.N,
-            "t_grid": list(self.t_grid),
-            "nprime_grid": list(self.nprime_grid),
-            "cells": [{"t": c.t, "nprime": c.nprime, "lhs": c.lhs,
-                       "rhs": c.rhs, "margin": c.margin,
-                       "rel_margin": c.rel_margin, "ok": c.ok}
-                      for c in self.cells],
-            "verdict": self.verdict,
-            "min_rel_margin": self.min_rel_margin,
-            "worst_t": self.worst_t,
-            "worst_nprime": self.worst_nprime,
-            "budget": self.budget,
-            "coupling": self.coupling,
-            "cut": self.cut,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _margin(lhs: ExtReal, rhs: ExtReal) -> tuple[float, float, float]:
@@ -403,15 +381,6 @@ class ConvexityReport:
     tol_c: float
     tol: float
     verdict: bool
-
-    def to_json(self) -> str:
-        doc = {
-            "K": self.K, "N": self.N, "h": self.h, "periodic": self.periodic,
-            "residuals": [float(v) for v in self.residuals],
-            "min_residual": self.min_residual, "argmin": self.argmin,
-            "tol_c": self.tol_c, "tol": self.tol, "verdict": self.verdict,
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def kn_convexity_check(f_samples, K: float, N: float, h: float, *,

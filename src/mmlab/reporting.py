@@ -15,6 +15,10 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .config import RunConfig
+
 
 def format_value(v) -> str:
     if isinstance(v, bool):
@@ -35,14 +39,10 @@ def canonical_json(doc) -> str:
 
 
 def _jsonable(v):
-    try:
-        import numpy as np
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, (np.floating, np.integer, np.bool_)):
-            return v.item()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, (np.floating, np.integer, np.bool_)):
+        return v.item()
     if isinstance(v, tuple):
         return list(v)
     raise TypeError(f"not JSON serialisable: {type(v)!r}")
@@ -67,6 +67,23 @@ def params_hash(params: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def write_report(outdir, name: str, doc: dict, params: dict,
+                 config: RunConfig) -> Path:
+    """Write ``doc`` as the JSON report ``<name>-<params_hash(params)>.json``.
+
+    The report's ``metadata`` gains ``params`` and the run configuration
+    without its output directory (other metadata keys are kept), so the
+    bytes depend on the inputs and settings only, never on where they land.
+    """
+    settings = config.to_dict()
+    settings.pop("output_dir")
+    doc = {**doc, "metadata": {**doc.get("metadata", {}), "params": params,
+                               "config": settings}}
+    path = Path(outdir) / f"{name}-{params_hash(params)}.json"
+    atomic_write_text(path, canonical_json(doc))
+    return path
+
+
 @dataclass
 class ExperimentReport:
     """Tabular record of an experiment run, with full metadata."""
@@ -89,22 +106,12 @@ class ExperimentReport:
             lines.append(",".join(format_value(v) for v in row))
         return "\n".join(lines) + "\n"
 
-    def json_text(self) -> str:
-        return canonical_json({
-            "name": self.name,
-            "columns": list(self.columns),
-            "rows": self.rows,
-            "metadata": self.metadata,
-        })
-
-    def file_stem(self) -> str:
-        return f"{self.name}-{params_hash(self.metadata.get('params', {}))}"
-
-    def write(self, outdir) -> tuple[Path, Path]:
-        outdir = Path(outdir)
-        stem = self.file_stem()
-        csv_path = outdir / f"{stem}.csv"
-        json_path = outdir / f"{stem}.json"
+    def write(self, outdir, config: RunConfig) -> tuple[Path, Path]:
+        """Write the JSON report and, beside it, the rows as CSV."""
+        doc = {"name": self.name, "columns": list(self.columns),
+               "rows": self.rows, "metadata": self.metadata}
+        json_path = write_report(outdir, self.name, doc,
+                                 self.metadata.get("params", {}), config)
+        csv_path = json_path.with_suffix(".csv")
         atomic_write_text(csv_path, self.csv_text())
-        atomic_write_text(json_path, self.json_text())
         return csv_path, json_path

@@ -492,18 +492,19 @@ def w2_quantile_1d(space: WeightedOneDimSpace, rho0, rho1, *,
 def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
     """Circle transport as the best segment transport over grid cut points.
 
-    Returns ``(value, cut_index)``; the cut is a cell boundary index and ties
-    are broken toward the positively-oriented (smallest-index) cut.
+    Returns ``(value, cut_index)``; the cut is a cell boundary index, and
+    among cuts within 1e-12 relative of the minimum (exact ties round apart
+    by a few ulp) the smallest index is taken.
     """
     if space.kind != "circle":
         raise ValidationError("cut search applies to circle spaces")
-    best = (math.inf, -1)
-    for cut in range(space.m):
-        plan = MonotonePlan.build(space, np.roll(rho0, -cut), np.roll(rho1, -cut))
-        val = plan.sq_distance()
-        if val < best[0] - 1e-15:
-            best = (val, cut)
-    return math.sqrt(max(best[0], 0.0)), best[1]
+    vals = np.array([
+        MonotonePlan.build(space, np.roll(rho0, -cut),
+                           np.roll(rho1, -cut)).sq_distance()
+        for cut in range(space.m)])
+    best = vals.min()
+    cut = int(np.flatnonzero(vals <= best + 1e-12 * abs(best))[0])
+    return math.sqrt(max(vals[cut], 0.0)), cut
 
 
 def displacement_interpolate_1d(space: WeightedOneDimSpace, rho0, rho1,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mmlab.core import FiniteMmSpace
+from mmlab.reporting import params_hash
 from mmlab.transport import WeightedOneDimSpace
 
 
@@ -100,6 +101,9 @@ def test_entropy_and_sep_commands(inputs, tmp_path):
     res = run_cli("entropy", "--mu", str(inputs["mu"]), "--nu", str(nu),
                   "--nprime", "-1", "--out", str(out))
     assert res.returncode == 0, res.stderr
+    value = float(res.stdout.split()[1])  # a plain float, as elsewhere
+    doc = json.loads(next(out.glob("entropy-*.json")).read_text())
+    assert doc["value"] == value
     res = run_cli("sep", "--space", str(inputs["space"]),
                   "--k0", "0.3", "--k1", "0.3", "--out", str(out))
     assert res.returncode == 0, res.stderr
@@ -192,3 +196,45 @@ def test_bm_check_command(tmp_path):
                   "--K", "1", "--N", "-1", "--out", str(tmp_path / "r"))
     assert res.returncode == 0, res.stdout + res.stderr
     assert "pass" in res.stdout
+
+
+def _report_command(name, inputs):
+    tmp = inputs["tmp"]
+    if name == "cd-check":
+        return [name, "--space", str(inputs["circle"]), "--K", "0", "--N", "-1"]
+    if name == "convexity":
+        x = np.arange(-3.0, 3.0, 1e-2)
+        f_path = tmp / "f.json"
+        f_path.write_text(json.dumps({"values": list(2.0 * np.log(np.cosh(x)))}))
+        return [name, "--f", str(f_path), "--K", "1", "--N", "-2", "--h", "0.01"]
+    if name == "cosh-family":
+        return [name, "--K", "1", "--N", "-1", "--lam", "1", "--L", "3",
+                "--M", "64"]
+    if name == "w2":
+        return [name, "--space", str(inputs["space"]), "--mu", str(inputs["mu"]),
+                "--nu", str(inputs["mu"])]
+    # uniform planar points whose obsdiam witnesses hit a rounding corner
+    rng = np.random.default_rng(1)
+    n = int(rng.integers(3, 7))
+    planar = tmp / "planar.json"
+    planar.write_text(FiniteMmSpace.from_points(rng.random((n, 2)),
+                                                np.full(n, 1.0 / n)).to_json())
+    return [name, "--space", str(planar), "--kappa", "0.05"]
+
+
+@pytest.mark.parametrize("name", ["cd-check", "convexity", "cosh-family", "w2",
+                                  "obsdiam"])
+def test_report_does_not_depend_on_out(inputs, name):
+    cmd = _report_command(name, inputs)
+    bundles = []
+    for outdir in (inputs["tmp"] / "a", inputs["tmp"] / "b" / "deeper"):
+        res = run_cli(*cmd, "--out", str(outdir))
+        assert res.returncode == 0, res.stdout + res.stderr
+        bundles.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert bundles[0] == bundles[1]
+    # cosh-family also leaves its space file, an input and not a report
+    reports = [n for n in bundles[0] if not n.startswith("cosh-space-")]
+    assert len(reports) == 1 and reports[0].rsplit("-", 1)[0] == name
+    meta = json.loads(bundles[0][reports[0]])["metadata"]
+    assert reports[0] == f"{name}-{params_hash(meta['params'])}.json"
+    assert "output_dir" not in meta["config"] and "seed" in meta["config"]

@@ -86,10 +86,40 @@ def test_partial_diameter_1d_matches_oracle():
         xs = rng.uniform(0, 3, size=n)
         w = rng.dirichlet(np.ones(n))
         alpha = float(rng.uniform(0.1, 1.0))
-        dist = np.abs(xs[:, None] - xs[None, :])
-        val = partial_diameter_1d(xs, w, alpha)
-        assert val == pytest.approx(oracle_partial_diameter(dist, w, alpha),
-                                    abs=1e-9)
+        # the full mass, and values rounded to integers so that some tie
+        for x, a in ((xs, alpha), (xs, 1.0), (np.round(xs), alpha),
+                     (np.round(xs), 1.0)):
+            dist = np.abs(x[:, None] - x[None, :])
+            val = partial_diameter_1d(x, w, a)
+            assert val == pytest.approx(oracle_partial_diameter(dist, w, a),
+                                        abs=1e-9)
+
+
+def test_partial_diameter_1d_full_window_that_float_widths_miss():
+    # xs[0] + (xs[1] - xs[0]) rounds below xs[1], so no float width reaches
+    # the only window that carries the full mass
+    xs = [0.3487416591545386, 1.983069342085405]
+    assert xs[0] + (xs[1] - xs[0]) < xs[1]
+    assert partial_diameter_1d(xs, [0.5, 0.5], 1.0) == xs[1] - xs[0]
+    # alpha at the total plus mass_tol, where alpha - mass_tol rounds above
+    # the cumulative mass: the whole set is the window
+    w = np.array([0.3930412548950492, 0.14819406680697655,
+                  0.011734595315458654, 0.23767590751730877,
+                  0.05958191474231669, 0.12035994414703281,
+                  0.02941231657585719])
+    assert w.sum() + 1e-12 - 1e-12 > np.cumsum(w)[-1]
+    assert partial_diameter_1d(np.arange(7.0), w, w.sum() + 1e-12) == 6.0
+
+
+def test_obsdiam_sandwich_small_uniform_planar_spaces():
+    # witnesses of these spaces hit the full-window rounding above
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        w = np.full(n, 1.0 / n)
+        s = FiniteMmSpace.from_points(rng.random((n, 2)), w)
+        sw = obsdiam_sandwich(s, w, 0.05)
+        assert 0.0 <= sw.lower <= sw.upper
 
 
 def test_partial_diameter_clique_matches_oracle():

@@ -1,8 +1,11 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from mmlab.config import default_config
 from mmlab.core import FiniteMmSpace, condition_measure
 from mmlab.curvature import (
     bm_check,
@@ -17,6 +20,7 @@ from mmlab.curvature import (
 )
 from mmlab.errors import InvalidDimension, ValidationError
 from mmlab.experiments import cosh_family, smooth_density_pairs
+from mmlab.reporting import write_report
 from mmlab.transport import PiecewiseQuantile, WeightedOneDimSpace
 
 
@@ -236,13 +240,17 @@ def test_cd_star_margin_dominates_cd_for_positive_K():
         assert c_star.rel_margin >= c_cd.rel_margin - 1e-9
 
 
-def test_cd_report_json_serialises():
+def test_cd_report_json_serialises(tmp_path):
     space = cosh_family(1.0, -1.0, 1.0, 2.0, 64)
     rho0, rho1 = smooth_density_pairs(space, 1, seed=9)[0]
     rep = cd_check_1d(space, rho0, rho1, 1.0, -1.0, t_grid=[0.0, 0.5, 1.0],
                       nprime_grid=[-1.0])
-    doc = rep.to_json()
-    assert '"budget"' in doc and '"verdict"' in doc
+    path = write_report(tmp_path, "cd-check", dataclasses.asdict(rep),
+                        {"K": 1.0}, default_config())
+    doc = json.loads(path.read_text())
+    assert doc["verdict"] == rep.verdict and doc["budget"] == rep.budget
+    assert doc["cells"] == [dataclasses.asdict(c) for c in rep.cells]
+    assert doc["metadata"]["params"] == {"K": 1.0}
 
 
 # ---------------------------------------------------------------------------

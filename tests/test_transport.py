@@ -419,6 +419,20 @@ def test_circle_cut_search_near_lp():
     assert abs(val - lp.value) <= 2.0 * circle.h
 
 
+def test_circle_cut_search_takes_smallest_tied_cut():
+    # a two-cell block against its rotation by nine cells: every cut off the
+    # transport path has the same cost, but those costs round apart by 2e-15
+    m = 24
+    circle = WeightedOneDimSpace.from_density(
+        "circle", 4.0, m, lambda x: np.full_like(x, 0.25))
+    rho0 = np.zeros(m)
+    rho0[:2] = 1.0
+    rho0 /= rho0.sum() * circle.h
+    val, cut = w2_circle_quantile(circle, rho0, np.roll(rho0, 9))
+    assert cut == 0
+    assert val == pytest.approx(9 * circle.h, rel=1e-12)
+
+
 def test_circle_translate_of_compact_bump():
     # for disjoint translated supports inside a half-circle the shift map is
     # the monotone optimum, so the cost equals the shift exactly
