@@ -7,9 +7,7 @@ invariants with closed-form bounds, and reproducible experiment pipelines.
 
 from .config import RunConfig, Tolerances, default_config
 from .core import (
-    EXT_INF,
     Coupling,
-    ExtReal,
     FiniteMmSpace,
     condition_measure,
     partition_average,
@@ -22,7 +20,6 @@ from .coefficients import (
     omega,
     s_kappa,
     sigma,
-    sigma_pair,
     tau,
     tau_sup,
 )

@@ -137,7 +137,7 @@ def _experiment(rep: ExperimentReport, ok: bool):
     return rep.name, rep, ok, f"{rep.name}: {'pass' if ok else 'FAIL'}"
 
 
-def _default_density_pair(space: WeightedOneDimSpace, seed: int):
+def _default_density_pair(space: WeightedOneDimSpace):
     """Deterministic translate pair; on circles the supports sit inside the
     first half-arc so the monotone geodesic needs no cut."""
     x = space.grid
@@ -194,7 +194,7 @@ def _cmd_kyfan(args, cfg):
 def _cmd_entropy(args, cfg):
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
-    val = renyi_entropy(mu, nu, args.nprime).value
+    val = renyi_entropy(mu, nu, args.nprime)
     return ("entropy", {"value": val, "nprime": args.nprime}, True,
             f"entropy: {val!r}")
 
@@ -223,7 +223,7 @@ def _cmd_cd_check(args, cfg):
     elif args.rho0 or args.rho1:
         raise ValidationError("--rho0 and --rho1 must be given together")
     else:
-        rho0, rho1 = _default_density_pair(space, cfg.seed)
+        rho0, rho1 = _default_density_pair(space)
     t_grid = np.linspace(0.0, 1.0, args.t_points) if args.t_points else None
     nprimes = _csv_floats(args.nprimes, "--nprimes") if args.nprimes else None
     rep = cd_check_1d(space, rho0, rho1, args.K, args.N, t_grid, nprimes,

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .core import EXT_INF, ExtReal
 from .errors import InvalidDimension, ValidationError
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "s_kappa",
     "sigma",
     "sigma_vals",
-    "sigma_pair",
     "sigma_range_sup",
     "tau",
     "tau_vals",
@@ -99,18 +97,12 @@ def sigma_vals(kappa: float, t: float, thetas) -> np.ndarray:
     return out
 
 
-def sigma(kappa: float, t: float, theta: float) -> ExtReal:
-    """Distortion coefficient; ``ExtReal(inf)`` once theta reaches omega(kappa)."""
-    v = float(sigma_vals(kappa, t, np.asarray([theta]))[0])
-    return EXT_INF if math.isinf(v) else ExtReal(v)
+def sigma(kappa: float, t: float, theta: float) -> float:
+    """Distortion coefficient; ``math.inf`` once theta reaches omega(kappa)."""
+    return float(sigma_vals(kappa, t, np.asarray([theta]))[0])
 
 
-def sigma_pair(kappa: float, t: float, theta: float, index: int) -> ExtReal:
-    """Index-0 variant uses the reversed fraction 1 - t, index-1 uses t."""
-    return sigma(kappa, (1.0 - t) if index == 0 else t, theta)
-
-
-def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) -> ExtReal:
+def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) -> float:
     """Supremum of the ratio over a theta interval.
 
     The ratio is monotone on the finite branch (nonincreasing for kappa <= 0,
@@ -119,13 +111,13 @@ def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) ->
     if theta_hi < theta_lo:
         raise ValidationError("empty theta range")
     if kappa > 0 and theta_hi >= omega(kappa):
-        return EXT_INF
+        return math.inf
     return sigma(kappa, t, theta_lo if kappa <= 0 else theta_hi)
 
 
 def tau_vals(K: float, N: float, t: float, thetas) -> np.ndarray:
     """Vectorised tau coefficient for dimension parameter N < 0."""
-    if N >= 0:
+    if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     t = _check_t(t)
     th = np.asarray(thetas, dtype=float)
@@ -143,13 +135,12 @@ def tau_vals(K: float, N: float, t: float, thetas) -> np.ndarray:
     return out
 
 
-def tau(K: float, N: float, t: float, theta: float) -> ExtReal:
+def tau(K: float, N: float, t: float, theta: float) -> float:
     """Distortion coefficient with dimensional weighting, N < 0."""
-    v = float(tau_vals(K, N, t, np.asarray([theta]))[0])
-    return EXT_INF if math.isinf(v) else ExtReal(v)
+    return float(tau_vals(K, N, t, np.asarray([theta]))[0])
 
 
-def tau_sup(K: float, N: float, t: float, theta_max: float) -> ExtReal:
+def tau_sup(K: float, N: float, t: float, theta_max: float) -> float:
     """Supremum of tau over theta in [0, theta_max].
 
     tau is monotone in theta on the finite branch: nonincreasing for K >= 0
@@ -158,16 +149,16 @@ def tau_sup(K: float, N: float, t: float, theta_max: float) -> ExtReal:
     branch).  Monotonicity follows from the sign of
     (1 - t^2) s(t z) s(z) in the derivative of the ratio.
     """
-    if N >= 0:
+    if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     t = _check_t(t)
     if theta_max < 0:
         raise ValidationError("theta_max must be nonnegative")
     if K >= 0:
-        return ExtReal(t)
+        return t
     kappa = K / (N - 1.0)  # positive here
     if theta_max >= omega(kappa):
-        return EXT_INF
+        return math.inf
     return tau(K, N, t, theta_max)
 
 

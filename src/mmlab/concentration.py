@@ -361,7 +361,7 @@ def _acosh(x: float) -> float:
 def _check_bound_params(K: float, N: float) -> None:
     if K <= 0:
         raise ValidationError(f"K must be positive, got {K}")
-    if N >= 0:
+    if not N < 0:
         raise ValidationError(f"N must be negative, got {N}")
 
 
@@ -423,7 +423,7 @@ def levy_bound_sequence(K_list, N_list, kappa: float, mode: str, *,
     N = np.asarray(N_list, dtype=float)
     if K.shape != N.shape:
         raise ValidationError("K and N sequences must have equal length")
-    if np.any(N >= 0):
+    if not np.all(N < 0):
         raise ValidationError("dimension parameters must be negative")
     vals = np.full(K.shape, math.inf)
     pos = K > 0

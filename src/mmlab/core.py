@@ -7,7 +7,6 @@ values can be shared freely between threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -17,8 +16,6 @@ from .config import Tolerances
 from .errors import ValidationError, ZeroMassSet
 
 __all__ = [
-    "ExtReal",
-    "EXT_INF",
     "prob_weights",
     "FiniteMmSpace",
     "Coupling",
@@ -28,90 +25,6 @@ __all__ = [
     "subset_diameter",
     "as_index_array",
 ]
-
-
-class ExtReal:
-    """Nonnegative extended real with absorbing infinity.
-
-    Arithmetic conventions: ``inf + x = inf`` and ``c * inf = inf`` for
-    ``c > 0``; the product ``0 * inf`` is ``0`` (the measure-theoretic
-    convention used in the entropy integrands).  Comparisons are total and
-    interoperate with plain numbers.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        v = float(value)
-        if math.isnan(v):
-            raise ValidationError("ExtReal cannot hold NaN")
-        if v < 0:
-            raise ValidationError(f"ExtReal must be nonnegative, got {v}")
-        object.__setattr__(self, "value", v)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("ExtReal is immutable")
-
-    @property
-    def is_inf(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __add__(self, other):
-        return ExtReal(self.value + _coerce(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        o = _coerce(other)
-        if (o == 0.0 and self.is_inf) or (math.isinf(o) and self.value == 0.0):
-            return ExtReal(0.0)
-        return ExtReal(self.value * o)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        try:
-            return self.value == _coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __lt__(self, other):
-        return self.value < _coerce(other)
-
-    def __le__(self, other):
-        return self.value <= _coerce(other)
-
-    def __gt__(self, other):
-        return self.value > _coerce(other)
-
-    def __ge__(self, other):
-        return self.value >= _coerce(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"ExtReal({'inf' if self.is_inf else repr(self.value)})"
-
-
-def _coerce(x) -> float:
-    if isinstance(x, ExtReal):
-        return x.value
-    return float(x)
-
-
-EXT_INF = ExtReal(math.inf)
 
 
 def prob_weights(values, *, tol: float = 1e-12) -> np.ndarray:

@@ -3,8 +3,9 @@
 The inequality checkers evaluate both sides of the entropy-convexity
 conditions on weighted one-dimensional spaces using the monotone (quantile)
 coupling and its displacement interpolation; that coupling choice is recorded
-in every report.  Conventions: 0^{1/N} = +inf for N < 0, and 0 * inf = 0
-inside integrands (coupling-null sets never contribute).
+in every report.  Values are plain floats with ``math.inf`` for +inf.
+Conventions: 0^{1/N} = +inf for N < 0, and 0 * inf = 0 (null sets never
+contribute), which only the Brunn-Minkowski right-hand side meets.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from scipy.special import logsumexp
 from .coefficients import omega, sigma_range_sup, sigma_vals, tau_vals
 from .config import RunConfig, default_config
 from .core import (
-    EXT_INF,
-    ExtReal,
     FiniteMmSpace,
     condition_measure,
     partition_average,
@@ -60,28 +59,27 @@ __all__ = [
 # Renyi entropy
 
 
-def renyi_entropy(mu, nu, nprime: float) -> ExtReal:
+def renyi_entropy(mu, nu, nprime: float) -> float:
     """Entropy of nu relative to mu on a finite space; +inf when nu is not
     absolutely continuous with respect to mu.
 
     Takes mass vectors; the value is sum (nu_i/mu_i)^{1-1/N'} mu_i over the
     support of mu, which is always >= 1 with equality only at nu = mu.
     """
-    if nprime >= 0:
+    if not nprime < 0:
         raise InvalidDimension(f"N' must be negative, got {nprime}")
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if mu.shape != nu.shape:
         raise ValidationError("mass vectors must have equal length")
     if np.any((nu > 0) & (mu == 0)):
-        return EXT_INF
+        return math.inf
     pos = mu > 0
     ratio = nu[pos] / mu[pos]
-    val = float(np.sum(ratio ** (1.0 - 1.0 / nprime) * mu[pos]))
-    return ExtReal(val) if math.isfinite(val) else EXT_INF
+    return float(np.sum(ratio ** (1.0 - 1.0 / nprime) * mu[pos]))
 
 
-def renyi_entropy_1d(space: WeightedOneDimSpace, rho_nu, nprime: float) -> ExtReal:
+def renyi_entropy_1d(space: WeightedOneDimSpace, rho_nu, nprime: float) -> float:
     """Entropy of the density ``rho_nu`` (per length) relative to the space
     measure, both piecewise constant on cells."""
     rho_nu = space.validate_density(rho_nu)
@@ -99,7 +97,7 @@ def _gauss_nodes(order: int):
 
 def cd_rhs(space: WeightedOneDimSpace, rho0, rho1, K: float, nprime: float,
            t: float, variant: str = "CD", *,
-           config: RunConfig | None = None) -> ExtReal:
+           config: RunConfig | None = None) -> float:
     """Distortion-weighted endpoint-entropy integral along the monotone
     coupling of the two densities.
 
@@ -115,8 +113,8 @@ def cd_rhs(space: WeightedOneDimSpace, rho0, rho1, K: float, nprime: float,
 
 
 def _plan_rhs(plan: MonotonePlan, K: float, nprime: float, t: float,
-              variant: str, quad_order: int) -> ExtReal:
-    if nprime >= 0:
+              variant: str, quad_order: int) -> float:
+    if not nprime < 0:
         raise InvalidDimension(f"N' must be negative, got {nprime}")
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t must lie in [0,1], got {t}")
@@ -127,7 +125,7 @@ def _plan_rhs(plan: MonotonePlan, K: float, nprime: float, t: float,
     theta_max = float(np.max(np.maximum(np.abs(d_a), np.abs(d_b)), initial=0.0))
     kappa = K / (nprime - 1.0) if variant == "CD" else K / nprime
     if kappa > 0 and theta_max >= omega(kappa):
-        return EXT_INF
+        return math.inf
     space = plan.space
     if t == 0.0 or t == 1.0:
         # the coefficients are exactly 1 and 0: the integral is the endpoint
@@ -146,10 +144,10 @@ def _plan_rhs(plan: MonotonePlan, K: float, nprime: float, t: float,
         coef = (tau_vals(K, nprime, frac, th) if variant == "CD"
                 else sigma_vals(K / nprime, frac, th))
         if np.any(np.isinf(coef)):
-            return EXT_INF
+            return math.inf
         per_interval = (coef * gw[None, :]).sum(axis=1) * lengths
         total += float(np.sum(per_interval * rel ** (-1.0 / nprime)))
-    return ExtReal(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +184,16 @@ class CdReport:
     cut: int | None = None
 
 
-def _margin(lhs: ExtReal, rhs: ExtReal) -> tuple[float, float, float]:
+def _margin(lhs: float, rhs: float) -> tuple[float, float, float]:
     """(margin, rel_margin, scale) with infinity conventions."""
-    if rhs.is_inf and lhs.is_inf:
+    if math.isinf(rhs) and math.isinf(lhs):
         return 0.0, 0.0, 1.0
-    if rhs.is_inf:
+    if math.isinf(rhs):
         return math.inf, math.inf, 1.0
-    if lhs.is_inf:
+    if math.isinf(lhs):
         return -math.inf, -math.inf, 1.0
-    scale = max(1.0, lhs.value, rhs.value)
-    m = rhs.value - lhs.value
+    scale = max(1.0, lhs, rhs)
+    m = rhs - lhs
     return m, m / scale, scale
 
 
@@ -252,13 +250,15 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     the two sides because entropies grow rapidly as N' approaches 0).
     """
     cfg = config or default_config()
-    if N >= 0:
+    if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, cfg.t_grid_size)
     if nprime_grid is None:
         nprime_grid = [x for x in (N, N / 2.0, N / 4.0, -0.1) if N <= x < 0]
         nprime_grid = sorted(set(nprime_grid))
+    if len(t_grid) == 0 or len(nprime_grid) == 0:
+        raise ValidationError("the t and N' grids must be nonempty")
     for np_ in nprime_grid:
         if not (N - 1e-12 <= np_ < 0):
             raise ValidationError(f"N' = {np_} outside [N, 0)")
@@ -277,8 +277,8 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
                             cfg.cd_quad_order)
             margin, rel, _ = _margin(lhs, rhs)
             ok = rel >= -tol
-            cells.append(CdCell(float(t), float(np_),
-                                lhs.value, rhs.value, margin, rel, ok))
+            cells.append(CdCell(float(t), float(np_), lhs, rhs, margin, rel,
+                                ok))
             if rel < worst[0]:
                 worst = (rel, float(t), float(np_))
     verdict = all(c.ok for c in cells)
@@ -297,10 +297,15 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
 # Brunn-Minkowski
 
 
-def _power_inv_n(mass: float, N: float) -> ExtReal:
+def _power_inv_n(mass: float, N: float) -> float:
     if mass <= 0.0:
-        return EXT_INF  # 0^{1/N} = +inf for N < 0
-    return ExtReal(mass ** (1.0 / N))
+        return math.inf  # 0^{1/N} = +inf for N < 0
+    return mass ** (1.0 / N)
+
+
+def _weighted(coef: float, value: float) -> float:
+    """coef * value with the measure convention 0 * inf = 0."""
+    return 0.0 if coef == 0.0 or value == 0.0 else coef * value
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def bm_check(space: WeightedOneDimSpace, a0, a1, t: float, K: float, N: float,
     segments and on circles whenever both sets sit inside a half-circle.
     """
     cfg = config or default_config()
-    if N >= 0:
+    if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"t must lie in [0,1], got {t}")
@@ -355,12 +360,13 @@ def bm_check(space: WeightedOneDimSpace, a0, a1, t: float, K: float, N: float,
     at = ((1.0 - t) * lo0 + t * lo1, (1.0 - t) * hi0 + t * hi1)
     mt = interval_mass(space, at[0], at[1])
     lhs = _power_inv_n(mt, N)
-    rhs = sup0 * _power_inv_n(m0, N) + sup1 * _power_inv_n(m1, N)
+    rhs = (_weighted(sup0, _power_inv_n(m0, N))
+           + _weighted(sup1, _power_inv_n(m1, N)))
     margin, rel, _ = _margin(lhs, rhs)
     ok = rel >= -1e-9
-    return BmReport(lhs=lhs.value, rhs=rhs.value, margin=margin, ok=ok,
+    return BmReport(lhs=lhs, rhs=rhs, margin=margin, ok=ok,
                     t=float(t), K=float(K), N=float(N), a_t=at,
-                    masses=(m0, m1, mt), sups=(sup0.value, sup1.value))
+                    masses=(m0, m1, mt), sups=(sup0, sup1))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +399,7 @@ def kn_convexity_check(f_samples, K: float, N: float, h: float, *,
     the configured safety factor.
     """
     cfg = config or default_config()
-    if N >= 0:
+    if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 1 or f.size < 5:
@@ -503,7 +509,7 @@ def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
             passes["pushforward"] += 1
         else:
             failures.append({"check": "pushforward", "trial": trial,
-                             "lhs": s_push.value, "rhs": s_nu.value})
+                             "lhs": s_push, "rhs": s_nu})
 
         while True:
             b_mask = rng.random(n) < 0.5
@@ -511,12 +517,12 @@ def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
                 break
         nb = float(nu[b_mask].sum())
         s_cond = renyi_entropy(mu, condition_measure(nu, b_mask), npr)
-        lhs = nb ** (1.0 - 1.0 / npr) * s_cond.value
-        if lhs <= s_nu.value + tol:
+        lhs = nb ** (1.0 - 1.0 / npr) * s_cond
+        if lhs <= s_nu + tol:
             passes["conditioning"] += 1
         else:
             failures.append({"check": "conditioning", "trial": trial,
-                             "lhs": lhs, "rhs": s_nu.value})
+                             "lhs": lhs, "rhs": s_nu})
 
         k = int(rng.integers(1, n + 1))
         labels = rng.integers(0, k, size=n)
@@ -528,7 +534,7 @@ def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
             passes["partition_entropy"] += 1
         else:
             failures.append({"check": "partition_entropy", "trial": trial,
-                             "lhs": s_bar.value, "rhs": s_nu.value})
+                             "lhs": s_bar, "rhs": s_nu})
         dmax = max(subset_diameter(space.dist, b) for b in blocks)
         w2 = w2_exact(space, nu, nu_bar, config=cfg).value
         if w2 <= 2.0 * dmax + tol:

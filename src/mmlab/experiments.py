@@ -71,7 +71,7 @@ class CounterexampleParams:
     eps: float = 0.2
 
     def __post_init__(self):
-        if self.K >= 0 or self.N >= 0:
+        if self.K >= 0 or not self.N < 0:
             raise ValidationError("K and N must both be negative")
         d_min = math.pi * math.sqrt((self.N - 1.0) / self.K)
         if self.D is None:
@@ -263,7 +263,7 @@ def cosh_family(K: float, N: float, lam: float, L: float, m: int, *,
     ``ConvexityViolation`` if either fails.
     """
     cfg = config or default_config()
-    if K <= 0 or N >= 0:
+    if K <= 0 or not N < 0:
         raise ValidationError("requires K > 0 and N < 0")
     if lam * lam < K / (1.0 - N) - 1e-12:
         raise ConvexityViolation(
@@ -364,7 +364,7 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
     mass diverges for every damping constant probed.
     """
     cfg = config or default_config()
-    if K <= 0 or N >= 0:
+    if K <= 0 or not N < 0:
         raise ValidationError("requires K > 0 and N < 0")
     a = math.sqrt(0.25 - K / (N - 1.0))
     f = lambda x: -(N - 1.0) * a * np.sinh(np.asarray(x, dtype=float))  # noqa: E731

@@ -412,6 +412,17 @@ class TransportPlanReport:
 # exact transportation LP
 
 
+def _marginal_pattern(na: int, nb: int):
+    """(rows, cols) of the unit entries of the marginal constraints on a
+    row-major na x nb plan: row i sums plan row i, row na + j plan column j."""
+    rows = np.concatenate([np.repeat(np.arange(na), nb),
+                           np.repeat(np.arange(na, na + nb), na)])
+    cols = np.concatenate([np.arange(na * nb),
+                           np.tile(np.arange(0, na * nb, nb), nb)
+                           + np.repeat(np.arange(nb), na)])
+    return rows, cols
+
+
 def w2_exact(space: FiniteMmSpace, mu, nu, *,
              config: RunConfig | None = None) -> TransportPlanReport:
     """Quadratic-cost transport distance via the transportation LP.
@@ -433,15 +444,8 @@ def w2_exact(space: FiniteMmSpace, mu, nu, *,
     cost = space.dist[np.ix_(sa, sb)] ** 2
     na, nb = sa.size, sb.size
     c = cost.ravel()
-    rows = []
-    cols = []
-    for i in range(na):
-        rows.extend([i] * nb)
-        cols.extend(range(i * nb, (i + 1) * nb))
-    for j in range(nb):
-        rows.extend([na + j] * na)
-        cols.extend(range(j, na * nb, nb))
-    data = np.ones(len(rows))
+    rows, cols = _marginal_pattern(na, nb)
+    data = np.ones(rows.size)
     A_eq = sparse.coo_matrix((data, (rows, cols)), shape=(na + nb, na * nb)).tocsr()
     b_eq = np.concatenate([wa, wb])
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
@@ -624,10 +628,8 @@ def ky_fan(weights, f, g) -> float:
     if levels[0] > 0.0:
         levels = np.concatenate([[0.0], levels])
         mass_above = np.concatenate([[1.0], mass_above])
-    best = math.inf
-    for i, (lvl, above) in enumerate(zip(levels, mass_above)):
-        cand = max(lvl, float(above))
-        nxt = levels[i + 1] if i + 1 < levels.size else math.inf
-        if cand < nxt or cand == lvl:
-            best = min(best, cand)
-    return float(best)
+    # a candidate counts if it lies on its level's constant piece; the last
+    # piece runs to infinity, so at least one does
+    cand = np.maximum(levels, mass_above)
+    nxt = np.append(levels[1:], math.inf)
+    return float(cand[(cand < nxt) | (cand == levels)].min())

@@ -94,6 +94,21 @@ def test_usage_errors_exit_two(inputs):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["cd-check", "entropy", "bm-check"])
+def test_nan_dimension_exits_two(inputs, command):
+    flags = {
+        "cd-check": ["--space", str(inputs["circle"]), "--K", "1", "--N", "nan"],
+        "entropy": ["--mu", str(inputs["mu"]), "--nu", str(inputs["mu"]),
+                    "--nprime", "nan"],
+        "bm-check": ["--space", str(inputs["circle"]), "--a0", "0.5,1.5",
+                     "--a1", "2,3", "--t", "0.5", "--K", "1", "--N", "nan"],
+    }[command]
+    res = run_cli(command, *flags, "--out", str(inputs["tmp"] / "r"))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "must be negative" in res.stderr
+    assert not (inputs["tmp"] / "r").exists()
+
+
 def test_entropy_and_sep_commands(inputs, tmp_path):
     out = tmp_path / "r"
     nu = tmp_path / "nu.json"

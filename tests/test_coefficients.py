@@ -8,14 +8,12 @@ from mmlab.coefficients import (
     omega,
     s_kappa,
     sigma,
-    sigma_pair,
     sigma_range_sup,
     sigma_vals,
     tau,
     tau_sup,
     tau_vals,
 )
-from mmlab.core import EXT_INF
 from mmlab.errors import InvalidDimension, ValidationError
 
 
@@ -69,9 +67,9 @@ def test_sigma_hyperbolic_half_closed_form():
 def test_sigma_closed_branch_boundary():
     kappa = 4.0
     w = omega(kappa)
-    assert sigma(kappa, 0.5, w).is_inf            # closed at the endpoint
-    assert sigma(kappa, 0.5, w + 1.0).is_inf
-    assert sigma(kappa, 0.5, 0.999 * w).is_finite
+    assert math.isinf(sigma(kappa, 0.5, w))  # closed at the endpoint
+    assert math.isinf(sigma(kappa, 0.5, w + 1.0))
+    assert math.isfinite(sigma(kappa, 0.5, 0.999 * w))
 
 
 def test_sigma_strictly_decreasing_negative_curvature():
@@ -83,9 +81,9 @@ def test_sigma_strictly_decreasing_negative_curvature():
         assert float(sigma_vals(-1.0, t, np.array([400.0]))[0]) < 1e-12
 
 
-def test_sigma_pair_sum_at_zero():
+def test_sigma_reversed_fractions_sum_at_zero():
     for t in (0.0, 0.25, 0.7, 1.0):
-        total = float(sigma_pair(-2.0, t, 0.0, 0)) + float(sigma_pair(-2.0, t, 0.0, 1))
+        total = sigma(-2.0, 1.0 - t, 0.0) + sigma(-2.0, t, 0.0)
         assert total == pytest.approx(1.0, abs=1e-15)
 
 
@@ -125,8 +123,8 @@ def test_tau_unit_endpoint():
 def test_tau_closed_branch_negative_curvature():
     K, N = -1.0, -1.0
     w = math.pi * math.sqrt((N - 1.0) / K)
-    assert tau(K, N, 0.5, w).is_inf
-    assert tau(K, N, 0.5, 0.99 * w).is_finite
+    assert math.isinf(tau(K, N, 0.5, w))
+    assert math.isfinite(tau(K, N, 0.5, 0.99 * w))
 
 
 def test_tau_rejects_nonnegative_dimension():
@@ -148,7 +146,7 @@ def test_tau_sup_against_dense_grid():
     oracle = float(np.max(tau_vals(K, N, t, grid)))
     val = float(tau_sup(K, N, t, theta_max))
     assert val == pytest.approx(oracle, rel=1e-6)
-    assert tau_sup(K, N, t, math.pi * math.sqrt(2.0)).is_inf
+    assert math.isinf(tau_sup(K, N, t, math.pi * math.sqrt(2.0)))
 
 
 def test_sigma_range_sup_monotone_endpoints():
@@ -156,7 +154,7 @@ def test_sigma_range_sup_monotone_endpoints():
         float(sigma(-1.0, 0.5, 0.2)), abs=1e-15)
     assert float(sigma_range_sup(1.0, 0.5, 0.2, 1.0)) == pytest.approx(
         float(sigma(1.0, 0.5, 1.0)), abs=1e-15)
-    assert sigma_range_sup(1.0, 0.5, 0.0, omega(1.0)) is EXT_INF
+    assert sigma_range_sup(1.0, 0.5, 0.0, omega(1.0)) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmlab.core import (
-    EXT_INF,
-    ExtReal,
     FiniteMmSpace,
     condition_measure,
     partition_average,
@@ -21,32 +17,6 @@ from mmlab.errors import ValidationError, ZeroMassSet
 def square_space(weights=(0.25, 0.25, 0.25, 0.25)):
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     return FiniteMmSpace.from_points(pts, weights)
-
-
-# ---------------------------------------------------------------------------
-# extended reals
-
-
-def test_extreal_absorbing_arithmetic():
-    x = ExtReal(2.5)
-    assert float(EXT_INF + x) == math.inf
-    assert float(3.0 * EXT_INF) == math.inf
-    assert float(EXT_INF * 0.0) == 0.0  # measure convention
-    assert float(ExtReal(0.0) * math.inf) == 0.0
-    assert float(x + 1.5) == 4.0
-
-
-def test_extreal_total_order():
-    assert ExtReal(1.0) < ExtReal(2.0) < EXT_INF
-    assert EXT_INF <= EXT_INF and EXT_INF == math.inf
-    assert ExtReal(3.0) >= 3.0 and ExtReal(3.0) <= 3.0
-
-
-def test_extreal_rejects_bad_values():
-    with pytest.raises(ValidationError):
-        ExtReal(-1.0)
-    with pytest.raises(ValidationError):
-        ExtReal(float("nan"))
 
 
 # ---------------------------------------------------------------------------

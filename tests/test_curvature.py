@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from mmlab.coefficients import tau_vals
+from mmlab.concentration import cd_obsdiam_bound
 from mmlab.config import default_config
 from mmlab.core import FiniteMmSpace, condition_measure
 from mmlab.curvature import (
@@ -93,7 +95,7 @@ def test_renyi_conditioned_measure():
 def test_renyi_not_absolutely_continuous():
     mu = np.array([1.0, 0.0])
     nu = np.array([0.5, 0.5])
-    assert renyi_entropy(mu, nu, -1.0).is_inf
+    assert math.isinf(renyi_entropy(mu, nu, -1.0))
 
 
 def test_renyi_at_least_one_with_strict_equality_case():
@@ -139,7 +141,7 @@ def test_cd_rhs_zero_displacement_is_entropy():
             assert rhs == pytest.approx(s, rel=1e-12)
 
 
-def test_cd_rhs_closed_branch_is_infinite():
+def test_cd_rhs_closed_branch_returns_inf():
     # K < 0 with displacement at the closed branch
     K, npr = -1.0, -1.0
     w = math.pi * math.sqrt((npr - 1.0) / K)  # pi sqrt(2)
@@ -151,7 +153,7 @@ def test_cd_rhs_closed_branch_is_infinite():
     rho1 = np.where(x > L - 0.2, 1.0, 0.0)
     rho0 /= rho0.sum() * space.h
     rho1 /= rho1.sum() * space.h
-    assert cd_rhs(space, rho0, rho1, K, npr, 0.5, "CD").is_inf
+    assert math.isinf(cd_rhs(space, rho0, rho1, K, npr, 0.5, "CD"))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +255,38 @@ def test_cd_report_json_serialises(tmp_path):
     assert doc["metadata"]["params"] == {"K": 1.0}
 
 
+@pytest.mark.parametrize("grids", [([], None), (None, [])])
+def test_cd_check_rejects_empty_grids(grids):
+    # an empty grid has no cell to fail, which would read as a pass
+    space = cosh_family(1.0, -1.0, 1.0, 2.0, 64)
+    rho0, rho1 = smooth_density_pairs(space, 1, seed=9)[0]
+    with pytest.raises(ValidationError):
+        cd_check_1d(space, rho0, rho1, 1.0, -1.0, *grids)
+
+
+@pytest.mark.parametrize("name", ["renyi_entropy", "cd_check_1d", "bm_check",
+                                  "kn_convexity_check", "tau_vals",
+                                  "cd_obsdiam_bound"])
+def test_nan_dimension_is_rejected(name):
+    # NaN fails every comparison, so a guard written as N >= 0 lets it pass
+    nan = float("nan")
+    space = cosh_family(1.0, -1.0, 1.0, 2.0, 64)
+    rho0, rho1 = smooth_density_pairs(space, 1, seed=9)[0]
+    calls = {
+        "renyi_entropy": lambda: renyi_entropy([0.5, 0.5], [0.25, 0.75], nan),
+        "cd_check_1d": lambda: cd_check_1d(space, rho0, rho1, 1.0, nan),
+        "bm_check": lambda: bm_check(space, (0.5, 1.0), (2.5, 3.0), 0.5,
+                                     1.0, nan),
+        "kn_convexity_check": lambda: kn_convexity_check(np.zeros(9), 1.0,
+                                                         nan, 0.1),
+        "tau_vals": lambda: tau_vals(1.0, nan, 0.5, [0.0, 1.0]),
+        "cd_obsdiam_bound": lambda: cd_obsdiam_bound(1.0, nan, 0.5),
+    }
+    error = ValidationError if name == "cd_obsdiam_bound" else InvalidDimension
+    with pytest.raises(error):
+        calls[name]()
+
+
 # ---------------------------------------------------------------------------
 # Brunn-Minkowski
 
@@ -293,6 +327,20 @@ def test_bm_zero_mass_intermediate_is_violation():
     res = bm_check(space, (0.5, 1.5), (8.5, 9.5), 0.5, 1.0, -1.0)
     assert math.isinf(res.lhs)
     assert not res.ok
+
+
+def test_bm_zero_mass_source_at_t_one():
+    # A0 carries no mass, so at t = 1 the rhs term sup0 * m0^{1/N} is
+    # 0 * inf, which counts as 0: both sides are m1^{1/N} = 3
+    m, L = 16, 4.0
+    x = (np.arange(m) + 0.5) * (L / m)
+    with np.errstate(divide="ignore"):
+        space = WeightedOneDimSpace("segment", L, x,
+                                    np.log(np.where(x > 1.0, 1.0 / 3.0, 0.0)))
+    res = bm_check(space, (0.1, 0.6), (2.0, 3.0), 1.0, 1.0, -1.0)
+    assert res.masses[0] == 0.0 and res.sups[0] == 0.0
+    assert res.lhs == res.rhs == 3.0
+    assert res.ok
 
 
 def test_bm_domain_error_for_negative_K():

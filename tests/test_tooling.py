@@ -1,0 +1,36 @@
+import importlib
+import importlib.util
+import types
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "mmbench" / "tracing.py"
+
+
+def _load_targets():
+    # tracing.py imports only the standard library, so it loads by path
+    spec = importlib.util.spec_from_file_location("mmbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+TARGETS = _load_targets()
+
+
+@pytest.mark.parametrize("modname, path, span", TARGETS,
+                         ids=[span for _, _, span in TARGETS])
+def test_trace_target_resolves(modname, path, span):
+    # the benchmark's traced run wraps each target by this path; a rename or
+    # deletion in mmlab would otherwise surface only there
+    mod = importlib.import_module(modname)
+    owner_name, _, attr = path.rpartition(".")
+    if owner_name:
+        raw = getattr(mod, owner_name).__dict__[attr]
+        if attr.startswith("from_"):
+            assert isinstance(raw, classmethod)
+            raw = raw.__func__
+    else:
+        raw = getattr(mod, attr)
+    assert isinstance(raw, types.FunctionType)

@@ -8,6 +8,7 @@ from mmlab.errors import DegenerateDensity, NonSegment, ValidationError
 from mmlab.experiments import cosh_family
 from mmlab.transport import (
     MonotonePlan,
+    _marginal_pattern,
     PiecewiseQuantile,
     WeightedOneDimSpace,
     box_upper_bound_common_space,
@@ -99,6 +100,21 @@ def test_w2_half_mass_on_line():
     s = FiniteMmSpace((0, 1), np.array([[0.0, 1.0], [1.0, 0.0]]), [0.5, 0.5])
     rep = w2_exact(s, [0.5, 0.5], [1.0, 0.0])
     assert rep.value == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+
+def test_marginal_pattern_matches_loop():
+    # the per-row loop the LP was assembled with: plan row sums first, then
+    # column sums, each in increasing column order
+    na, nb = 3, 4
+    rows, cols = [], []
+    for i in range(na):
+        rows.extend([i] * nb)
+        cols.extend(range(i * nb, (i + 1) * nb))
+    for j in range(nb):
+        rows.extend([na + j] * na)
+        cols.extend(range(j, na * nb, nb))
+    got_rows, got_cols = _marginal_pattern(na, nb)
+    assert got_rows.tolist() == rows and got_cols.tolist() == cols
 
 
 def test_w2_metric_axioms_sampled():
