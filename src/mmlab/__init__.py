@@ -5,7 +5,7 @@ curvature-dimension checks on weighted one-dimensional spaces, concentration
 invariants with closed-form bounds, and reproducible experiment pipelines.
 """
 
-from .config import RunConfig, Tolerances, default_config
+from .config import RunConfig, default_config
 from .core import (
     Coupling,
     FiniteMmSpace,

@@ -117,14 +117,8 @@ def _csv_ints(text: str, flag: str) -> list[int]:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = default_config()
-    if getattr(args, "config", None):
-        cfg = RunConfig.from_json(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if getattr(args, "out", None):
-        cfg = cfg.replace(output_dir=args.out)
-    return cfg
+    cfg = RunConfig.from_json(args.config) if args.config else default_config()
+    return cfg if args.seed is None else cfg.replace(seed=args.seed)
 
 
 def _flags_of(args) -> dict:
@@ -168,7 +162,7 @@ def _cmd_w2(args, cfg):
     space = _load_finite_space(args.space)
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
-    rep = w2_exact(space, mu, nu, config=cfg)
+    rep = w2_exact(space, mu, nu)
     return ("w2", {"value": rep.value, "dual_gap": rep.dual_gap,
                    "iterations": rep.iterations, "method": rep.method}, True,
             f"w2: {rep.value!r} (dual gap {rep.dual_gap:.2e})")
@@ -178,7 +172,7 @@ def _cmd_prokhorov(args, cfg):
     space = _load_finite_space(args.space)
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
-    val = prokhorov(space, mu, nu, config=cfg)
+    val = prokhorov(space, mu, nu)
     return ("prokhorov", {"value": val, "box_upper": 2.0 * val}, True,
             f"prokhorov: {val!r}")
 
@@ -201,7 +195,7 @@ def _cmd_entropy(args, cfg):
 
 def _cmd_sep(args, cfg):
     space = _load_finite_space(args.space)
-    res = separation(space, space.weights, args.k0, args.k1, config=cfg)
+    res = separation(space, space.weights, args.k0, args.k1)
     return ("sep", {"value": res.value, "exact": res.exact,
                     "method": res.method}, True,
             f"sep: {res.value!r} ({res.method})")
@@ -240,7 +234,7 @@ def _cmd_bm_check(args, cfg):
     a1 = _csv_floats(args.a1, "--a1")
     if len(a0) != 2 or len(a1) != 2:
         raise ValidationError("--a0/--a1 must be lo,hi pairs")
-    res = bm_check(space, a0, a1, args.t, args.K, args.N, config=cfg)
+    res = bm_check(space, a0, a1, args.t, args.K, args.N)
     return ("bm-check", {"lhs": res.lhs, "rhs": res.rhs, "margin": res.margin,
                          "ok": res.ok, "a_t": list(res.a_t),
                          "masses": list(res.masses)}, res.ok,
@@ -249,8 +243,7 @@ def _cmd_bm_check(args, cfg):
 
 def _cmd_convexity(args, cfg):
     f = _load_values(args.f, "--f")
-    rep = kn_convexity_check(f, args.K, args.N, args.h,
-                             periodic=args.periodic, config=cfg)
+    rep = kn_convexity_check(f, args.K, args.N, args.h, periodic=args.periodic)
     return ("convexity", dataclasses.asdict(rep), rep.verdict,
             f"convexity: {'pass' if rep.verdict else 'FAIL'} min residual "
             f"{rep.min_residual!r} (tol {rep.tol!r})")
@@ -268,11 +261,10 @@ def _cmd_counterexample(args, cfg):
 
 
 def _cmd_cosh_family(args, cfg):
-    space = experiments.cosh_family(args.K, args.N, args.lam, args.L, args.M,
-                                    config=cfg)
+    space = experiments.cosh_family(args.K, args.N, args.lam, args.L, args.M)
     # the space file is an input for the 1D commands, not a report
     out_space = Path(args.out_space) if args.out_space else (
-        Path(cfg.output_dir) / f"cosh-space-{params_hash(_flags_of(args))}.json")
+        Path(args.out) / f"cosh-space-{params_hash(_flags_of(args))}.json")
     atomic_write_text(out_space, space.to_json() + "\n")
     return ("cosh-family", {"certified": True, "space_file": out_space.name,
                             "grid_size": space.m, "h": space.h}, True,
@@ -315,8 +307,7 @@ def _cmd_lemma_suite(args, cfg):
         pts = rng.random((args.n, 3))
         space = FiniteMmSpace.from_points(pts, rng.dirichlet(np.ones(args.n)))
     suite = entropy_inequality_suite(
-        space, args.trials, _csv_floats(args.nprimes, "--nprimes"),
-        seed=cfg.seed, config=cfg)
+        space, args.trials, _csv_floats(args.nprimes, "--nprimes"), seed=cfg.seed)
     rep = ExperimentReport(
         name="lemma-suite",
         columns=["check", "passes", "trials"],
@@ -335,7 +326,8 @@ def _cmd_lemma_suite(args, cfg):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output directory for reports")
+    common.add_argument("--out", default="reports",
+                        help="output directory for reports (default: reports)")
     common.add_argument("--config", help="JSON file with run configuration")
     common.add_argument("--seed", type=int, help="seed recorded in reports")
 
@@ -433,9 +425,9 @@ def main(argv=None) -> int:
         params = _flags_of(args)
         if isinstance(rep, ExperimentReport):
             rep.metadata.setdefault("params", {}).update(params)
-            _, out = rep.write(cfg.output_dir, cfg)
+            _, out = rep.write(args.out, cfg)
         else:
-            out = write_report(cfg.output_dir, name, rep, params, cfg)
+            out = write_report(args.out, name, rep, params, cfg)
         print(f"{line} -> {out}")
         return 0 if ok else 1
     except _CHECK_ERRORS as e:

@@ -55,6 +55,12 @@ def s_kappa(kappa: float, theta: float) -> float:
     return math.sinh(z) / z
 
 
+def _check_finite(value: float, name: str = "K") -> None:
+    # a NaN curvature fails every branch test below and reads as 0
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def _check_t(t: float) -> float:
     t = float(t)
     if not 0.0 <= t <= 1.0:
@@ -76,6 +82,7 @@ def _sinh_ratio(t: float, z: np.ndarray) -> np.ndarray:
 
 def sigma_vals(kappa: float, t: float, thetas) -> np.ndarray:
     """Vectorised distortion ratio; ``inf`` on the closed branch."""
+    _check_finite(kappa, "kappa")
     t = _check_t(t)
     th = np.asarray(thetas, dtype=float)
     if np.any(th < 0):
@@ -108,6 +115,7 @@ def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) ->
     The ratio is monotone on the finite branch (nonincreasing for kappa <= 0,
     nondecreasing for kappa > 0), so the supremum sits at an endpoint.
     """
+    _check_finite(kappa, "kappa")
     if theta_hi < theta_lo:
         raise ValidationError("empty theta range")
     if kappa > 0 and theta_hi >= omega(kappa):
@@ -117,6 +125,7 @@ def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) ->
 
 def tau_vals(K: float, N: float, t: float, thetas) -> np.ndarray:
     """Vectorised tau coefficient for dimension parameter N < 0."""
+    _check_finite(K)
     if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     t = _check_t(t)
@@ -149,6 +158,7 @@ def tau_sup(K: float, N: float, t: float, theta_max: float) -> float:
     branch).  Monotonicity follows from the sign of
     (1 - t^2) s(t z) s(z) in the derivative of the ratio.
     """
+    _check_finite(K)
     if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     t = _check_t(t)

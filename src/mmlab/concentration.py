@@ -2,7 +2,7 @@
 
 Partial diameter and separation distance are solved exactly on small spaces
 (combinatorial search) and on spaces isometric to a subset of the line
-(sliding windows); beyond the configured budgets a certified upper bound is
+(sliding windows); beyond the fixed size budgets a certified upper bound is
 returned together with an ``exact=False`` flag.
 """
 
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, default_config
+from .coefficients import _check_finite
+from .config import STRUCTURAL_TOL, RunConfig, default_config
 from .core import FiniteMmSpace, prob_weights
 from .errors import DomainError, SolverFailure, ValidationError
 from .reporting import ExperimentReport
@@ -36,6 +37,18 @@ __all__ = [
     "LevyRow",
     "levy_rows_report",
 ]
+
+# exact combinatorial searches up to these support sizes; beyond them a
+# certified upper bound is returned
+N_EXACT_PARTIAL_DIAM = 18
+N_EXACT_SEPARATION = 14
+# random members of the observable-diameter witness family
+OBSDIAM_WITNESS_SUBSETS = 16
+OBSDIAM_WITNESS_POTENTIALS = 32
+# Levy verdicts: the largest final upper bound, and the decay of a bound
+# sequence below this fraction of its first value
+LEVY_THRESHOLD = 0.05
+LEVY_DECAY = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +74,11 @@ def line_embedding(dist: np.ndarray, *, rtol: float = 1e-9) -> np.ndarray | None
 # partial diameter
 
 
-def partial_diameter_1d(values, weights, alpha: float, *,
-                        mass_tol: float = 1e-12) -> float:
+def partial_diameter_1d(values, weights, alpha: float) -> float:
     """Smallest window width on the line carrying mass at least alpha.
 
     One pass over left ends: window i closes at the smallest k with
-    ``cum[k] - cum[i] >= alpha - mass_tol``, so the result is the exact
+    ``cum[k] - cum[i] >= alpha - STRUCTURAL_TOL``, so the result is the exact
     minimum of ``xs[k-1] - xs[i]`` over the achieved windows.
     """
     w = np.asarray(weights, dtype=float)
@@ -74,9 +86,9 @@ def partial_diameter_1d(values, weights, alpha: float, *,
     if alpha <= 0.0:
         return 0.0
     total = w.sum()
-    if alpha > total + mass_tol:
+    if alpha > total + STRUCTURAL_TOL:
         raise ValidationError(f"no set reaches mass {alpha} (total {total})")
-    target = alpha - mass_tol
+    target = alpha - STRUCTURAL_TOL
     if target <= 0.0:
         return 0.0
     order = np.argsort(x, kind="stable")
@@ -101,7 +113,7 @@ def partial_diameter_1d(values, weights, alpha: float, *,
     ok = k <= n
     if not ok.any():
         # the whole mass falls short of target by rounding only: alpha was
-        # accepted within mass_tol of the total, so take the full span
+        # accepted within STRUCTURAL_TOL of the total, so take the full span
         return float(xs[-1] - xs[0])
     return float(np.min(xs[k[ok] - 1] - xs[ok]))
 
@@ -142,18 +154,16 @@ def _clique_feasible(adj: list[int], weights: np.ndarray, target: float) -> bool
     return rec(0, (1 << n) - 1, 0.0)
 
 
-def partial_diameter(space: FiniteMmSpace, mu, alpha: float, *,
-                     config: RunConfig | None = None) -> PartialDiamResult:
+def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> PartialDiamResult:
     """Smallest diameter of a subset of mass at least alpha.
 
     Exact on line-embeddable spaces (any size) and, by threshold search with
     a clique feasibility check, on spaces with at most
-    ``n_exact_partial_diam`` points; otherwise a certified upper bound from
+    ``N_EXACT_PARTIAL_DIAM`` points; otherwise a certified upper bound from
     the metric-ball family is returned with ``exact=False``.
     """
-    cfg = config or default_config()
-    mu = prob_weights(mu, tol=cfg.tolerances.structural)
-    if not 0.0 <= alpha <= 1.0 + cfg.tolerances.structural:
+    mu = prob_weights(mu)
+    if not 0.0 <= alpha <= 1.0 + STRUCTURAL_TOL:
         raise ValidationError(f"alpha must lie in [0,1], got {alpha}")
     if alpha <= 0.0:
         return PartialDiamResult(0.0, True, "empty")
@@ -162,12 +172,11 @@ def partial_diameter(space: FiniteMmSpace, mu, alpha: float, *,
     w = mu[sup]
     coords = line_embedding(dist)
     if coords is not None:
-        val = partial_diameter_1d(coords, w, alpha,
-                                  mass_tol=cfg.tolerances.structural)
+        val = partial_diameter_1d(coords, w, alpha)
         return PartialDiamResult(val, True, "line-window")
     n = w.size
-    target = alpha - cfg.tolerances.structural
-    if n <= cfg.n_exact_partial_diam:
+    target = alpha - STRUCTURAL_TOL
+    if n <= N_EXACT_PARTIAL_DIAM:
         cands = np.unique(np.concatenate([[0.0], dist.ravel()]))
 
         def adjacency(d: float) -> list[int]:
@@ -228,21 +237,19 @@ def _line_separation(x: np.ndarray, w: np.ndarray, k0: float, k1: float,
     return max(candidate(k0, k1), candidate(k1, k0))
 
 
-def separation(space: FiniteMmSpace, mu, k0: float, k1: float, *,
-               config: RunConfig | None = None) -> SepResult:
+def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> SepResult:
     """Largest guaranteed gap between two sets of prescribed masses.
 
     Returns 0 when no admissible pair of sets exists (supremum over the
     empty family).  Exact on line-embeddable spaces and for at most
-    ``n_exact_separation`` support points (subset feasibility over distance
+    ``N_EXACT_SEPARATION`` support points (subset feasibility over distance
     thresholds); otherwise the support diameter is returned as a certified
     upper bound with ``exact=False``.
     """
-    cfg = config or default_config()
-    if k0 <= 0 or k1 <= 0:
+    if not k0 > 0 or not k1 > 0:
         raise ValidationError("mass thresholds must be positive")
-    mu = prob_weights(mu, tol=cfg.tolerances.structural)
-    tol = cfg.tolerances.structural
+    mu = prob_weights(mu)
+    tol = STRUCTURAL_TOL
     if k0 > 1.0 + tol or k1 > 1.0 + tol:
         return SepResult(0.0, True, "no-admissible-set")
     sup = np.flatnonzero(mu > 0)
@@ -253,7 +260,7 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float, *,
         return SepResult(_line_separation(coords, w, k0, k1, tol), True,
                          "line-window")
     n = w.size
-    if n > cfg.n_exact_separation:
+    if n > N_EXACT_SEPARATION:
         return SepResult(float(dist.max()), False, "diam-upper-bound")
 
     full = (1 << n) - 1
@@ -311,11 +318,11 @@ def obsdiam_sandwich(space: FiniteMmSpace, mu, kappa: float, *,
     explicit 1-Lipschitz witness family and the separation bound at
     (kappa/2, kappa/2).  For kappa >= 1 both sides are 0."""
     cfg = config or default_config()
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValidationError(f"kappa must be positive, got {kappa}")
     if kappa >= 1.0:
         return ObsDiamSandwich(0.0, 0.0, "mass defect >= 1", True)
-    mu = prob_weights(mu, tol=cfg.tolerances.structural)
+    mu = prob_weights(mu)
     rng = np.random.default_rng(cfg.seed)
     n = space.n
     dist = space.dist
@@ -326,7 +333,7 @@ def obsdiam_sandwich(space: FiniteMmSpace, mu, kappa: float, *,
         val = partial_diameter_1d(dist[:, p], mu, alpha)
         if val > best:
             best, witness = val, f"d(., {space.point_ids[p]!r})"
-    for _ in range(cfg.obsdiam_witness_subsets):
+    for _ in range(OBSDIAM_WITNESS_SUBSETS):
         size = int(rng.integers(2, max(3, n // 2 + 1)))
         subset = rng.choice(n, size=min(size, n), replace=False)
         f = dist[:, subset].min(axis=1)
@@ -334,13 +341,13 @@ def obsdiam_sandwich(space: FiniteMmSpace, mu, kappa: float, *,
         if val > best:
             best, witness = val, f"d(., A) for |A| = {subset.size}"
     diam = space.diam
-    for _ in range(cfg.obsdiam_witness_potentials):
+    for _ in range(OBSDIAM_WITNESS_POTENTIALS):
         v = rng.uniform(0.0, diam, size=n)
         f = (v[None, :] + dist).min(axis=1)
         val = partial_diameter_1d(f, mu, alpha)
         if val > best:
             best, witness = val, "regularised random potential"
-    sep = separation(space, mu, kappa / 2.0, kappa / 2.0, config=cfg)
+    sep = separation(space, mu, kappa / 2.0, kappa / 2.0)
     if best > sep.value + 1e-9:
         raise SolverFailure(
             f"witness value {best} exceeds separation bound {sep.value}"
@@ -359,6 +366,7 @@ def _acosh(x: float) -> float:
 
 
 def _check_bound_params(K: float, N: float) -> None:
+    _check_finite(K)
     if K <= 0:
         raise ValidationError(f"K must be positive, got {K}")
     if not N < 0:
@@ -406,17 +414,15 @@ def cdstar_obsdiam_bound(K: float, N: float, kappa: float) -> float:
 # Levy-trend bounds and checks
 
 
-def levy_bound_sequence(K_list, N_list, kappa: float, mode: str, *,
-                        config: RunConfig | None = None):
+def levy_bound_sequence(K_list, N_list, kappa: float, mode: str):
     """Per-instance observable-diameter bounds along a parameter sequence.
 
     ``mode="CD"`` uses 2*sqrt(2)/sqrt(K_n) * sqrt(2/kappa - 1); ``mode="CDstar"``
     uses 2*log(2/kappa)/sqrt(-K_n N_n) + 2*log(2)/sqrt(K_n).  Entries with
     K_n <= 0 get an infinite bound.  Returns (values, levy_flag): the flag is
     set when the finite tail is strictly decreasing and decays below
-    ``levy_decay`` times its first value.
+    ``LEVY_DECAY`` times its first value.
     """
-    cfg = config or default_config()
     if not 0 < kappa < 1:
         raise ValidationError(f"kappa must lie in (0,1), got {kappa}")
     K = np.asarray(K_list, dtype=float)
@@ -425,6 +431,8 @@ def levy_bound_sequence(K_list, N_list, kappa: float, mode: str, *,
         raise ValidationError("K and N sequences must have equal length")
     if not np.all(N < 0):
         raise ValidationError("dimension parameters must be negative")
+    if not np.all(np.isfinite(K)):
+        raise ValidationError("every K must be finite")
     vals = np.full(K.shape, math.inf)
     pos = K > 0
     if mode == "CD":
@@ -436,7 +444,7 @@ def levy_bound_sequence(K_list, N_list, kappa: float, mode: str, *,
         raise ValidationError(f"mode must be CD or CDstar, got {mode!r}")
     finite = vals[np.isfinite(vals)]
     flag = (finite.size >= 2 and bool(np.all(np.diff(finite) < 0))
-            and finite[-1] <= cfg.levy_decay * finite[0])
+            and finite[-1] <= LEVY_DECAY * finite[0])
     return vals, flag
 
 
@@ -471,7 +479,7 @@ def levy_check(spaces, kappas, *, bounds=None,
     Returns ``(rows, verdict)``: one row per (space, kappa) with the witness
     lower bound, the separation upper bound and an optional closed-form bound
     column (NaN when absent).  The Levy verdict requires every kappa column
-    of upper bounds to be nonincreasing and to end below ``levy_threshold``.
+    of upper bounds to be nonincreasing and to end below ``LEVY_THRESHOLD``.
     """
     cfg = config or default_config()
     spaces = list(spaces)
@@ -492,6 +500,6 @@ def levy_check(spaces, kappas, *, bounds=None,
     verdict = True
     for k, col in uppers.items():
         col = np.asarray(col)
-        if np.any(np.diff(col) > 1e-9) or col[-1] > cfg.levy_threshold:
+        if np.any(np.diff(col) > 1e-9) or col[-1] > LEVY_THRESHOLD:
             verdict = False
     return rows, verdict

@@ -1,7 +1,8 @@
-"""Centralised tolerances, budgets and run configuration.
+"""Fixed numerical tolerances and the run configuration.
 
-Every numerical tolerance used by the library lives here so that reports can
-record the exact settings they were produced with.
+The tolerances are constants, each defined once here and never changed at
+run time.  ``RunConfig`` holds the only settings a run may choose (the CD
+discretisation budget and the seed); every report records them.
 """
 
 from __future__ import annotations
@@ -10,69 +11,46 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+from .errors import ValidationError
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances, grouped by what they guard."""
-
-    structural: float = 1e-12      # symmetry, triangle inequality, weight sums
-    solver: float = 1e-10          # LP feasibility / duality gap (relative)
-    mass_1d: float = 1e-8          # quadrature mass of a 1D density
-    interp_mass: float = 1e-6      # mass drift allowed in displacement interpolation
-    entropy: float = 1e-9          # slack in entropy inequalities
-    quadrature_rel: float = 1e-8   # doubling-quadrature relative convergence
+STRUCTURAL_TOL = 1e-12      # symmetry, triangle inequality, weight sums
+SOLVER_TOL = 1e-10          # LP feasibility / duality gap (relative)
+MASS_1D_TOL = 1e-8          # quadrature mass of a 1D density
+INTERP_MASS_TOL = 1e-6      # mass drift allowed in displacement interpolation
+ENTROPY_TOL = 1e-9          # slack in entropy inequalities
+QUADRATURE_REL_TOL = 1e-8   # doubling-quadrature relative convergence
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Run-wide settings serialised into every report."""
 
-    tolerances: Tolerances = Tolerances()
-    # combinatorial budgets (hard caps; beyond them certified-bound mode is used)
-    n_exact_partial_diam: int = 18
-    n_exact_separation: int = 14
-    # observable-diameter witness family
-    obsdiam_witness_subsets: int = 16
-    obsdiam_witness_potentials: int = 32
-    # curvature-dimension check grids and budget tol(h) = c1*h + c2*h^2,
-    # applied relative to the entropy scale of the cell being checked.
-    # The defaults are the output of experiments.calibrate_cd_budget on the
-    # cosh-density positive control at grid sizes 256 and 512 (the measured
-    # worst negative relative margin sits at rounding level, so the fit
-    # lands on the c1 floor).
-    t_grid_size: int = 9
+    # curvature-dimension budget tol(h) = c1*h + c2*h^2, applied relative to
+    # the entropy scale of the cell being checked.  The defaults are the
+    # output of experiments.calibrate_cd_budget on the cosh-density positive
+    # control at grid sizes 256 and 512 (the measured worst negative relative
+    # margin sits at rounding level, so the fit lands on the c1 floor).
     cd_budget_c1: float = 1e-9
     cd_budget_c2: float = 0.0
-    # convexity check: tolerance c*h^2 + slack with c estimated from the
-    # fourth difference of the data, times this safety factor
-    convexity_safety: float = 2.0
-    convexity_slack: float = 1e-9
-    # Levy verdicts
-    levy_threshold: float = 0.05
-    levy_decay: float = 0.1
-    # quadrature / probe resolutions
-    volume_points_per_unit: int = 256
-    volume_growth_factor: float = 1.5
-    cd_quad_order: int = 12
     # reproducibility
     seed: int = 0
-    output_dir: str = "reports"
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        tol = d.pop("tolerances", None)
-        cfg = cls(**{k: v for k, v in d.items() if k in _CONFIG_FIELDS})
-        if tol is not None:
-            cfg = cfg.replace(tolerances=Tolerances(**tol))
-        return cfg
+        if not isinstance(d, dict):
+            raise ValidationError("a config document must be a JSON object")
+        unknown = sorted(set(d) - _CONFIG_FIELDS)
+        if unknown:
+            raise ValidationError(
+                f"unknown config keys {', '.join(unknown)}; the settable keys "
+                f"are {', '.join(sorted(_CONFIG_FIELDS))}")
+        return cls(**d)
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import Tolerances
+from .config import STRUCTURAL_TOL
 from .errors import ValidationError, ZeroMassSet
 
 __all__ = [
@@ -27,10 +27,10 @@ __all__ = [
 ]
 
 
-def prob_weights(values, *, tol: float = 1e-12) -> np.ndarray:
+def prob_weights(values) -> np.ndarray:
     """Validate a probability weight vector and return a read-only copy.
 
-    Weights must be nonnegative and sum to 1 within ``tol``.
+    Weights must be nonnegative and sum to 1 within ``STRUCTURAL_TOL``.
     """
     w = np.asarray(values, dtype=float).copy()
     if w.ndim != 1:
@@ -43,8 +43,9 @@ def prob_weights(values, *, tol: float = 1e-12) -> np.ndarray:
         i = int(np.argmin(w))
         raise ValidationError(f"weights must be nonnegative, weights[{i}] = {w[i]}")
     s = float(w.sum())
-    if abs(s - 1.0) > tol:
-        raise ValidationError(f"weights must sum to 1 within {tol}, got sum {s!r}")
+    if abs(s - 1.0) > STRUCTURAL_TOL:
+        raise ValidationError(
+            f"weights must sum to 1 within {STRUCTURAL_TOL}, got sum {s!r}")
     w.flags.writeable = False
     return w
 
@@ -62,7 +63,7 @@ def as_index_array(subset, n: int) -> np.ndarray:
     return idx
 
 
-def _validate_distance_matrix(dist: np.ndarray, tol: Tolerances) -> None:
+def _validate_distance_matrix(dist: np.ndarray) -> None:
     n = dist.shape[0]
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValidationError(f"distance matrix must be square, got {dist.shape}")
@@ -72,7 +73,7 @@ def _validate_distance_matrix(dist: np.ndarray, tol: Tolerances) -> None:
         i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
         raise ValidationError(f"negative distance at ({i},{j}): {dist[i, j]}")
     scale = float(dist.max(initial=0.0))
-    atol = tol.structural * max(scale, 1.0)
+    atol = STRUCTURAL_TOL * max(scale, 1.0)
     if np.any(np.abs(np.diagonal(dist)) > atol):
         i = int(np.argmax(np.abs(np.diagonal(dist))))
         raise ValidationError(f"nonzero diagonal at ({i},{i}): {dist[i, i]}")
@@ -84,10 +85,9 @@ def _validate_distance_matrix(dist: np.ndarray, tol: Tolerances) -> None:
         )
     # triangle inequality, checked one intermediate point at a time to keep
     # memory at O(n^2)
-    tri_tol = tol.structural * max(scale, 1.0)
     for k in range(n):
         slack = dist - (dist[:, k][:, None] + dist[k, :][None, :])
-        bad = slack > tri_tol
+        bad = slack > atol
         if bad.any():
             i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
             raise ValidationError(
@@ -103,17 +103,16 @@ class FiniteMmSpace:
     point_ids: tuple
     dist: np.ndarray
     weights: np.ndarray
-    tolerances: Tolerances = field(default=Tolerances(), repr=False, compare=False)
 
     def __post_init__(self):
         dist = np.asarray(self.dist, dtype=float).copy()
-        _validate_distance_matrix(dist, self.tolerances)
+        _validate_distance_matrix(dist)
         n = dist.shape[0]
         if len(self.point_ids) != n:
             raise ValidationError(
                 f"{len(self.point_ids)} point ids for {n}x{n} distance matrix"
             )
-        w = prob_weights(self.weights, tol=self.tolerances.structural)
+        w = prob_weights(self.weights)
         if w.size != n:
             raise ValidationError(f"{w.size} weights for {n} points")
         dist.flags.writeable = False
@@ -133,8 +132,8 @@ class FiniteMmSpace:
         return np.flatnonzero(self.weights > 0)
 
     @classmethod
-    def from_points(cls, points, weights, *, metric="euclidean", ids=None,
-                    tolerances: Tolerances = Tolerances()) -> "FiniteMmSpace":
+    def from_points(cls, points, weights, *, metric="euclidean",
+                    ids=None) -> "FiniteMmSpace":
         """Build a space from coordinates; Euclidean distances satisfy the
         triangle inequality by construction."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -148,7 +147,7 @@ class FiniteMmSpace:
         np.fill_diagonal(dist, 0.0)
         if ids is None:
             ids = tuple(range(pts.shape[0]))
-        return cls(tuple(ids), dist, weights, tolerances)
+        return cls(tuple(ids), dist, weights)
 
     def to_json(self) -> str:
         doc = {
@@ -159,13 +158,13 @@ class FiniteMmSpace:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, *, tolerances: Tolerances = Tolerances()) -> "FiniteMmSpace":
+    def from_json(cls, text: str) -> "FiniteMmSpace":
         doc = json.loads(text)
         for key in ("points", "dist", "weights"):
             if key not in doc:
                 raise ValidationError(f"space document is missing {key!r}")
         return cls(tuple(doc["points"]), np.asarray(doc["dist"], dtype=float),
-                   np.asarray(doc["weights"], dtype=float), tolerances)
+                   np.asarray(doc["weights"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ class Coupling:
         object.__setattr__(self, "nu", np.array(nu, copy=True))
 
 
-def condition_measure(mu, subset, *, tol: float = 1e-12) -> np.ndarray:
+def condition_measure(mu, subset) -> np.ndarray:
     """Restrict ``mu`` to ``subset`` and renormalise.
 
     Raises ``ZeroMassSet`` when the subset carries no mass.
@@ -236,7 +235,7 @@ def pushforward(mu, point_map, n_target: int | None = None) -> np.ndarray:
     return out
 
 
-def partition_average(nu, partition: Iterable, mu, *, tol: float = 1e-12) -> np.ndarray:
+def partition_average(nu, partition: Iterable, mu) -> np.ndarray:
     """Average ``nu`` over partition blocks using conditioned copies of ``mu``.
 
     Returns ``sum_j nu(B_j) * condition_measure(mu, B_j)``.  Blocks must be
@@ -253,7 +252,7 @@ def partition_average(nu, partition: Iterable, mu, *, tol: float = 1e-12) -> np.
             raise ValidationError("partition blocks are not disjoint")
         covered[b] = True
     stray = float(nu[~covered].sum())
-    if stray > tol:
+    if stray > STRUCTURAL_TOL:
         raise ValidationError(
             f"nu carries mass {stray} outside the partition blocks"
         )

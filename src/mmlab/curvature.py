@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .coefficients import omega, sigma_range_sup, sigma_vals, tau_vals
-from .config import RunConfig, default_config
+from .coefficients import _check_finite, omega, sigma_range_sup, sigma_vals, tau_vals
+from .config import ENTROPY_TOL, RunConfig, default_config
 from .core import (
     FiniteMmSpace,
     condition_measure,
@@ -54,6 +54,19 @@ __all__ = [
     "VolumeGrowthReport",
 ]
 
+# default number of points of the t grid of cd_check_1d
+T_GRID_SIZE = 9
+# Gauss-Legendre order of the distortion quadrature on each plan piece
+CD_QUAD_ORDER = 12
+# convexity check: tolerance c*h^2 + slack with c estimated from the fourth
+# difference of the data, times this safety factor
+CONVEXITY_SAFETY = 2.0
+CONVEXITY_SLACK = 1e-9
+# volume growth probe: Simpson points per unit length, and the growth of the
+# last doubling that flags divergence
+VOLUME_POINTS_PER_UNIT = 256
+VOLUME_GROWTH_FACTOR = 1.5
+
 
 # ---------------------------------------------------------------------------
 # Renyi entropy
@@ -72,6 +85,11 @@ def renyi_entropy(mu, nu, nprime: float) -> float:
     nu = np.asarray(nu, dtype=float)
     if mu.shape != nu.shape:
         raise ValidationError("mass vectors must have equal length")
+    for name, v in (("mu", mu), ("nu", nu)):
+        bad = np.flatnonzero(~(np.isfinite(v) & (v >= 0)))
+        if bad.size:
+            raise ValidationError(f"masses must be finite and nonnegative, "
+                                  f"{name}[{bad[0]}] = {v[bad[0]]}")
     if np.any((nu > 0) & (mu == 0)):
         return math.inf
     pos = mu > 0
@@ -96,24 +114,23 @@ def _gauss_nodes(order: int):
 
 
 def cd_rhs(space: WeightedOneDimSpace, rho0, rho1, K: float, nprime: float,
-           t: float, variant: str = "CD", *,
-           config: RunConfig | None = None) -> float:
+           t: float, variant: str = "CD") -> float:
     """Distortion-weighted endpoint-entropy integral along the monotone
     coupling of the two densities.
 
     Integration runs over the pieces of the ``MonotonePlan``: on each both
     quantiles are affine, the relative densities constant and the signed
     displacement of one sign, so only the distortion coefficient needs
-    quadrature (Gauss-Legendre of the configured order).  Returns +inf as
+    quadrature (Gauss-Legendre of order ``CD_QUAD_ORDER``).  Returns +inf as
     soon as a coefficient hits its closed branch.
     """
-    cfg = config or default_config()
     return _plan_rhs(MonotonePlan.build(space, rho0, rho1), K, nprime, t,
-                     variant, cfg.cd_quad_order)
+                     variant)
 
 
 def _plan_rhs(plan: MonotonePlan, K: float, nprime: float, t: float,
-              variant: str, quad_order: int) -> float:
+              variant: str) -> float:
+    _check_finite(K)
     if not nprime < 0:
         raise InvalidDimension(f"N' must be negative, got {nprime}")
     if not 0.0 <= t <= 1.0:
@@ -133,7 +150,7 @@ def _plan_rhs(plan: MonotonePlan, K: float, nprime: float, t: float,
         rho = plan.rho0 if t == 0.0 else plan.rho1
         return renyi_entropy(space.cell_masses, rho * space.h, nprime)
     mu_rho = space.density
-    gx, gw = _gauss_nodes(quad_order)
+    gx, gw = _gauss_nodes(CD_QUAD_ORDER)
     # displacement magnitude at quadrature nodes, affine per piece
     th = np.abs(d_a[:, None] + (d_b - d_a)[:, None] * gx[None, :])
     lengths = plan.u_hi - plan.u_lo
@@ -228,13 +245,8 @@ def _unroll_circle(space: WeightedOneDimSpace, rho0, rho1, cut):
     else:
         shift = int(cut) % m
     seg = WeightedOneDimSpace("segment", space.total_length, space.grid,
-                              np.roll(space.log_density, -shift),
-                              space.tolerances)
+                              np.roll(space.log_density, -shift))
     return seg, np.roll(rho0, -shift), np.roll(rho1, -shift), shift
-
-
-def cd_budget(h: float, cfg: RunConfig) -> float:
-    return cfg.cd_budget_c1 * h + cfg.cd_budget_c2 * h * h
 
 
 def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
@@ -250,10 +262,11 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     the two sides because entropies grow rapidly as N' approaches 0).
     """
     cfg = config or default_config()
+    _check_finite(K)
     if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, cfg.t_grid_size)
+        t_grid = np.linspace(0.0, 1.0, T_GRID_SIZE)
     if nprime_grid is None:
         nprime_grid = [x for x in (N, N / 2.0, N / 4.0, -0.1) if N <= x < 0]
         nprime_grid = sorted(set(nprime_grid))
@@ -266,15 +279,14 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     if space.kind == "circle":
         space, rho0, rho1, shift = _unroll_circle(space, rho0, rho1, cut)
     plan = MonotonePlan.build(space, rho0, rho1)
-    tol = cd_budget(space.h, cfg)
+    tol = cfg.cd_budget_c1 * space.h + cfg.cd_budget_c2 * space.h * space.h
     cells = []
     worst = (math.inf, None, None)
     for t in t_grid:
         rho_t = plan.interpolate(float(t))
         for np_ in nprime_grid:
             lhs = renyi_entropy_1d(space, rho_t, float(np_))
-            rhs = _plan_rhs(plan, K, float(np_), float(t), variant,
-                            cfg.cd_quad_order)
+            rhs = _plan_rhs(plan, K, float(np_), float(t), variant)
             margin, rel, _ = _margin(lhs, rhs)
             ok = rel >= -tol
             cells.append(CdCell(float(t), float(np_), lhs, rhs, margin, rel,
@@ -322,15 +334,15 @@ class BmReport:
     sups: tuple
 
 
-def bm_check(space: WeightedOneDimSpace, a0, a1, t: float, K: float, N: float,
-             *, config: RunConfig | None = None) -> BmReport:
+def bm_check(space: WeightedOneDimSpace, a0, a1, t: float, K: float,
+             N: float) -> BmReport:
     """Interval Brunn-Minkowski margin with inverted exponents (N < 0).
 
     ``a0`` and ``a1`` are coordinate intervals (lo, hi); the t-intermediate
     set is the endpointwise interpolation, which is the geodesic image on
     segments and on circles whenever both sets sit inside a half-circle.
     """
-    cfg = config or default_config()
+    _check_finite(K)
     if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     if not 0.0 <= t <= 1.0:
@@ -390,17 +402,18 @@ class ConvexityReport:
 
 
 def kn_convexity_check(f_samples, K: float, N: float, h: float, *,
-                       periodic: bool = False,
-                       config: RunConfig | None = None) -> ConvexityReport:
+                       periodic: bool = False) -> ConvexityReport:
     """Check Hess exp(-f/N) >= -(K/N) exp(-f/N) by central differences.
 
     The pass threshold is c h^2 + slack where c bounds the stencil error
     through the (data-estimated) fourth difference of exp(-f/N), scaled by
-    the configured safety factor.
+    ``CONVEXITY_SAFETY``.
     """
-    cfg = config or default_config()
+    _check_finite(K)
     if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValidationError(f"h must be positive and finite, got {h}")
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 1 or f.size < 5:
         raise ValidationError("need at least five samples")
@@ -416,8 +429,8 @@ def kn_convexity_check(f_samples, K: float, N: float, h: float, *,
         d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
         d4 = (g[4:] - 4.0 * g[3:-1] + 6.0 * g[2:-2] - 4.0 * g[1:-3] + g[:-4]) / h ** 4
         res = d2 + (K / N) * g[1:-1]
-    c = cfg.convexity_safety * float(np.max(np.abs(d4))) / 12.0
-    tol = c * h * h + cfg.convexity_slack
+    c = CONVEXITY_SAFETY * float(np.max(np.abs(d4))) / 12.0
+    tol = c * h * h + CONVEXITY_SLACK
     i = int(np.argmin(res))
     return ConvexityReport(K=float(K), N=float(N), h=float(h),
                            periodic=periodic, residuals=res,
@@ -474,8 +487,8 @@ class EntropySuiteReport:
 
 
 def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
-                             nprimes=(-0.5, -1.0, -3.0), *, seed: int = 0,
-                             config: RunConfig | None = None) -> EntropySuiteReport:
+                             nprimes=(-0.5, -1.0, -3.0), *,
+                             seed: int = 0) -> EntropySuiteReport:
     """Randomised checks of the entropy inequalities used by the stability
     machinery: contraction under pushforward, the conditioning bound, and
     the partition-average bound together with its transport estimate
@@ -484,9 +497,8 @@ def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
     Measures are drawn with full-support references (Dirichlet) and sparse
     absolutely continuous targets; failures are returned as data.
     """
-    cfg = config or default_config()
     rng = np.random.default_rng(seed)
-    tol = cfg.tolerances.entropy
+    tol = ENTROPY_TOL
     n = space.n
     passes = {"pushforward": 0, "conditioning": 0,
               "partition_entropy": 0, "partition_w2": 0}
@@ -536,7 +548,7 @@ def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
             failures.append({"check": "partition_entropy", "trial": trial,
                              "lhs": s_bar, "rhs": s_nu})
         dmax = max(subset_diameter(space.dist, b) for b in blocks)
-        w2 = w2_exact(space, nu, nu_bar, config=cfg).value
+        w2 = w2_exact(space, nu, nu_bar).value
         if w2 <= 2.0 * dmax + tol:
             passes["partition_w2"] += 1
         else:
@@ -561,24 +573,23 @@ class VolumeGrowthReport:
     divergent: bool
 
 
-def volume_growth_probe(log_density, C: float, x0: float, radii, *,
-                        config: RunConfig | None = None) -> VolumeGrowthReport:
+def volume_growth_probe(log_density, C: float, x0: float,
+                        radii) -> VolumeGrowthReport:
     """Gaussian-damped mass of a line density on expanding truncations.
 
     Integrates exp(-C (x-x0)^2 + log_density(x)) over [-R, R] by Simpson in
     log space (so double-exponential densities do not overflow); divergence
-    is flagged when the last doubling grows the value by at least the
-    configured growth factor.
+    is flagged when the last doubling grows the value by at least
+    ``VOLUME_GROWTH_FACTOR``.
     """
-    cfg = config or default_config()
-    if C <= 0:
+    if not C > 0:
         raise ValidationError(f"C must be positive, got {C}")
     radii = [float(r) for r in radii]
     if len(radii) < 2 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValidationError("radii must be an increasing list of length >= 2")
     logs = []
     for r in radii:
-        npts = max(129, int(cfg.volume_points_per_unit * 2 * r) + 1)
+        npts = max(129, int(VOLUME_POINTS_PER_UNIT * 2 * r) + 1)
         if npts % 2 == 0:
             npts += 1
         x = np.linspace(-r, r, npts)
@@ -589,7 +600,7 @@ def volume_growth_probe(log_density, C: float, x0: float, radii, *,
         w[2:-1:2] = 2.0
         logs.append(float(logsumexp(log_f + np.log(w)) + math.log(h / 3.0)))
     values = tuple(math.exp(v) if v < 700 else math.inf for v in logs)
-    divergent = (logs[-1] - logs[-2]) >= math.log(cfg.volume_growth_factor)
+    divergent = (logs[-1] - logs[-2]) >= math.log(VOLUME_GROWTH_FACTOR)
     return VolumeGrowthReport(C=float(C), x0=float(x0), radii=tuple(radii),
                               log_values=tuple(logs), values=values,
                               divergent=divergent)

@@ -10,14 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import f_softabs
+from .coefficients import _check_finite, f_softabs
 from .concentration import (
     cd_separation_bound,
     levy_bound_sequence,
     obsdiam_sandwich,
     separation,
 )
-from .config import RunConfig, default_config
+from .config import MASS_1D_TOL, QUADRATURE_REL_TOL, RunConfig, default_config
 from .curvature import (
     bm_check,
     cd_check_1d,
@@ -71,6 +71,7 @@ class CounterexampleParams:
     eps: float = 0.2
 
     def __post_init__(self):
+        _check_finite(self.K)
         if self.K >= 0 or not self.N < 0:
             raise ValidationError("K and N must both be negative")
         d_min = math.pi * math.sqrt((self.N - 1.0) / self.K)
@@ -103,17 +104,15 @@ def _pole_profile(params: CounterexampleParams, n: int, t: np.ndarray) -> np.nda
     return f_softabs(float(n), np.sin(t / params.r))
 
 
-def build_counterexample(params: CounterexampleParams, n: int, *,
-                         config: RunConfig | None = None):
+def build_counterexample(params: CounterexampleParams, n: int):
     """Circle space with density proportional to the profile to the power
     N' = N - 1, together with the normaliser a_n.
 
     a_n is computed with the periodic midpoint rule under doubling until the
-    relative change drops below the configured tolerance; the density then
+    relative change drops below ``QUADRATURE_REL_TOL``; the density then
     integrates to 1 on the declared grid (the rule is spectrally accurate
     for this analytic density).
     """
-    cfg = config or default_config()
     npr = params.nprime
     length = 2.0 * params.D
 
@@ -128,7 +127,7 @@ def build_counterexample(params: CounterexampleParams, n: int, *,
     for _ in range(12):
         m *= 2
         cur = integral(m)
-        if abs(cur - prev) <= cfg.tolerances.quadrature_rel * abs(cur):
+        if abs(cur - prev) <= QUADRATURE_REL_TOL * abs(cur):
             converged = cur
             break
         prev = cur
@@ -137,7 +136,7 @@ def build_counterexample(params: CounterexampleParams, n: int, *,
             f"normaliser quadrature stalled at {m} points"
         )
     grid_mass = integral(params.m) / converged
-    if abs(grid_mass - 1.0) > cfg.tolerances.mass_1d:
+    if abs(grid_mass - 1.0) > MASS_1D_TOL:
         raise QuadratureNonConvergent(
             f"grid size {params.m} too coarse for softness {n}: "
             f"declared-rule mass off by {abs(grid_mass - 1.0):.2e}"
@@ -147,8 +146,7 @@ def build_counterexample(params: CounterexampleParams, n: int, *,
     grid = (np.arange(params.m) + 0.5) * h
     log_density = npr * (math.log(a_n)
                          + np.log(_pole_profile(params, n, grid)))
-    space = WeightedOneDimSpace("circle", length, grid, log_density,
-                                cfg.tolerances)
+    space = WeightedOneDimSpace("circle", length, grid, log_density)
     return space, a_n
 
 
@@ -185,19 +183,17 @@ def counterexample_report(params: CounterexampleParams, *,
     D, eps, npr = params.D, params.eps, params.nprime
     poles = np.array([0.0, D])
     for n in params.n_list:
-        space, a_n = build_counterexample(params, n, config=cfg)
+        space, a_n = build_counterexample(params, n)
         f_n = -npr * (math.log(a_n)
                       + np.log(_pole_profile(params, n, space.grid)))
-        conv = kn_convexity_check(f_n, params.K, npr, space.h,
-                                  periodic=True, config=cfg)
+        conv = kn_convexity_check(f_n, params.K, npr, space.h, periodic=True)
         mass_out = _mass_outside_poles(space, D, eps)
         bound = a_n ** npr * math.sin(eps / params.r) ** npr * (2.0 * D - 4.0 * eps)
         circ = space.total_length
         gaps = np.abs(space.grid[:, None] - poles[None, :])
         dist = np.minimum(gaps, circ - gaps)
         w = space.cell_masses
-        dp = prokhorov_from_distances(dist, w / w.sum(), np.array([0.5, 0.5]),
-                                      feas_tol=cfg.tolerances.entropy)
+        dp = prokhorov_from_distances(dist, w / w.sum(), np.array([0.5, 0.5]))
         rep.add(n=int(n), a_n=float(a_n),
                 conv_min_residual=conv.min_residual, conv_tol=conv.tol,
                 conv_pass=conv.verdict,
@@ -254,15 +250,15 @@ def two_point_midpoint_gap(D: float, grid_size: int = 4097) -> TwoPointGap:
 # certified positive control
 
 
-def cosh_family(K: float, N: float, lam: float, L: float, m: int, *,
-                config: RunConfig | None = None) -> WeightedOneDimSpace:
+def cosh_family(K: float, N: float, lam: float, L: float,
+                m: int) -> WeightedOneDimSpace:
     """Segment [0, 2L] with density proportional to cosh(lam (x - L))^{N-1}.
 
     Requires lam^2 >= K / (1 - N); the returned space is certified by the
     convexity check of its weight exponent at modulus (K, N-1), raising
     ``ConvexityViolation`` if either fails.
     """
-    cfg = config or default_config()
+    _check_finite(K)
     if K <= 0 or not N < 0:
         raise ValidationError("requires K > 0 and N < 0")
     if lam * lam < K / (1.0 - N) - 1e-12:
@@ -274,10 +270,9 @@ def cosh_family(K: float, N: float, lam: float, L: float, m: int, *,
     x = grid - L
     log_rho = (N - 1.0) * np.log(np.cosh(lam * x))
     log_rho -= math.log(float(np.sum(np.exp(log_rho)) * h))
-    space = WeightedOneDimSpace("segment", 2.0 * L, grid, log_rho,
-                                cfg.tolerances)
+    space = WeightedOneDimSpace("segment", 2.0 * L, grid, log_rho)
     f = -(N - 1.0) * np.log(np.cosh(lam * x))
-    cert = kn_convexity_check(f, K, N - 1.0, h, config=cfg)
+    cert = kn_convexity_check(f, K, N - 1.0, h)
     if not cert.verdict:
         raise ConvexityViolation(
             f"certification failed: min residual {cert.min_residual} "
@@ -327,7 +322,7 @@ def calibrate_cd_budget(K: float = 1.0, N: float = -1.0, lam: float = 1.0,
         raise ValidationError("exactly two distinct resolutions are required")
     hs, worst = [], []
     for m in resolutions:
-        space = cosh_family(K, N, lam, L, int(m), config=cfg)
+        space = cosh_family(K, N, lam, L, int(m))
         neg = 0.0
         for rho0, rho1 in smooth_density_pairs(space, n_pairs, seed=seed):
             rep = cd_check_1d(space, rho0, rho1, K, N,
@@ -364,6 +359,7 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
     mass diverges for every damping constant probed.
     """
     cfg = config or default_config()
+    _check_finite(K)
     if K <= 0 or not N < 0:
         raise ValidationError("requires K > 0 and N < 0")
     a = math.sqrt(0.25 - K / (N - 1.0))
@@ -378,7 +374,7 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
     )
     for h in (1e-2, 1e-3):
         xs = np.arange(-5.0, 5.0 + h / 2.0, h)
-        check = kn_convexity_check(f(xs), K, N - 1.0, h, config=cfg)
+        check = kn_convexity_check(f(xs), K, N - 1.0, h)
         rep.add(section="convexity", key="h", x=h,
                 value=check.min_residual, extra=check.tol, ok=check.verdict)
     ratios_ok = True
@@ -391,8 +387,7 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
                 extra=errs[0], ok=ok)
     all_divergent = True
     for C in C_list:
-        probe = volume_growth_probe(log_density, float(C), 0.0, R_list,
-                                    config=cfg)
+        probe = volume_growth_probe(log_density, float(C), 0.0, R_list)
         all_divergent &= probe.divergent
         for r, lv in zip(probe.radii, probe.log_values):
             rep.add(section="volume", key=f"C={format(float(C), 'g')}", x=r,
@@ -430,7 +425,7 @@ def bm_collapse_sweep(space: WeightedOneDimSpace, a0, a1, t: float,
     )
     first_violation = None
     for K in K_list:
-        res = bm_check(space, a0, a1, t, float(K), N, config=cfg)
+        res = bm_check(space, a0, a1, t, float(K), N)
         violated = res.rhs < res.lhs
         if violated and first_violation is None:
             first_violation = float(K)
@@ -477,12 +472,11 @@ def verify_separation_bounds(K_list=(1.0, 4.0, 16.0),
     scaling_ok = True
     for K in K_list:
         K = float(K)
-        space = cosh_family(K, N, lam0 * math.sqrt(K), L0 / math.sqrt(K), m,
-                            config=cfg)
+        space = cosh_family(K, N, lam0 * math.sqrt(K), L0 / math.sqrt(K), m)
         finite = discretize(space)
         for kap in kappas:
             kap = float(kap)
-            sep = separation(finite, finite.weights, kap, kap, config=cfg)
+            sep = separation(finite, finite.weights, kap, kap)
             bound = cd_separation_bound(K, N, kap, kap)
             ok = sep.value <= bound * (1.0 + slack)
             all_pass &= ok
@@ -498,8 +492,7 @@ def verify_separation_bounds(K_list=(1.0, 4.0, 16.0),
                     sep_pass=ok, obs_lower=sw.lower, obs_upper=sw.upper,
                     obs_upper_scaled=scaled, scaling_pass=s_ok)
     levy_K = [min(K_list) * 4.0 ** j for j in range(7)]
-    _, levy_flag = levy_bound_sequence(levy_K, [N] * len(levy_K), 0.1, "CD",
-                                       config=cfg)
+    _, levy_flag = levy_bound_sequence(levy_K, [N] * len(levy_K), 0.1, "CD")
     rep.metadata.update({
         "all_sep_bounded": bool(all_pass),
         "scaling_within_10pct": bool(scaling_ok),

@@ -72,13 +72,11 @@ def write_report(outdir, name: str, doc: dict, params: dict,
     """Write ``doc`` as the JSON report ``<name>-<params_hash(params)>.json``.
 
     The report's ``metadata`` gains ``params`` and the run configuration
-    without its output directory (other metadata keys are kept), so the
-    bytes depend on the inputs and settings only, never on where they land.
+    (other metadata keys are kept), so the bytes depend on the inputs and
+    settings only, never on where they land.
     """
-    settings = config.to_dict()
-    settings.pop("output_dir")
     doc = {**doc, "metadata": {**doc.get("metadata", {}), "params": params,
-                               "config": settings}}
+                               "config": config.to_dict()}}
     path = Path(outdir) / f"{name}-{params_hash(params)}.json"
     atomic_write_text(path, canonical_json(doc))
     return path

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .config import RunConfig, Tolerances, default_config
+from .config import (
+    ENTROPY_TOL,
+    INTERP_MASS_TOL,
+    MASS_1D_TOL,
+    SOLVER_TOL,
+)
 from .core import Coupling, FiniteMmSpace, prob_weights
 from .errors import (
     DegenerateDensity,
@@ -55,7 +60,8 @@ class WeightedOneDimSpace:
     partition into cells of width ``h = total_length / M``; ``log_density``
     holds log(d mu / d length) per cell.  Densities are treated as piecewise
     constant on cells, and the declared quadrature rule is the midpoint rule
-    ``mass = h * sum(exp(log_density))``, which must equal 1 within 1e-8.
+    ``mass = h * sum(exp(log_density))``, which must equal 1 within
+    ``MASS_1D_TOL``.
     For circles ``total_length`` is the circumference.
     """
 
@@ -63,7 +69,6 @@ class WeightedOneDimSpace:
     total_length: float
     grid: np.ndarray
     log_density: np.ndarray
-    tolerances: Tolerances = field(default=Tolerances(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("segment", "circle"):
@@ -93,10 +98,9 @@ class WeightedOneDimSpace:
                     "grid must be uniform with spacing total_length / M"
                 )
         mass = float(np.exp(ld).sum() * h)
-        if abs(mass - 1.0) > self.tolerances.mass_1d:
+        if abs(mass - 1.0) > MASS_1D_TOL:
             raise ValidationError(
-                f"density mass {mass!r} deviates from 1 beyond {self.tolerances.mass_1d}"
-            )
+                f"density mass {mass!r} deviates from 1 beyond {MASS_1D_TOL}")
         grid.flags.writeable = False
         ld.flags.writeable = False
         object.__setattr__(self, "total_length", L)
@@ -137,8 +141,8 @@ class WeightedOneDimSpace:
 
     @classmethod
     def from_density(cls, kind: str, total_length: float, m: int, density,
-                     *, origin: float = 0.0, normalize: bool = False,
-                     tolerances: Tolerances = Tolerances()) -> "WeightedOneDimSpace":
+                     *, origin: float = 0.0,
+                     normalize: bool = False) -> "WeightedOneDimSpace":
         """Sample a density callable (or array) on the canonical cell centers."""
         h = float(total_length) / m
         grid = origin + (np.arange(m) + 0.5) * h
@@ -150,7 +154,7 @@ class WeightedOneDimSpace:
                                   "through measures on a sub-grid instead")
         if normalize:
             rho = rho / (rho.sum() * h)
-        return cls(kind, float(total_length), grid, np.log(rho), tolerances)
+        return cls(kind, float(total_length), grid, np.log(rho))
 
     def to_json(self) -> str:
         doc = {
@@ -162,7 +166,7 @@ class WeightedOneDimSpace:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, *, tolerances: Tolerances = Tolerances()) -> "WeightedOneDimSpace":
+    def from_json(cls, text: str) -> "WeightedOneDimSpace":
         doc = json.loads(text)
         for key in ("kind", "total_length", "grid_size", "log_density"):
             if key not in doc:
@@ -175,7 +179,7 @@ class WeightedOneDimSpace:
                 f"log_density has {ld.size} samples for grid_size {m}"
             )
         grid = (np.arange(m) + 0.5) * (L / m)
-        return cls(doc["kind"], L, grid, ld, tolerances)
+        return cls(doc["kind"], L, grid, ld)
 
 
 def interval_mass(space: WeightedOneDimSpace, lo: float, hi: float) -> float:
@@ -196,7 +200,7 @@ def discretize(space: WeightedOneDimSpace) -> FiniteMmSpace:
         dist = np.minimum(d, space.total_length - d)
     w = space.cell_masses
     w = w / w.sum()
-    return FiniteMmSpace(tuple(range(space.m)), dist, w, space.tolerances)
+    return FiniteMmSpace(tuple(range(space.m)), dist, w)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +391,7 @@ class MonotonePlan:
         # bincount adds in piece order, as a loop over the pieces would
         out = np.bincount(cells, weights=vals, minlength=m)
         total = out.sum()
-        if abs(total - 1.0) > space.tolerances.interp_mass:
+        if abs(total - 1.0) > INTERP_MASS_TOL:
             raise SolverFailure(f"interpolant lost mass: total {total!r}")
         return out / h
 
@@ -423,19 +427,16 @@ def _marginal_pattern(na: int, nb: int):
     return rows, cols
 
 
-def w2_exact(space: FiniteMmSpace, mu, nu, *,
-             config: RunConfig | None = None) -> TransportPlanReport:
+def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     """Quadratic-cost transport distance via the transportation LP.
 
     Solved with the HiGHS dual simplex; optimality is certified from the
     returned duals (nonnegative reduced costs and a primal-dual gap below
-    ``solver`` tolerance times the cost scale) and from the plan's
-    marginals; otherwise ``SolverFailure`` is raised.
+    ``SOLVER_TOL`` times the cost scale) and from the plan's marginals;
+    otherwise ``SolverFailure`` is raised.
     """
-    cfg = config or default_config()
-    tol = cfg.tolerances.solver
-    mu = prob_weights(mu, tol=cfg.tolerances.structural)
-    nu = prob_weights(nu, tol=cfg.tolerances.structural)
+    mu = prob_weights(mu)
+    nu = prob_weights(nu)
     if mu.size != space.n or nu.size != space.n:
         raise ValidationError("weights do not match the space")
     sa = np.flatnonzero(mu > 0)
@@ -455,15 +456,15 @@ def w2_exact(space: FiniteMmSpace, mu, nu, *,
     y = res.eqlin.marginals
     u, v = y[:na], y[na:]
     reduced = cost - u[:, None] - v[None, :]
-    if float(reduced.min(initial=0.0)) < -tol * scale:
+    if float(reduced.min(initial=0.0)) < -SOLVER_TOL * scale:
         raise SolverFailure("dual infeasibility: negative reduced cost")
     gap = abs(float(res.fun) - float(u @ wa + v @ wb))
-    if gap > tol * scale:
+    if gap > SOLVER_TOL * scale:
         raise SolverFailure(f"primal-dual gap {gap:.3e} exceeds tolerance")
     plan = np.zeros((space.n, space.n))
     plan[np.ix_(sa, sb)] = res.x.reshape(na, nb)
     try:
-        coupling = Coupling(plan, mu, nu, marginal_tol=max(1e-10, tol * 10))
+        coupling = Coupling(plan, mu, nu, marginal_tol=SOLVER_TOL * 10)
     except ValidationError as e:  # the solver's plan, not the input, is at fault
         raise SolverFailure(f"transport plan fails its certificate: {e}") from e
     value = math.sqrt(max(float(res.fun), 0.0))
@@ -546,8 +547,7 @@ def _max_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> floa
     return float(-res.fun)
 
 
-def prokhorov_from_distances(dist: np.ndarray, wa, wb, *,
-                             feas_tol: float = 1e-9) -> float:
+def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
     """Smallest eps admitting a coupling with mass at most eps on pairs
     farther than eps.
 
@@ -566,7 +566,7 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb, *,
         return _max_close_mass(dist <= cands[k], wa, wb)
 
     def feasible(k: int) -> bool:
-        return F(k) >= 1.0 - cands[k] - feas_tol
+        return F(k) >= 1.0 - cands[k] - ENTROPY_TOL
 
     lo, hi = 0, cands.size - 1
     if feasible(lo):
@@ -581,25 +581,21 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb, *,
     return float(min(cands[hi], max(crossing, 0.0)))
 
 
-def prokhorov(space: FiniteMmSpace, mu, nu, *,
-              config: RunConfig | None = None) -> float:
+def prokhorov(space: FiniteMmSpace, mu, nu) -> float:
     """Prokhorov distance between two weight vectors on a common space."""
-    cfg = config or default_config()
-    mu = prob_weights(mu, tol=cfg.tolerances.structural)
-    nu = prob_weights(nu, tol=cfg.tolerances.structural)
+    mu = prob_weights(mu)
+    nu = prob_weights(nu)
     if mu.size != space.n or nu.size != space.n:
         raise ValidationError("weights do not match the space")
     sa = np.flatnonzero(mu > 0)
     sb = np.flatnonzero(nu > 0)
-    return prokhorov_from_distances(space.dist[np.ix_(sa, sb)], mu[sa], nu[sb],
-                                    feas_tol=cfg.tolerances.entropy)
+    return prokhorov_from_distances(space.dist[np.ix_(sa, sb)], mu[sa], nu[sb])
 
 
-def box_upper_bound_common_space(space: FiniteMmSpace, mu, nu, *,
-                                 config: RunConfig | None = None) -> float:
+def box_upper_bound_common_space(space: FiniteMmSpace, mu, nu) -> float:
     """Twice the Prokhorov distance: an upper bound for the box distance
     between the two mm-structures on the same underlying space."""
-    return 2.0 * prokhorov(space, mu, nu, config=config)
+    return 2.0 * prokhorov(space, mu, nu)
 
 
 # ---------------------------------------------------------------------------

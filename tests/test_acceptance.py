@@ -153,7 +153,7 @@ def test_criterion_4_positive_cd_control():
     c1, c2 = calibrate_cd_budget(K=1.0, N=-1.0, lam=1.0, L=3.0,
                                  resolutions=(256, 512), n_pairs=8, seed=40)
     cfg = default_config().replace(cd_budget_c1=c1, cd_budget_c2=c2)
-    space = cosh_family(1.0, -1.0, 1.0, 3.0, 512, config=cfg)
+    space = cosh_family(1.0, -1.0, 1.0, 3.0, 512)
     tol = c1 * space.h + c2 * space.h ** 2
     worst = math.inf
     all_pass = True
@@ -170,8 +170,7 @@ def test_criterion_4_positive_cd_control():
         lo1 = rng.uniform(0.0, 4.0)
         a0 = (lo0, lo0 + rng.uniform(0.2, 1.8))
         a1 = (lo1, lo1 + rng.uniform(0.2, 1.8))
-        res = bm_check(space, a0, a1, float(rng.uniform(0.0, 1.0)), 1.0, -1.0,
-                       config=cfg)
+        res = bm_check(space, a0, a1, float(rng.uniform(0.0, 1.0)), 1.0, -1.0)
         bm_ok &= res.ok
     elapsed = time.perf_counter() - t0
     ok = all_pass and worst >= -tol and bm_ok and elapsed < 300.0

@@ -109,6 +109,78 @@ def test_nan_dimension_exits_two(inputs, command):
     assert not (inputs["tmp"] / "r").exists()
 
 
+BAD_SCALARS = {
+    "cd-check-K": (["cd-check", "--space", "{circle}", "--K", "nan", "--N", "-1"],
+                   "K must be finite"),
+    "bm-check-K": (["bm-check", "--space", "{circle}", "--a0", "0.5,1.5",
+                    "--a1", "2,3", "--t", "0.5", "--K", "nan", "--N", "-1"],
+                   "K must be finite"),
+    "convexity-K": (["convexity", "--f", "{f}", "--K", "nan", "--N", "-2",
+                     "--h", "0.01"], "K must be finite"),
+    "cosh-family-K": (["cosh-family", "--K", "nan", "--N", "-1", "--lam", "1",
+                       "--L", "3", "--M", "128"], "K must be finite"),
+    "counterexample-K": (["counterexample", "--K", "nan", "--N", "-1",
+                          "--n-list", "1", "--M", "512"], "K must be finite"),
+    "sep-k0": (["sep", "--space", "{space}", "--k0", "nan", "--k1", "0.3"],
+               "mass thresholds must be positive"),
+    "obsdiam-kappa": (["obsdiam", "--space", "{space}", "--kappa", "nan"],
+                      "kappa must be positive"),
+    "convexity-h-zero": (["convexity", "--f", "{f}", "--K", "1", "--N", "-2",
+                          "--h", "0"], "h must be positive"),
+    "convexity-h-nan": (["convexity", "--f", "{f}", "--K", "1", "--N", "-2",
+                         "--h", "nan"], "h must be positive"),
+    "convexity-h-negative": (["convexity", "--f", "{f}", "--K", "1", "--N",
+                              "-2", "--h", "-0.01"], "h must be positive"),
+    "sinh-example-C": (["sinh-example", "--K", "1", "--N", "-1",
+                        "--C-list", "nan"], "C must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_bad_scalar_input_exits_two(inputs, case):
+    # each of these passed, failed as a check (exit 1) or named the wrong
+    # input on a NaN or a nonpositive step
+    x = np.arange(-3.0, 3.0, 1e-2)
+    f_path = inputs["tmp"] / "f.json"
+    f_path.write_text(json.dumps({"values": list(2.0 * np.log(np.cosh(x)))}))
+    paths = {"circle": inputs["circle"], "space": inputs["space"], "f": f_path}
+    argv, message = BAD_SCALARS[case]
+    res = run_cli(*(a.format(**paths) for a in argv),
+                  "--out", str(inputs["tmp"] / "r"))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert message in res.stderr
+    assert not (inputs["tmp"] / "r").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"n_exact_separation": 20}, "n_exact_separation"),
+    ({"tolerances": {"structural": 1e-12, "mass_1d": 1e-3}}, "tolerances"),
+    ({"sed": 1}, "sed"),
+])
+def test_config_rejects_unknown_keys(inputs, doc, key):
+    # a removed or misspelt setting must not be ignored silently
+    cfg_path = inputs["tmp"] / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = run_cli("entropy", "--mu", str(inputs["mu"]), "--nu", str(inputs["mu"]),
+                  "--nprime", "-1", "--config", str(cfg_path),
+                  "--out", str(inputs["tmp"] / "r"))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert key in res.stderr
+    assert not (inputs["tmp"] / "r").exists()
+
+
+def test_config_budget_is_applied(inputs):
+    cfg_path = inputs["tmp"] / "cfg.json"
+    cfg_path.write_text(json.dumps({"cd_budget_c1": 0.5}))
+    out = inputs["tmp"] / "r"
+    res = run_cli("cd-check", "--space", str(inputs["circle"]), "--K", "0",
+                  "--N", "-1", "--config", str(cfg_path), "--out", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    budget = json.loads(next(out.glob("cd-check-*.json")).read_text())["budget"]
+    assert budget["c1"] == 0.5
+    assert budget["tol"] == 0.5 * budget["h"]
+
+
 def test_entropy_and_sep_commands(inputs, tmp_path):
     out = tmp_path / "r"
     nu = tmp_path / "nu.json"
@@ -191,13 +263,13 @@ def test_lemma_suite_command(tmp_path):
 
 def test_config_file_round_trip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"seed": 123, "levy_threshold": 0.07}))
+    cfg_path.write_text(json.dumps({"seed": 123, "cd_budget_c2": 0.07}))
     res = run_cli("lemma-suite", "--n", "5", "--trials", "10",
                   "--config", str(cfg_path), "--out", str(tmp_path / "r"))
     assert res.returncode == 0, res.stderr
     doc = json.loads(next((tmp_path / "r").glob("lemma-suite-*.json")).read_text())
     assert doc["metadata"]["config"]["seed"] == 123
-    assert doc["metadata"]["config"]["levy_threshold"] == 0.07
+    assert doc["metadata"]["config"]["cd_budget_c2"] == 0.07
 
 
 def test_bm_check_command(tmp_path):

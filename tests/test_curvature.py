@@ -1,12 +1,18 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mmlab.coefficients import tau_vals
-from mmlab.concentration import cd_obsdiam_bound
+from mmlab.coefficients import (
+    sigma_range_sup,
+    sigma_vals,
+    tau_sup,
+    tau_vals,
+)
+from mmlab.concentration import cd_obsdiam_bound, levy_bound_sequence
 from mmlab.config import default_config
 from mmlab.core import FiniteMmSpace, condition_measure
 from mmlab.curvature import (
@@ -21,7 +27,12 @@ from mmlab.curvature import (
     volume_growth_probe,
 )
 from mmlab.errors import InvalidDimension, ValidationError
-from mmlab.experiments import cosh_family, smooth_density_pairs
+from mmlab.experiments import (
+    CounterexampleParams,
+    cosh_family,
+    sinh_example_report,
+    smooth_density_pairs,
+)
 from mmlab.reporting import write_report
 from mmlab.transport import PiecewiseQuantile, WeightedOneDimSpace
 
@@ -114,6 +125,18 @@ def test_renyi_at_least_one_with_strict_equality_case():
 def test_renyi_rejects_nonnegative_dimension():
     with pytest.raises(InvalidDimension):
         renyi_entropy(np.array([1.0]), np.array([1.0]), 0.5)
+
+
+@pytest.mark.parametrize("mu, nu, where", [
+    ([0.5, 0.5], [-0.5, 1.5], "nu[0]"),
+    ([0.5, 0.5], [0.5, float("nan")], "nu[1]"),
+    ([1.5, -0.5], [0.5, 0.5], "mu[1]"),
+    ([float("inf"), 0.5], [0.5, 0.5], "mu[0]"),
+])
+def test_renyi_rejects_bad_masses(mu, nu, where):
+    # unchecked, [-0.5, 1.5] against [0.5, 0.5] gave 5.0 and a NaN mass NaN
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        renyi_entropy(mu, nu, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +308,49 @@ def test_nan_dimension_is_rejected(name):
     error = ValidationError if name == "cd_obsdiam_bound" else InvalidDimension
     with pytest.raises(error):
         calls[name]()
+
+
+@pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [
+    "cd_check_1d", "cd_rhs", "bm_check", "kn_convexity_check", "sigma_vals",
+    "tau_vals", "sigma_range_sup", "tau_sup", "cd_obsdiam_bound",
+    "levy_bound_sequence", "cosh_family", "CounterexampleParams",
+    "sinh_example_report"])
+def test_nonfinite_curvature_is_rejected(name, K):
+    # a NaN curvature fails every sign test and used to be read as K = 0
+    space = cosh_family(1.0, -1.0, 1.0, 2.0, 64)
+    rho0, rho1 = smooth_density_pairs(space, 1, seed=9)[0]
+    calls = {
+        "cd_check_1d": lambda: cd_check_1d(space, rho0, rho1, K, -1.0),
+        "cd_rhs": lambda: cd_rhs(space, rho0, rho1, K, -1.0, 0.5),
+        "bm_check": lambda: bm_check(space, (0.5, 1.0), (2.5, 3.0), 0.5,
+                                     K, -1.0),
+        "kn_convexity_check": lambda: kn_convexity_check(np.zeros(9), K,
+                                                         -1.0, 0.1),
+        "sigma_vals": lambda: sigma_vals(K, 0.3, [0.0, 1.0]),
+        "tau_vals": lambda: tau_vals(K, -1.0, 0.5, [0.0, 1.0]),
+        "sigma_range_sup": lambda: sigma_range_sup(K, 0.3, 0.0, 1.0),
+        "tau_sup": lambda: tau_sup(K, -1.0, 0.5, 1.0),
+        "cd_obsdiam_bound": lambda: cd_obsdiam_bound(K, -1.0, 0.5),
+        "levy_bound_sequence": lambda: levy_bound_sequence(
+            [1.0, K], [-1.0, -1.0], 0.1, "CD"),
+        "cosh_family": lambda: cosh_family(K, -1.0, 1.0, 2.0, 64),
+        "CounterexampleParams": lambda: CounterexampleParams(K=K),
+        "sinh_example_report": lambda: sinh_example_report(K, -1.0),
+    }
+    with pytest.raises(ValidationError, match=r"\b(K|kappa) must be finite"):
+        calls[name]()
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+def test_convexity_rejects_bad_step(h):
+    with pytest.raises(ValidationError, match="h must be positive"):
+        kn_convexity_check(np.zeros(9), 1.0, -1.0, h)
+
+
+def test_volume_probe_rejects_nan_damping():
+    with pytest.raises(ValidationError, match="C must be positive"):
+        volume_growth_probe(lambda x: 0.0 * x, math.nan, 0.0, [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import dataclasses
 import importlib
 import importlib.util
+import re
 import types
 from pathlib import Path
 
 import pytest
+
+from mmlab.config import RunConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "mmbench" / "tracing.py"
 
@@ -34,3 +38,15 @@ def test_trace_target_resolves(modname, path, span):
     else:
         raw = getattr(mod, attr)
     assert isinstance(raw, types.FunctionType)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mmlab"
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+def test_every_config_field_is_read(field):
+    # no config knob that nothing reads: a setting with no reader outside
+    # config.py belongs in a constant
+    readers = [p.name for p in sorted(SRC.glob("*.py")) if p.name != "config.py"
+               and re.search(rf"\.{field}\b", p.read_text(encoding="utf-8"))]
+    assert readers, f"RunConfig.{field} is read nowhere in src/mmlab"
