@@ -15,7 +15,7 @@ import numpy as np
 
 from .coefficients import _check_finite
 from .config import STRUCTURAL_TOL, RunConfig, default_config
-from .core import FiniteMmSpace, prob_weights
+from .core import FiniteMmSpace, line_embedding, prob_weights
 from .errors import DomainError, SolverFailure, ValidationError
 from .reporting import ExperimentReport
 
@@ -49,25 +49,6 @@ OBSDIAM_WITNESS_POTENTIALS = 32
 # sequence below this fraction of its first value
 LEVY_THRESHOLD = 0.05
 LEVY_DECAY = 0.1
-
-
-# ---------------------------------------------------------------------------
-# line detection
-
-
-def line_embedding(dist: np.ndarray, *, rtol: float = 1e-9) -> np.ndarray | None:
-    """Coordinates x with dist[i,j] = |x_i - x_j| if the metric is a line
-    metric, else None."""
-    dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
-    if n == 1:
-        return np.zeros(1)
-    a = int(np.argmax(dist.max(axis=1)))
-    x = dist[a].copy()
-    scale = max(float(dist.max()), 1.0)
-    if np.max(np.abs(np.abs(x[:, None] - x[None, :]) - dist)) <= rtol * scale:
-        return x
-    return None
 
 
 # ---------------------------------------------------------------------------

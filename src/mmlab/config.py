@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -50,6 +51,8 @@ class RunConfig:
             raise ValidationError(
                 f"unknown config keys {', '.join(unknown)}; the settable keys "
                 f"are {', '.join(sorted(_CONFIG_FIELDS))}")
+        for key, value in d.items():
+            _check_config_value(key, value)
         return cls(**d)
 
     @classmethod
@@ -59,6 +62,19 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _check_config_value(key: str, value) -> None:
+    """``seed`` is a nonnegative int, the budget coefficients finite reals;
+    JSON booleans are neither."""
+    if key == "seed":
+        ok = type(value) is int and value >= 0
+        want = "a nonnegative integer"
+    else:
+        ok = type(value) is int or (type(value) is float and math.isfinite(value))
+        want = "a finite number"
+    if not ok:
+        raise ValidationError(f"config key {key} must be {want}, got {value!r}")
 
 
 def default_config() -> RunConfig:

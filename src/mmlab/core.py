@@ -24,6 +24,7 @@ __all__ = [
     "partition_average",
     "subset_diameter",
     "as_index_array",
+    "line_embedding",
 ]
 
 
@@ -63,8 +64,35 @@ def as_index_array(subset, n: int) -> np.ndarray:
     return idx
 
 
-def _validate_distance_matrix(dist: np.ndarray) -> None:
+def line_embedding(dist: np.ndarray, *, rtol: float = 1e-9) -> np.ndarray | None:
+    """Coordinates x with dist[i,j] = |x_i - x_j| if the metric is a line
+    metric, else None."""
+    dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
+    if n <= 1:
+        return np.zeros(n)
+    a = int(np.argmax(dist.max(axis=1)))
+    x = dist[a].copy()
+    scale = max(float(dist.max()), 1.0)
+    # one n x n buffer: ||x_i - x_j| - dist[i,j]|
+    gap = np.subtract.outer(x, x)
+    np.abs(gap, out=gap)
+    gap -= dist
+    np.abs(gap, out=gap)
+    if gap.max() <= rtol * scale:
+        return x
+    return None
+
+
+def _validate_distance_matrix(dist: np.ndarray) -> None:
+    """Check that ``dist`` is a finite pseudometric within ``STRUCTURAL_TOL``
+    (relative to the largest distance), naming the offending entry.
+
+    The triangle inequality is certified in O(n^2) when the matrix is a line
+    metric within a quarter of the tolerance: then every triangle slack is
+    at most three quarters of it.  Otherwise the O(n^3) scan over every
+    intermediate point decides, and names the first violated triple.
+    """
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValidationError(f"distance matrix must be square, got {dist.shape}")
     if not np.all(np.isfinite(dist)):
@@ -83,9 +111,14 @@ def _validate_distance_matrix(dist: np.ndarray) -> None:
         raise ValidationError(
             f"asymmetric distances at ({i},{j}): {dist[i, j]} vs {dist[j, i]}"
         )
-    # triangle inequality, checked one intermediate point at a time to keep
-    # memory at O(n^2)
-    for k in range(n):
+    if line_embedding(dist, rtol=STRUCTURAL_TOL / 4) is None:
+        _triangle_scan(dist, atol)
+
+
+def _triangle_scan(dist: np.ndarray, atol: float) -> None:
+    """Raise on the first triangle slack above ``atol``, checked one
+    intermediate point at a time to keep memory at O(n^2)."""
+    for k in range(dist.shape[0]):
         slack = dist - (dist[:, k][:, None] + dist[k, :][None, :])
         bad = slack > atol
         if bad.any():

@@ -525,14 +525,55 @@ def displacement_interpolate_1d(space: WeightedOneDimSpace, rho0, rho1,
 # Prokhorov distance via coupling feasibility
 
 
+# Hall's formula enumerates the 2**k subsets of the smaller support
+HALL_MAX_ATOMS = 12
+
+
 def _max_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
-    """Largest sub-coupling mass supported on allowed pairs (LP relaxation of
-    the feasibility in the coupling characterisation of the distance)."""
+    """Largest sub-coupling mass supported on allowed pairs: a bipartite
+    max-flow, by Hall's formula when one support has at most
+    ``HALL_MAX_ATOMS`` atoms and by an LP otherwise."""
     if allowed.all():
         return 1.0
-    ii, jj = np.nonzero(allowed)
-    if ii.size == 0:
+    if not allowed.any():
         return 0.0
+    if min(allowed.shape) <= HALL_MAX_ATOMS:
+        return _hall_close_mass(allowed, wa, wb)
+    return _lp_close_mass(allowed, wa, wb)
+
+
+def _subset_sums(v: np.ndarray, k: int) -> np.ndarray:
+    """Zeta transform over k-bit masks: out[U] = sum of v[m] over m ⊆ U."""
+    g = v.copy()
+    for i in range(k):
+        g = g.reshape(-1, 2, 1 << i)
+        g[:, 1, :] += g[:, 0, :]
+    return g.reshape(-1)
+
+
+def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+    """Max-flow/min-cut in Hall's deficiency form (Ford & Fulkerson 1956).
+
+    With k atoms on the smaller side S, the maximal close mass is the
+    minimum over U ⊆ S of w(U) + w(atoms of the larger side with an allowed
+    partner outside U).  Each larger-side atom is bucketed by the bitmask of
+    its allowed partners, so one zeta transform gives the weight of atoms
+    whose partners all lie in U, for every U at once: O(n k + k 2^k).
+    """
+    if allowed.shape[0] <= allowed.shape[1]:
+        allowed, wa, wb = allowed.T, wb, wa
+    k = allowed.shape[1]
+    size = 1 << k
+    bits = 1 << np.arange(k)
+    masks = allowed.astype(np.int64) @ bits
+    inside = _subset_sums(np.bincount(masks, weights=wa, minlength=size), k)
+    small = _subset_sums(np.bincount(bits, weights=wb, minlength=size), k)
+    return float(np.min(small + (inside[-1] - inside)))
+
+
+def _lp_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+    """The max-flow as an LP over the allowed pairs (HiGHS)."""
+    ii, jj = np.nonzero(allowed)
     na, nb = allowed.shape
     nvar = ii.size
     rows = np.concatenate([ii, na + jj])
@@ -555,7 +596,9 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
     found exactly: binary search over sorted distances for the first
     candidate ``d_k`` with ``F_k >= 1 - d_k`` (``F_k`` the maximal coupling
     mass on pairs within ``d_k``), then compare with the crossing point
-    ``1 - F_{k-1}`` of the previous piece.
+    ``1 - F_{k-1}`` of the previous piece.  ``F_k`` is a bipartite max-flow:
+    exact by Hall's formula when either support has at most
+    ``HALL_MAX_ATOMS`` atoms, otherwise an LP solved by HiGHS.
     """
     dist = np.asarray(dist, dtype=float)
     wa = np.asarray(wa, dtype=float)

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from mmlab.config import RunConfig
 from mmlab.core import FiniteMmSpace
 from mmlab.reporting import params_hash
 from mmlab.transport import WeightedOneDimSpace
@@ -167,6 +169,35 @@ def test_config_rejects_unknown_keys(inputs, doc, key):
     assert res.returncode == 2, res.stdout + res.stderr
     assert key in res.stderr
     assert not (inputs["tmp"] / "r").exists()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"seed": "abc"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"cd_budget_c1": "x"}, "cd_budget_c1"),
+    ({"cd_budget_c1": False}, "cd_budget_c1"),
+    ({"cd_budget_c2": math.nan}, "cd_budget_c2"),
+    ({"cd_budget_c2": math.inf}, "cd_budget_c2"),
+    ({"cd_budget_c2": None}, "cd_budget_c2"),
+])
+def test_config_rejects_bad_values(inputs, doc, key):
+    # a config value of the wrong type is an input error, not a traceback
+    cfg_path = inputs["tmp"] / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    res = run_cli("entropy", "--mu", str(inputs["mu"]), "--nu", str(inputs["mu"]),
+                  "--nprime", "-1", "--config", str(cfg_path),
+                  "--out", str(inputs["tmp"] / "r"))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert f"config key {key}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (inputs["tmp"] / "r").exists()
+
+
+def test_config_accepts_valid_values():
+    cfg = RunConfig.from_dict({"seed": 7, "cd_budget_c1": 2, "cd_budget_c2": 0.5})
+    assert (cfg.seed, cfg.cd_budget_c1, cfg.cd_budget_c2) == (7, 2, 0.5)
 
 
 def test_config_budget_is_applied(inputs):

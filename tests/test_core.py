@@ -1,17 +1,25 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmlab import concentration
+from mmlab.config import STRUCTURAL_TOL
 from mmlab.core import (
     FiniteMmSpace,
+    _triangle_scan,
+    _validate_distance_matrix,
     condition_measure,
+    line_embedding,
     partition_average,
     prob_weights,
     pushforward,
     subset_diameter,
 )
 from mmlab.errors import ValidationError, ZeroMassSet
+from mmlab.transport import WeightedOneDimSpace, discretize
 
 
 def square_space(weights=(0.25, 0.25, 0.25, 0.25)):
@@ -165,6 +173,65 @@ def test_space_rejects_triangle_violation_naming_triple():
     ])
     with pytest.raises(ValidationError, match=r"\(i,j,k\)"):
         FiniteMmSpace((0, 1, 2), dist, [1 / 3] * 3)
+
+
+def passes(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 24), st.integers(0, 10 ** 6),
+       st.sampled_from([0.0, 0.05, 0.2, 0.25, 0.3, 1.0, 4.0]),
+       st.sampled_from([0.5, 1.0, 10.0, 1e4]))
+def test_line_certificate_is_sound(n, seed, noise, scale):
+    # a line metric perturbed by symmetric noise of up to noise * atol on
+    # each entry; whenever the O(n^2) certificate accepts, the full triangle
+    # scan passes too, so the validator accepts exactly what the scan does
+    rng = np.random.default_rng(seed)
+    x = rng.random(n) * scale
+    dist = np.abs(x[:, None] - x[None, :])
+    atol = STRUCTURAL_TOL * max(float(dist.max()), 1.0)
+    bump = np.triu(rng.uniform(-1.0, 1.0, (n, n)) * noise * atol, 1)
+    dist = np.maximum(dist + bump + bump.T, 0.0)
+    atol = STRUCTURAL_TOL * max(float(dist.max()), 1.0)
+    scan_ok = passes(_triangle_scan, dist, atol)
+    if line_embedding(dist, rtol=STRUCTURAL_TOL / 4) is not None:
+        assert scan_ok
+    assert passes(_validate_distance_matrix, dist) == scan_ok
+
+
+def test_line_certificate_accepts_exact_line_metrics():
+    x = np.random.default_rng(3).random(64) * 7.0
+    dist = np.abs(x[:, None] - x[None, :])
+    emb = line_embedding(dist, rtol=STRUCTURAL_TOL / 4)
+    assert emb is not None
+    assert np.allclose(np.abs(emb[:, None] - emb[None, :]), dist)
+    assert concentration.line_embedding is line_embedding
+
+
+def test_line_metric_with_raised_entry_names_triple():
+    x = np.sort(np.random.default_rng(5).random(64))
+    dist = np.abs(x[:, None] - x[None, :])
+    dist[3, 40] = dist[40, 3] = dist[3, 40] + 1e-6
+    with pytest.raises(ValidationError,
+                       match=r"triangle inequality violated for \(i,j,k\) = "
+                             r"\((3,40|40,3),\d+\)"):
+        FiniteMmSpace(tuple(range(64)), dist, np.full(64, 1 / 64))
+
+
+def test_discretized_segment_validates_in_quadratic_time():
+    # the cubic scan takes about 0.7 s at 512 cells and would take over a
+    # minute here
+    space = WeightedOneDimSpace.from_density(
+        "segment", 3.0, 2048, lambda x: np.full_like(x, 1.0 / 3.0))
+    t0 = time.perf_counter()
+    fin = discretize(space)
+    assert time.perf_counter() - t0 < 5.0
+    assert fin.n == 2048
 
 
 def test_space_rejects_bad_weights():

@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from mmlab import transport
 from mmlab.core import FiniteMmSpace
 from mmlab.errors import DegenerateDensity, NonSegment, ValidationError
-from mmlab.experiments import cosh_family
+from mmlab.experiments import (
+    CounterexampleParams,
+    cosh_family,
+    counterexample_report,
+)
 from mmlab.transport import (
+    HALL_MAX_ATOMS,
     MonotonePlan,
+    _hall_close_mass,
+    _lp_close_mass,
     _marginal_pattern,
     PiecewiseQuantile,
     WeightedOneDimSpace,
@@ -17,6 +25,7 @@ from mmlab.transport import (
     interval_mass,
     ky_fan,
     prokhorov,
+    prokhorov_from_distances,
     w2_circle_quantile,
     w2_exact,
     w2_quantile_1d,
@@ -539,6 +548,74 @@ def test_prokhorov_metric_properties():
     dmn = prokhorov(s, mu, nu)
     assert prokhorov(s, nu, mu) == pytest.approx(dmn, abs=1e-9)
     assert prokhorov(s, mu, lam) <= dmn + prokhorov(s, nu, lam) + 1e-9
+
+
+def random_bipartite_case(rng, na, nb):
+    # distances rounded to one decimal, so that thresholds tie pairs
+    dist = np.round(rng.random((na, nb)) * 2.0, 1)
+    return dist, rng.dirichlet(np.ones(na)), rng.dirichlet(np.ones(nb))
+
+
+def test_hall_close_mass_matches_lp():
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(120):
+        small = int(rng.integers(1, HALL_MAX_ATOMS + 1))
+        large = int(rng.integers(small, 40))
+        na, nb = (small, large) if rng.random() < 0.5 else (large, small)
+        dist, wa, wb = random_bipartite_case(rng, na, nb)
+        for thr in rng.choice(dist.ravel(), size=3):
+            allowed = dist <= thr
+            if allowed.all():
+                continue
+            hall = _hall_close_mass(allowed, wa, wb)
+            assert hall == pytest.approx(_lp_close_mass(allowed, wa, wb),
+                                         abs=1e-12)
+            # the two orientations are the same flow
+            assert _hall_close_mass(allowed.T, wb, wa) == pytest.approx(
+                hall, abs=1e-12)
+            checked += 1
+    assert checked > 200
+
+
+def test_prokhorov_hall_path_matches_lp_path(monkeypatch):
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(40):
+        small = int(rng.integers(1, HALL_MAX_ATOMS + 1))
+        large = int(rng.integers(1, 30))
+        cases.append(random_bipartite_case(rng, small, large))
+        cases.append(random_bipartite_case(rng, large, small))
+    hall = [prokhorov_from_distances(*c) for c in cases]
+    monkeypatch.setattr(transport, "HALL_MAX_ATOMS", 0)
+    lp = [prokhorov_from_distances(*c) for c in cases]
+    assert hall == pytest.approx(lp, abs=1e-12)
+
+
+def test_prokhorov_hall_path_matches_subset_oracle():
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        na = int(rng.integers(1, 6))
+        nb = int(rng.integers(1, HALL_MAX_ATOMS + 1))
+        dist, mu, nu = random_bipartite_case(rng, na, nb)
+        slow = oracle_prokhorov(dist, mu, nu)
+        assert prokhorov_from_distances(dist, mu, nu) == pytest.approx(
+            slow, abs=1e-12)
+        assert prokhorov_from_distances(dist.T, nu, mu) == pytest.approx(
+            slow, abs=1e-12)
+
+
+def test_collapse_prokhorov_solves_no_lp(monkeypatch):
+    # the two-atom limit measure puts every collapse row on the Hall path
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(transport, "linprog", no_lp)
+    params = CounterexampleParams(K=-1.0, N=-1.0,
+                                  n_list=(1, 2, 4, 8, 16, 32, 64), m=2048,
+                                  eps=0.2)
+    rep = counterexample_report(params)
+    assert len(rep.column("prokhorov")) == 7
 
 
 def test_box_upper_bound():
