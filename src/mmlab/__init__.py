@@ -70,7 +70,6 @@ from .experiments import (
 from .transport import (
     TransportPlanReport,
     WeightedOneDimSpace,
-    box_upper_bound_common_space,
     discretize,
     displacement_interpolate_1d,
     interval_mass,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .coefficients import _check_finite, omega, sigma_range_sup, sigma_vals, tau_vals
 from .config import ENTROPY_TOL, RunConfig, default_config
@@ -573,6 +572,26 @@ class VolumeGrowthReport:
     divergent: bool
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a nonempty 1D array, rounded exactly as
+    ``scipy.special.logsumexp`` (1.17) rounds it.
+
+    The k entries equal to the max ``top`` are summed apart:
+    log1p(s / k) + log(k) + top, with s the shifted sum of the rest.  A
+    nonfinite result (all entries -inf, or an inf or NaN entry) falls back
+    to the direct log(sum(exp(a))), so all -inf gives -inf.
+    """
+    top = a.max()
+    at_top = a == top
+    k = np.float64(np.count_nonzero(at_top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top)) / k
+        out = np.log1p(s) + np.log(k) + top
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def volume_growth_probe(log_density, C: float, x0: float,
                         radii) -> VolumeGrowthReport:
     """Gaussian-damped mass of a line density on expanding truncations.
@@ -598,7 +617,7 @@ def volume_growth_probe(log_density, C: float, x0: float,
         w = np.ones(npts)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        logs.append(float(logsumexp(log_f + np.log(w)) + math.log(h / 3.0)))
+        logs.append(_logsumexp(log_f + np.log(w)) + math.log(h / 3.0))
     values = tuple(math.exp(v) if v < 700 else math.inf for v in logs)
     divergent = (logs[-1] - logs[-2]) >= math.log(VOLUME_GROWTH_FACTOR)
     return VolumeGrowthReport(C=float(C), x0=float(x0), radii=tuple(radii),

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .config import (
     ENTROPY_TOL,
@@ -41,7 +39,6 @@ __all__ = [
     "prokhorov",
     "prokhorov_from_distances",
     "ky_fan",
-    "box_upper_bound_common_space",
     "discretize",
     "PiecewiseQuantile",
     "MonotonePlan",
@@ -414,6 +411,22 @@ class TransportPlanReport:
 
 # ---------------------------------------------------------------------------
 # exact transportation LP
+#
+# scipy is imported on the first LP, not with this module, so commands that
+# solve none (most of the CLI) start without it.  ``linprog`` stays a
+# module-level name that tracers and tests can rebind.
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
+
+
+def _csr(data, rows, cols, shape):
+    """CSR matrix from coordinate triples (duplicates summed)."""
+    from scipy import sparse
+    return sparse.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
 def _marginal_pattern(na: int, nb: int):
@@ -447,7 +460,7 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     c = cost.ravel()
     rows, cols = _marginal_pattern(na, nb)
     data = np.ones(rows.size)
-    A_eq = sparse.coo_matrix((data, (rows, cols)), shape=(na + nb, na * nb)).tocsr()
+    A_eq = _csr(data, rows, cols, (na + nb, na * nb))
     b_eq = np.concatenate([wa, wb])
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
     if res.status != 0:
@@ -578,8 +591,7 @@ def _lp_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float
     nvar = ii.size
     rows = np.concatenate([ii, na + jj])
     cols = np.concatenate([np.arange(nvar), np.arange(nvar)])
-    A_ub = sparse.coo_matrix((np.ones(2 * nvar), (rows, cols)),
-                             shape=(na + nb, nvar)).tocsr()
+    A_ub = _csr(np.ones(2 * nvar), rows, cols, (na + nb, nvar))
     b_ub = np.concatenate([wa, wb])
     res = linprog(-np.ones(nvar), A_ub=A_ub, b_ub=b_ub, bounds=(0, None),
                   method="highs")
@@ -633,12 +645,6 @@ def prokhorov(space: FiniteMmSpace, mu, nu) -> float:
     sa = np.flatnonzero(mu > 0)
     sb = np.flatnonzero(nu > 0)
     return prokhorov_from_distances(space.dist[np.ix_(sa, sb)], mu[sa], nu[sb])
-
-
-def box_upper_bound_common_space(space: FiniteMmSpace, mu, nu) -> float:
-    """Twice the Prokhorov distance: an upper bound for the box distance
-    between the two mm-structures on the same underlying space."""
-    return 2.0 * prokhorov(space, mu, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +358,48 @@ def test_report_does_not_depend_on_out(inputs, name):
     meta = json.loads(bundles[0][reports[0]])["metadata"]
     assert reports[0] == f"{name}-{params_hash(meta['params'])}.json"
     assert "output_dir" not in meta["config"] and "seed" in meta["config"]
+
+
+# ---------------------------------------------------------------------------
+# import boundary: scipy loads on the first LP, so commands that solve none
+# start without it
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def scipy_loaded_after(code):
+    """Whether ``code``, run in a fresh interpreter, leaves scipy loaded."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stdout + res.stderr
+    return res.stdout.split()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["mmlab", "mmlab.cli"])
+def test_import_loads_no_scipy(module):
+    assert not scipy_loaded_after(f"import {module}")
+
+
+def test_only_lp_commands_load_scipy(inputs):
+    tmp = inputs["tmp"]
+    (tmp / "w.json").write_text(json.dumps({"weights": [0.3, 0.7]}))
+    (tmp / "f.json").write_text(json.dumps({"values": [2.0, 0.0]}))
+    (tmp / "g.json").write_text(json.dumps({"values": [0.0, 0.0]}))
+    out = str(tmp / "r")
+    no_lp = [
+        ["entropy", "--mu", str(inputs["mu"]), "--nu", str(inputs["mu"]),
+         "--nprime", "-1", "--out", out],
+        ["kyfan", "--weights", str(tmp / "w.json"), "--f", str(tmp / "f.json"),
+         "--g", str(tmp / "g.json"), "--out", out],
+        # Prokhorov against the two-atom limit takes Hall's formula
+        ["counterexample", "--K", "-1", "--N", "-1", "--n-list", "1,2",
+         "--M", "256", "--out", out],
+    ]
+    code = "import mmlab.cli\n" + "".join(
+        f"assert mmlab.cli.main({argv!r}) == 0\n" for argv in no_lp)
+    assert not scipy_loaded_after(code)
+    w2 = ["w2", "--space", str(inputs["space"]), "--mu", str(inputs["mu"]),
+          "--nu", str(inputs["mu"]), "--out", out]
+    assert scipy_loaded_after(code + f"assert mmlab.cli.main({w2!r}) == 0\n")

@@ -5,7 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from mmlab import curvature
 from mmlab.coefficients import (
     sigma_range_sup,
     sigma_vals,
@@ -16,6 +18,7 @@ from mmlab.concentration import cd_obsdiam_bound, levy_bound_sequence
 from mmlab.config import default_config
 from mmlab.core import FiniteMmSpace, condition_measure
 from mmlab.curvature import (
+    _logsumexp,
     bm_check,
     cd_check_1d,
     cd_rhs,
@@ -543,3 +546,60 @@ def test_volume_growth_large_C_polynomial_finite():
     log_density = lambda x: 3.0 * np.log1p(np.abs(np.asarray(x)))  # noqa: E731
     probe = volume_growth_probe(log_density, 100.0, 0.0, [1, 2, 4, 8])
     assert not probe.divergent
+
+
+# The port must round as scipy does, bit for bit: the sinh-example report
+# prints these log-values, and a plain shift by the max differs from scipy on
+# about 1% of random vectors.
+
+
+def test_logsumexp_matches_scipy_on_random_vectors():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(129, 3001))
+        scale = 10.0 ** rng.uniform(0.0, 3.0)
+        a = rng.standard_normal(n) * scale
+        assert _logsumexp(a) == float(logsumexp(a))
+
+
+def test_logsumexp_matches_scipy_on_tied_maxima():
+    rng = np.random.default_rng(12)
+    for k in (2, 3, 7, 64):
+        for _ in range(50):
+            a = rng.standard_normal(200) * 10.0
+            a[rng.choice(a.size, k, replace=False)] = a.max() + 1.0
+            assert _logsumexp(a) == float(logsumexp(a))
+    for a in (np.zeros(5), np.full(129, -3.5), np.array([2.0, 2.0, -1.0])):
+        assert _logsumexp(a) == float(logsumexp(a))
+
+
+def test_logsumexp_matches_scipy_with_minus_inf_entries():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        a = rng.standard_normal(300) * 50.0
+        a[rng.random(a.size) < 0.3] = -np.inf
+        assert _logsumexp(a) == float(logsumexp(a))
+    assert _logsumexp(np.array([-np.inf, 1.5, -np.inf])) == 1.5
+
+
+def test_logsumexp_all_minus_inf_is_minus_inf():
+    for n in (1, 2, 129):
+        a = np.full(n, -np.inf)
+        assert _logsumexp(a) == -math.inf == float(logsumexp(a))
+
+
+@pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+def test_logsumexp_matches_scipy_on_sinh_example_arrays(monkeypatch, K):
+    # record the exact arrays volume_growth_probe sums for the default
+    # sinh-example C and R lists
+    seen = []
+
+    def recording(a):
+        seen.append(a.copy())
+        return _logsumexp(a)
+
+    monkeypatch.setattr(curvature, "_logsumexp", recording)
+    sinh_example_report(K, -1.0)
+    assert len(seen) == 12
+    for a in seen:
+        assert _logsumexp(a) == float(logsumexp(a))

@@ -19,7 +19,6 @@ from mmlab.transport import (
     _marginal_pattern,
     PiecewiseQuantile,
     WeightedOneDimSpace,
-    box_upper_bound_common_space,
     discretize,
     displacement_interpolate_1d,
     interval_mass,
@@ -619,13 +618,35 @@ def test_collapse_prokhorov_solves_no_lp(monkeypatch):
 
 
 def test_box_upper_bound():
+    # twice the Prokhorov distance bounds the box distance between two
+    # measures on one space; the CLI's prokhorov report prints it
     rng = np.random.default_rng(5)
     s = random_space(rng, 5)
     mu = rng.dirichlet(np.ones(5))
     nu = rng.dirichlet(np.ones(5))
-    assert box_upper_bound_common_space(s, mu, nu) == pytest.approx(
-        2.0 * prokhorov(s, mu, nu), abs=1e-12)
-    assert box_upper_bound_common_space(s, mu, nu) <= 2.0
+    assert 0.0 < 2.0 * prokhorov(s, mu, nu) <= 2.0
+    assert 2.0 * prokhorov(s, mu, mu) == 0.0
+
+
+def test_lp_solves_go_through_transport_linprog(monkeypatch):
+    # the benchmark's tracer and test_collapse_prokhorov_solves_no_lp rebind
+    # this module-level name; an LP that bypassed it would go unseen
+    calls = []
+    solve = transport.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counting)
+    rng = np.random.default_rng(6)
+    s = random_space(rng, HALL_MAX_ATOMS + 4)
+    mu = rng.dirichlet(np.ones(s.n))
+    nu = rng.dirichlet(np.ones(s.n))
+    w2_exact(s, mu, nu)
+    assert calls == ["highs-ds"]
+    prokhorov(s, mu, nu)  # more than HALL_MAX_ATOMS atoms on both sides
+    assert len(calls) > 1 and set(calls[1:]) == {"highs"}
 
 
 # ---------------------------------------------------------------------------
