@@ -29,7 +29,6 @@ from .concentration import (
     cdstar_obsdiam_bound,
     cdstar_separation_bound,
     levy_bound_sequence,
-    levy_check,
     obsdiam_sandwich,
     partial_diameter,
     separation,

@@ -47,8 +47,8 @@ from .transport import (
     w2_exact,
 )
 
-_INPUT_ERRORS = (ValidationError, json.JSONDecodeError, FileNotFoundError,
-                 KeyError)
+# every other library error is an input error
+_INPUT_ERRORS = (MmLabError, json.JSONDecodeError, FileNotFoundError, KeyError)
 _CHECK_ERRORS = (SolverFailure, ConvexityViolation, QuadratureNonConvergent)
 
 
@@ -433,9 +433,6 @@ def main(argv=None) -> int:
     except _CHECK_ERRORS as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    except MmLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,17 +15,22 @@ import numpy as np
 
 from .coefficients import _check_finite
 from .config import STRUCTURAL_TOL, RunConfig, default_config
-from .core import FiniteMmSpace, line_embedding, prob_weights
+from .core import (
+    FiniteMmSpace,
+    first_feasible,
+    line_embedding,
+    prob_weights,
+    row_masks,
+    subset_transform,
+)
 from .errors import DomainError, SolverFailure, ValidationError
-from .reporting import ExperimentReport
 
 __all__ = [
     "line_embedding",
     "partial_diameter_1d",
     "partial_diameter",
-    "PartialDiamResult",
+    "Certified",
     "separation",
-    "SepResult",
     "obsdiam_sandwich",
     "ObsDiamSandwich",
     "cd_separation_bound",
@@ -33,9 +38,6 @@ __all__ = [
     "cdstar_separation_bound",
     "cdstar_obsdiam_bound",
     "levy_bound_sequence",
-    "levy_check",
-    "LevyRow",
-    "levy_rows_report",
 ]
 
 # exact combinatorial searches up to these support sizes; beyond them a
@@ -45,9 +47,7 @@ N_EXACT_SEPARATION = 14
 # random members of the observable-diameter witness family
 OBSDIAM_WITNESS_SUBSETS = 16
 OBSDIAM_WITNESS_POTENTIALS = 32
-# Levy verdicts: the largest final upper bound, and the decay of a bound
-# sequence below this fraction of its first value
-LEVY_THRESHOLD = 0.05
+# a Levy-trend bound sequence must decay below this fraction of its first value
 LEVY_DECAY = 0.1
 
 
@@ -100,7 +100,9 @@ def partial_diameter_1d(values, weights, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class PartialDiamResult:
+class Certified:
+    """A value, exact or else a certified bound, and the method behind it."""
+
     value: float
     exact: bool
     method: str
@@ -135,7 +137,7 @@ def _clique_feasible(adj: list[int], weights: np.ndarray, target: float) -> bool
     return rec(0, (1 << n) - 1, 0.0)
 
 
-def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> PartialDiamResult:
+def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> Certified:
     """Smallest diameter of a subset of mass at least alpha.
 
     Exact on line-embeddable spaces (any size) and, by threshold search with
@@ -147,34 +149,22 @@ def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> PartialDiamResul
     if not 0.0 <= alpha <= 1.0 + STRUCTURAL_TOL:
         raise ValidationError(f"alpha must lie in [0,1], got {alpha}")
     if alpha <= 0.0:
-        return PartialDiamResult(0.0, True, "empty")
+        return Certified(0.0, True, "empty")
     sup = np.flatnonzero(mu > 0)
     dist = space.dist[np.ix_(sup, sup)]
     w = mu[sup]
     coords = line_embedding(dist)
     if coords is not None:
         val = partial_diameter_1d(coords, w, alpha)
-        return PartialDiamResult(val, True, "line-window")
+        return Certified(val, True, "line-window")
     n = w.size
     target = alpha - STRUCTURAL_TOL
     if n <= N_EXACT_PARTIAL_DIAM:
         cands = np.unique(np.concatenate([[0.0], dist.ravel()]))
-
-        def adjacency(d: float) -> list[int]:
-            close = dist <= d
-            return [int(sum(1 << j for j in range(n) if close[i, j]))
-                    for i in range(n)]
-
-        lo, hi = 0, cands.size - 1
-        if _clique_feasible(adjacency(cands[0]), w, target):
-            return PartialDiamResult(float(cands[0]), True, "clique-threshold")
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _clique_feasible(adjacency(cands[mid]), w, target):
-                hi = mid
-            else:
-                lo = mid
-        return PartialDiamResult(float(cands[hi]), True, "clique-threshold")
+        # the whole support is a clique at the largest distance
+        k = first_feasible(lambda k: _clique_feasible(
+            row_masks(dist <= cands[k]).tolist(), w, target), cands.size)
+        return Certified(float(cands[k]), True, "clique-threshold")
     # certified upper bound: best metric ball reaching the target mass
     best = float(dist.max())
     for c in range(n):
@@ -184,21 +174,11 @@ def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> PartialDiamResul
         if k < n:
             members = order[:k + 1]
             best = min(best, float(dist[np.ix_(members, members)].max()))
-    return PartialDiamResult(best, False, "ball-upper-bound")
+    return Certified(best, False, "ball-upper-bound")
 
 
 # ---------------------------------------------------------------------------
 # separation distance
-
-
-@dataclass(frozen=True)
-class SepResult:
-    value: float
-    exact: bool
-    method: str
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _line_separation(x: np.ndarray, w: np.ndarray, k0: float, k1: float,
@@ -218,7 +198,7 @@ def _line_separation(x: np.ndarray, w: np.ndarray, k0: float, k1: float,
     return max(candidate(k0, k1), candidate(k1, k0))
 
 
-def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> SepResult:
+def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
     """Largest guaranteed gap between two sets of prescribed masses.
 
     Returns 0 when no admissible pair of sets exists (supremum over the
@@ -232,17 +212,17 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> SepResult:
     mu = prob_weights(mu)
     tol = STRUCTURAL_TOL
     if k0 > 1.0 + tol or k1 > 1.0 + tol:
-        return SepResult(0.0, True, "no-admissible-set")
+        return Certified(0.0, True, "no-admissible-set")
     sup = np.flatnonzero(mu > 0)
     dist = space.dist[np.ix_(sup, sup)]
     w = mu[sup]
     coords = line_embedding(dist)
     if coords is not None:
-        return SepResult(_line_separation(coords, w, k0, k1, tol), True,
+        return Certified(_line_separation(coords, w, k0, k1, tol), True,
                          "line-window")
     n = w.size
     if n > N_EXACT_SEPARATION:
-        return SepResult(float(dist.max()), False, "diam-upper-bound")
+        return Certified(float(dist.max()), False, "diam-upper-bound")
 
     full = (1 << n) - 1
     mass = np.zeros(1 << n)
@@ -250,32 +230,23 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> SepResult:
         low = s & -s
         mass[s] = mass[s ^ low] + w[low.bit_length() - 1]
 
-    def feasible(d: float) -> bool:
-        close = dist < d
-        nb = [int(sum(1 << j for j in range(n) if close[i, j])) | (1 << i)
-              for i in range(n)]
-        conflict = np.zeros(1 << n, dtype=object)
-        for s in range(1, 1 << n):
-            low = s & -s
-            conflict[s] = conflict[s ^ low] | nb[low.bit_length() - 1]
-        for s in range(1, 1 << n):
-            if mass[s] >= k0 - tol and mass[full & ~conflict[s]] >= k1 - tol:
-                return True
-        return False
+    bits = 1 << np.arange(n, dtype=np.int64)
+    big = mass[1:] >= k0 - tol
 
+    def feasible(d: float) -> bool:
+        # conflict[s]: the points closer than d to some point of s, and s
+        point = np.zeros(1 << n, dtype=np.int64)
+        point[bits] = row_masks(dist < d) | bits
+        conflict = subset_transform(point, n, np.bitwise_or)
+        return bool(np.any(big & (mass[full & ~conflict[1:]] >= k1 - tol)))
+
+    # feasibility only falls as the gap grows; the sentinel past the last
+    # candidate is infeasible
     cands = np.unique(dist[dist > 0])
-    if cands.size == 0 or not feasible(cands[0]):
-        return SepResult(0.0, True, "subset-threshold")
-    lo, hi = 0, cands.size - 1
-    if feasible(cands[hi]):
-        return SepResult(float(cands[hi]), True, "subset-threshold")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(cands[mid]):
-            lo = mid
-        else:
-            hi = mid
-    return SepResult(float(cands[lo]), True, "subset-threshold")
+    k = first_feasible(lambda k: k == cands.size or not feasible(cands[k]),
+                       cands.size + 1)
+    value = float(cands[k - 1]) if k > 0 else 0.0
+    return Certified(value, True, "subset-threshold")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +363,7 @@ def cdstar_obsdiam_bound(K: float, N: float, kappa: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Levy-trend bounds and checks
+# Levy-trend bounds
 
 
 def levy_bound_sequence(K_list, N_list, kappa: float, mode: str):
@@ -427,60 +398,3 @@ def levy_bound_sequence(K_list, N_list, kappa: float, mode: str):
     flag = (finite.size >= 2 and bool(np.all(np.diff(finite) < 0))
             and finite[-1] <= LEVY_DECAY * finite[0])
     return vals, flag
-
-
-@dataclass(frozen=True)
-class LevyRow:
-    index: int
-    kappa: float
-    lower: float
-    upper: float
-    bound: float
-    ok: bool
-
-
-def levy_rows_report(rows, verdict: bool, *, params: dict | None = None):
-    """Package sandwich rows as a tabular report (CSV columns
-    n, kappa, lower, upper, bound, pass)."""
-    rep = ExperimentReport(
-        name="levy-check",
-        columns=["n", "kappa", "lower", "upper", "bound", "pass"],
-        metadata={"params": params or {}, "levy_verdict": bool(verdict)},
-    )
-    for r in rows:
-        rep.add(n=r.index, kappa=r.kappa, lower=r.lower, upper=r.upper,
-                bound=r.bound, **{"pass": r.ok})
-    return rep
-
-
-def levy_check(spaces, kappas, *, bounds=None,
-               config: RunConfig | None = None):
-    """Observable-diameter sandwiches along a sequence of spaces.
-
-    Returns ``(rows, verdict)``: one row per (space, kappa) with the witness
-    lower bound, the separation upper bound and an optional closed-form bound
-    column (NaN when absent).  The Levy verdict requires every kappa column
-    of upper bounds to be nonincreasing and to end below ``LEVY_THRESHOLD``.
-    """
-    cfg = config or default_config()
-    spaces = list(spaces)
-    if len(spaces) < 2:
-        raise ValidationError("a sequence of at least two spaces is required")
-    rows: list[LevyRow] = []
-    uppers = {float(k): [] for k in kappas}
-    for i, sp in enumerate(spaces):
-        for k in kappas:
-            k = float(k)
-            sw = obsdiam_sandwich(sp, sp.weights, k, config=cfg)
-            bound = math.nan
-            if bounds is not None:
-                bound = float(bounds[i](k)) if callable(bounds[i]) else float(bounds[i])
-            ok = True if math.isnan(bound) else sw.upper <= bound + 1e-9
-            rows.append(LevyRow(i, k, sw.lower, sw.upper, bound, ok))
-            uppers[k].append(sw.upper)
-    verdict = True
-    for k, col in uppers.items():
-        col = np.asarray(col)
-        if np.any(np.diff(col) > 1e-9) or col[-1] > LEVY_THRESHOLD:
-            verdict = False
-    return rows, verdict

@@ -25,6 +25,9 @@ __all__ = [
     "subset_diameter",
     "as_index_array",
     "line_embedding",
+    "first_feasible",
+    "row_masks",
+    "subset_transform",
 ]
 
 
@@ -82,6 +85,38 @@ def line_embedding(dist: np.ndarray, *, rtol: float = 1e-9) -> np.ndarray | None
     if gap.max() <= rtol * scale:
         return x
     return None
+
+
+def first_feasible(pred, n: int) -> int:
+    """Smallest k < n with ``pred(k)``, for a predicate monotone in k that
+    holds at n - 1.  Asks ``pred(0)`` first, then bisects: at most
+    1 + ceil(log2(n - 1)) calls, and ``pred(n - 1)`` only when n = 1."""
+    if pred(0):
+        return 0
+    lo, hi = 0, n - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def row_masks(rel: np.ndarray) -> np.ndarray:
+    """Each row of a boolean relation as a bitmask: bit j of entry i is
+    ``rel[i, j]``."""
+    return rel.astype(np.int64) @ (1 << np.arange(rel.shape[1], dtype=np.int64))
+
+
+def subset_transform(v: np.ndarray, k: int, op) -> np.ndarray:
+    """Zeta transform over k-bit masks: out[U] folds ``op`` over v[m] for
+    every m ⊆ U (``np.add`` gives subset sums, ``np.bitwise_or`` unions)."""
+    g = v.copy()
+    for i in range(k):
+        g = g.reshape(-1, 2, 1 << i)
+        op(g[:, 1, :], g[:, 0, :], out=g[:, 1, :])
+    return g.reshape(-1)
 
 
 def _validate_distance_matrix(dist: np.ndarray) -> None:
@@ -161,26 +196,18 @@ class FiniteMmSpace:
     def diam(self) -> float:
         return float(self.dist.max(initial=0.0))
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.weights > 0)
-
     @classmethod
-    def from_points(cls, points, weights, *, metric="euclidean",
-                    ids=None) -> "FiniteMmSpace":
+    def from_points(cls, points, weights) -> "FiniteMmSpace":
         """Build a space from coordinates; Euclidean distances satisfy the
         triangle inequality by construction."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 1 and np.asarray(weights).size != 1:
             pts = pts.T
-        if metric != "euclidean":
-            raise ValidationError(f"unsupported metric {metric!r}")
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=-1))
         dist = 0.5 * (dist + dist.T)
         np.fill_diagonal(dist, 0.0)
-        if ids is None:
-            ids = tuple(range(pts.shape[0]))
-        return cls(tuple(ids), dist, weights)
+        return cls(tuple(range(pts.shape[0])), dist, weights)
 
     def to_json(self) -> str:
         doc = {

@@ -200,17 +200,16 @@ class CdReport:
     cut: int | None = None
 
 
-def _margin(lhs: float, rhs: float) -> tuple[float, float, float]:
-    """(margin, rel_margin, scale) with infinity conventions."""
+def _margin(lhs: float, rhs: float) -> tuple[float, float]:
+    """(margin, rel_margin) with infinity conventions."""
     if math.isinf(rhs) and math.isinf(lhs):
-        return 0.0, 0.0, 1.0
+        return 0.0, 0.0
     if math.isinf(rhs):
-        return math.inf, math.inf, 1.0
+        return math.inf, math.inf
     if math.isinf(lhs):
-        return -math.inf, -math.inf, 1.0
-    scale = max(1.0, lhs, rhs)
+        return -math.inf, -math.inf
     m = rhs - lhs
-    return m, m / scale, scale
+    return m, m / max(1.0, lhs, rhs)
 
 
 def _unroll_circle(space: WeightedOneDimSpace, rho0, rho1, cut):
@@ -243,7 +242,7 @@ def _unroll_circle(space: WeightedOneDimSpace, rho0, rho1, cut):
         shift = int((best_end + 1) % m)
     else:
         shift = int(cut) % m
-    seg = WeightedOneDimSpace("segment", space.total_length, space.grid,
+    seg = WeightedOneDimSpace("segment", space.total_length,
                               np.roll(space.log_density, -shift))
     return seg, np.roll(rho0, -shift), np.roll(rho1, -shift), shift
 
@@ -286,7 +285,7 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
         for np_ in nprime_grid:
             lhs = renyi_entropy_1d(space, rho_t, float(np_))
             rhs = _plan_rhs(plan, K, float(np_), float(t), variant)
-            margin, rel, _ = _margin(lhs, rhs)
+            margin, rel = _margin(lhs, rhs)
             ok = rel >= -tol
             cells.append(CdCell(float(t), float(np_), lhs, rhs, margin, rel,
                                 ok))
@@ -373,7 +372,7 @@ def bm_check(space: WeightedOneDimSpace, a0, a1, t: float, K: float,
     lhs = _power_inv_n(mt, N)
     rhs = (_weighted(sup0, _power_inv_n(m0, N))
            + _weighted(sup1, _power_inv_n(m1, N)))
-    margin, rel, _ = _margin(lhs, rhs)
+    margin, rel = _margin(lhs, rhs)
     ok = rel >= -1e-9
     return BmReport(lhs=lhs, rhs=rhs, margin=margin, ok=ok,
                     t=float(t), K=float(K), N=float(N), a_t=at,
@@ -420,14 +419,13 @@ def kn_convexity_check(f_samples, K: float, N: float, h: float, *,
         raise ValidationError("f samples must be finite")
     g = np.exp(-f / N)
     if periodic:
-        d2 = (np.roll(g, -1) - 2.0 * g + np.roll(g, 1)) / (h * h)
-        d4 = (np.roll(g, -2) - 4.0 * np.roll(g, -1) + 6.0 * g
-              - 4.0 * np.roll(g, 1) + np.roll(g, 2)) / h ** 4
-        res = d2 + (K / N) * g
-    else:
-        d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
-        d4 = (g[4:] - 4.0 * g[3:-1] + 6.0 * g[2:-2] - 4.0 * g[1:-3] + g[:-4]) / h ** 4
-        res = d2 + (K / N) * g[1:-1]
+        # two wrapped samples on each side make every sample interior
+        g = np.concatenate([g[-2:], g, g[:2]])
+    d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
+    d4 = (g[4:] - 4.0 * g[3:-1] + 6.0 * g[2:-2] - 4.0 * g[1:-3] + g[:-4]) / h ** 4
+    res = d2 + (K / N) * g[1:-1]
+    if periodic:
+        res = res[1:-1]
     c = CONVEXITY_SAFETY * float(np.max(np.abs(d4))) / 12.0
     tol = c * h * h + CONVEXITY_SLACK
     i = int(np.argmin(res))

@@ -146,7 +146,7 @@ def build_counterexample(params: CounterexampleParams, n: int):
     grid = (np.arange(params.m) + 0.5) * h
     log_density = npr * (math.log(a_n)
                          + np.log(_pole_profile(params, n, grid)))
-    space = WeightedOneDimSpace("circle", length, grid, log_density)
+    space = WeightedOneDimSpace("circle", length, log_density)
     return space, a_n
 
 
@@ -270,7 +270,7 @@ def cosh_family(K: float, N: float, lam: float, L: float,
     x = grid - L
     log_rho = (N - 1.0) * np.log(np.cosh(lam * x))
     log_rho -= math.log(float(np.sum(np.exp(log_rho)) * h))
-    space = WeightedOneDimSpace("segment", 2.0 * L, grid, log_rho)
+    space = WeightedOneDimSpace("segment", 2.0 * L, log_rho)
     f = -(N - 1.0) * np.log(np.cosh(lam * x))
     cert = kn_convexity_check(f, K, N - 1.0, h)
     if not cert.verdict:

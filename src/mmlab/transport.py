@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,14 @@ from .config import (
     MASS_1D_TOL,
     SOLVER_TOL,
 )
-from .core import Coupling, FiniteMmSpace, prob_weights
+from .core import (
+    Coupling,
+    FiniteMmSpace,
+    first_feasible,
+    prob_weights,
+    row_masks,
+    subset_transform,
+)
 from .errors import (
     DegenerateDensity,
     NonSegment,
@@ -53,64 +61,53 @@ __all__ = [
 class WeightedOneDimSpace:
     """A segment or circle carrying a density sampled on a uniform grid.
 
-    ``grid`` holds the M cell centers (arclength coordinates) of a uniform
-    partition into cells of width ``h = total_length / M``; ``log_density``
-    holds log(d mu / d length) per cell.  Densities are treated as piecewise
-    constant on cells, and the declared quadrature rule is the midpoint rule
-    ``mass = h * sum(exp(log_density))``, which must equal 1 within
-    ``MASS_1D_TOL``.
+    ``log_density`` holds log(d mu / d length) on each of the M cells of the
+    uniform partition of [0, total_length] into cells of width
+    ``h = total_length / M``; ``grid`` gives their centers.  Densities are
+    treated as piecewise constant on cells, and the declared quadrature rule
+    is the midpoint rule ``mass = h * sum(exp(log_density))``, which must
+    equal 1 within ``MASS_1D_TOL``.
     For circles ``total_length`` is the circumference.
     """
 
     kind: str
     total_length: float
-    grid: np.ndarray
     log_density: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("segment", "circle"):
             raise ValidationError(f"kind must be segment or circle, got {self.kind!r}")
-        grid = np.asarray(self.grid, dtype=float).copy()
         ld = np.asarray(self.log_density, dtype=float).copy()
-        if grid.ndim != 1 or grid.size < 1:
-            raise ValidationError("grid must be a nonempty vector")
-        if ld.shape != grid.shape:
-            raise ValidationError("log_density must match the grid")
-        if not np.all(np.isfinite(grid)):
-            raise ValidationError("grid must be finite")
+        if ld.ndim != 1 or ld.size < 1:
+            raise ValidationError("log_density must be a nonempty vector")
         if np.any(np.isnan(ld)) or np.any(ld == np.inf):
             raise ValidationError("log_density must not contain NaN or +inf "
                                   "(-inf marks empty cells)")
         L = float(self.total_length)
         if not (L > 0 and math.isfinite(L)):
             raise ValidationError(f"total_length must be positive, got {L}")
-        m = grid.size
-        h = L / m
-        if m > 1:
-            steps = np.diff(grid)
-            if np.any(steps <= 0):
-                raise ValidationError("grid must be strictly increasing")
-            if np.max(np.abs(steps - h)) > 1e-12 * max(abs(L), 1.0):
-                raise ValidationError(
-                    "grid must be uniform with spacing total_length / M"
-                )
-        mass = float(np.exp(ld).sum() * h)
+        mass = float(np.exp(ld).sum() * (L / ld.size))
         if abs(mass - 1.0) > MASS_1D_TOL:
             raise ValidationError(
                 f"density mass {mass!r} deviates from 1 beyond {MASS_1D_TOL}")
-        grid.flags.writeable = False
         ld.flags.writeable = False
         object.__setattr__(self, "total_length", L)
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "log_density", ld)
 
     @property
     def m(self) -> int:
-        return self.grid.size
+        return self.log_density.size
 
     @property
     def h(self) -> float:
-        return self.total_length / self.grid.size
+        return self.total_length / self.m
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """The M cell centers (arclength coordinates)."""
+        grid = (np.arange(self.m) + 0.5) * self.h
+        grid.flags.writeable = False
+        return grid
 
     @property
     def cell_edges(self) -> np.ndarray:
@@ -138,11 +135,10 @@ class WeightedOneDimSpace:
 
     @classmethod
     def from_density(cls, kind: str, total_length: float, m: int, density,
-                     *, origin: float = 0.0,
-                     normalize: bool = False) -> "WeightedOneDimSpace":
-        """Sample a density callable (or array) on the canonical cell centers."""
+                     *, normalize: bool = False) -> "WeightedOneDimSpace":
+        """Sample a density callable (or array) on the cell centers."""
         h = float(total_length) / m
-        grid = origin + (np.arange(m) + 0.5) * h
+        grid = (np.arange(m) + 0.5) * h
         rho = np.asarray(density(grid) if callable(density) else density, dtype=float)
         if rho.shape != grid.shape:
             raise ValidationError("density samples must match the grid")
@@ -151,7 +147,7 @@ class WeightedOneDimSpace:
                                   "through measures on a sub-grid instead")
         if normalize:
             rho = rho / (rho.sum() * h)
-        return cls(kind, float(total_length), grid, np.log(rho))
+        return cls(kind, float(total_length), np.log(rho))
 
     def to_json(self) -> str:
         doc = {
@@ -169,14 +165,12 @@ class WeightedOneDimSpace:
             if key not in doc:
                 raise ValidationError(f"1D space document is missing {key!r}")
         m = int(doc["grid_size"])
-        L = float(doc["total_length"])
         ld = np.asarray(doc["log_density"], dtype=float)
         if ld.size != m:
             raise ValidationError(
                 f"log_density has {ld.size} samples for grid_size {m}"
             )
-        grid = (np.arange(m) + 0.5) * (L / m)
-        return cls(doc["kind"], L, grid, ld)
+        return cls(doc["kind"], float(doc["total_length"]), ld)
 
 
 def interval_mass(space: WeightedOneDimSpace, lo: float, hi: float) -> float:
@@ -555,15 +549,6 @@ def _max_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> floa
     return _lp_close_mass(allowed, wa, wb)
 
 
-def _subset_sums(v: np.ndarray, k: int) -> np.ndarray:
-    """Zeta transform over k-bit masks: out[U] = sum of v[m] over m ⊆ U."""
-    g = v.copy()
-    for i in range(k):
-        g = g.reshape(-1, 2, 1 << i)
-        g[:, 1, :] += g[:, 0, :]
-    return g.reshape(-1)
-
-
 def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
     """Max-flow/min-cut in Hall's deficiency form (Ford & Fulkerson 1956).
 
@@ -577,10 +562,10 @@ def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> flo
         allowed, wa, wb = allowed.T, wb, wa
     k = allowed.shape[1]
     size = 1 << k
-    bits = 1 << np.arange(k)
-    masks = allowed.astype(np.int64) @ bits
-    inside = _subset_sums(np.bincount(masks, weights=wa, minlength=size), k)
-    small = _subset_sums(np.bincount(bits, weights=wb, minlength=size), k)
+    inside = subset_transform(
+        np.bincount(row_masks(allowed), weights=wa, minlength=size), k, np.add)
+    small = subset_transform(
+        np.bincount(1 << np.arange(k), weights=wb, minlength=size), k, np.add)
     return float(np.min(small + (inside[-1] - inside)))
 
 
@@ -620,18 +605,11 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
     def F(k: int) -> float:
         return _max_close_mass(dist <= cands[k], wa, wb)
 
-    def feasible(k: int) -> bool:
-        return F(k) >= 1.0 - cands[k] - ENTROPY_TOL
-
-    lo, hi = 0, cands.size - 1
-    if feasible(lo):
+    # the last candidate is feasible: all mass lies within the max distance
+    hi = first_feasible(lambda k: F(k) >= 1.0 - cands[k] - ENTROPY_TOL,
+                        cands.size)
+    if hi == 0:
         return float(cands[0])
-    while hi - lo > 1:  # feasible(hi) always holds: all mass within max dist
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
     crossing = 1.0 - F(hi - 1)
     return float(min(cands[hi], max(crossing, 0.0)))
 

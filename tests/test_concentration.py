@@ -10,7 +10,6 @@ from mmlab.concentration import (
     cdstar_obsdiam_bound,
     cdstar_separation_bound,
     levy_bound_sequence,
-    levy_check,
     line_embedding,
     obsdiam_sandwich,
     partial_diameter,
@@ -352,28 +351,3 @@ def test_levy_cdstar_mode_decays():
     vals, flag = levy_bound_sequence(K, N, 0.2, "CDstar")
     assert vals[-1] < 0.05
     assert flag
-
-
-def test_levy_check_point_spaces():
-    spaces = [FiniteMmSpace((0,), np.zeros((1, 1)), [1.0]) for _ in range(3)]
-    rows, verdict = levy_check(spaces, [0.2, 0.5])
-    assert verdict
-    assert all(r.upper == 0.0 for r in rows)
-
-
-def test_levy_check_constant_space_not_levy():
-    s = two_point_space(D=2.0)
-    rows, verdict = levy_check([s, s, s], [0.3])
-    assert not verdict
-    assert all(r.upper == pytest.approx(2.0) for r in rows)
-
-
-def test_levy_rows_report_csv_columns():
-    from mmlab.concentration import levy_rows_report
-    spaces = [two_point_space(D=d) for d in (2.0, 1.0, 0.5)]
-    rows, verdict = levy_check(spaces, [0.3], bounds=[3.0, 1.5, 0.8])
-    rep = levy_rows_report(rows, verdict, params={"kappas": [0.3]})
-    text = rep.csv_text()
-    assert text.splitlines()[0] == "n,kappa,lower,upper,bound,pass"
-    assert rep.metadata["levy_verdict"] == verdict
-    assert all(r.ok for r in rows)

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from mmlab.core import (
     _triangle_scan,
     _validate_distance_matrix,
     condition_measure,
+    first_feasible,
     line_embedding,
     partition_average,
     prob_weights,
@@ -251,3 +253,22 @@ def test_space_json_round_trip():
 def test_space_json_missing_key():
     with pytest.raises(ValidationError, match="weights"):
         FiniteMmSpace.from_json('{"points": [0], "dist": [[0.0]]}')
+
+
+# ---------------------------------------------------------------------------
+# threshold search
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_first_feasible_every_threshold(n):
+    for t in range(n):
+        asked = []
+
+        def pred(k):
+            asked.append(k)
+            return k >= t
+
+        assert first_feasible(pred, n) == t
+        assert asked[0] == 0
+        assert n - 1 not in asked[1:]
+        assert len(asked) <= 1 + (math.ceil(math.log2(n - 1)) if n > 1 else 0)

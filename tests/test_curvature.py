@@ -392,7 +392,7 @@ def test_bm_zero_mass_intermediate_is_violation():
     rho = np.where((x < 2.0) | (x > 8.0), 1.0, 0.0)
     rho /= rho.sum() * h
     with np.errstate(divide="ignore"):
-        space = WeightedOneDimSpace("segment", L, x, np.log(rho))
+        space = WeightedOneDimSpace("segment", L, np.log(rho))
     res = bm_check(space, (0.5, 1.5), (8.5, 9.5), 0.5, 1.0, -1.0)
     assert math.isinf(res.lhs)
     assert not res.ok
@@ -404,7 +404,7 @@ def test_bm_zero_mass_source_at_t_one():
     m, L = 16, 4.0
     x = (np.arange(m) + 0.5) * (L / m)
     with np.errstate(divide="ignore"):
-        space = WeightedOneDimSpace("segment", L, x,
+        space = WeightedOneDimSpace("segment", L,
                                     np.log(np.where(x > 1.0, 1.0 / 3.0, 0.0)))
     res = bm_check(space, (0.1, 0.6), (2.0, 3.0), 1.0, 1.0, -1.0)
     assert res.masses[0] == 0.0 and res.sups[0] == 0.0

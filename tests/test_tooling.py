@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -50,3 +51,25 @@ def test_every_config_field_is_read(field):
     readers = [p.name for p in sorted(SRC.glob("*.py")) if p.name != "config.py"
                and re.search(rf"\.{field}\b", p.read_text(encoding="utf-8"))]
     assert readers, f"RunConfig.{field} is read nowhere in src/mmlab"
+
+
+MODULES = [f"mmlab.{p.stem}" for p in sorted(SRC.glob("*.py"))
+           if p.stem != "__init__"]
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_module_exports_resolve(modname):
+    # a deletion must take its name out of __all__ too
+    mod = importlib.import_module(modname)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing, f"{modname}.__all__ names undefined {missing}"
+
+
+def test_package_imports_resolve():
+    import mmlab
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            source = importlib.import_module(f"mmlab.{node.module}")
+            for alias in node.names:
+                assert getattr(mmlab, alias.name) is getattr(source, alias.name)
