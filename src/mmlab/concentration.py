@@ -198,6 +198,19 @@ def _line_separation(x: np.ndarray, w: np.ndarray, k0: float, k1: float,
     return max(candidate(k0, k1), candidate(k1, k0))
 
 
+def _subset_masses(w: np.ndarray) -> np.ndarray:
+    """Mass of every subset of the atoms, indexed by bitmask.  Filled from
+    the highest bit down: entry t + 2^i, for t a multiple of 2^(i+1), is
+    entry t plus w[i], one addition per entry, so a subset's mass adds its
+    atoms from the highest index to the lowest."""
+    n = w.size
+    mass = np.zeros(1 << n)
+    for i in range(n - 1, -1, -1):
+        v = mass.reshape(-1, 2 << i)
+        v[:, 1 << i] = v[:, 0] + w[i]
+    return mass
+
+
 def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
     """Largest guaranteed gap between two sets of prescribed masses.
 
@@ -225,11 +238,7 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
         return Certified(float(dist.max()), False, "diam-upper-bound")
 
     full = (1 << n) - 1
-    mass = np.zeros(1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        mass[s] = mass[s ^ low] + w[low.bit_length() - 1]
-
+    mass = _subset_masses(w)
     bits = 1 << np.arange(n, dtype=np.int64)
     big = mass[1:] >= k0 - tol
 

@@ -20,6 +20,7 @@ from .config import (
     INTERP_MASS_TOL,
     MASS_1D_TOL,
     SOLVER_TOL,
+    STRUCTURAL_TOL,
 )
 from .core import (
     Coupling,
@@ -536,17 +537,22 @@ def displacement_interpolate_1d(space: WeightedOneDimSpace, rho0, rho1,
 HALL_MAX_ATOMS = 12
 
 
-def _max_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+def _max_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
+                    warm=None):
     """Largest sub-coupling mass supported on allowed pairs: a bipartite
     max-flow, by Hall's formula when one support has at most
-    ``HALL_MAX_ATOMS`` atoms and by an LP otherwise."""
+    ``HALL_MAX_ATOMS`` atoms and by augmenting paths otherwise.
+
+    Returns the mass and the flow state behind it (None unless augmenting
+    paths ran), which is a feasible ``warm`` start for any larger allowed
+    set of the same shape."""
     if allowed.all():
-        return 1.0
+        return 1.0, None
     if not allowed.any():
-        return 0.0
+        return 0.0, None
     if min(allowed.shape) <= HALL_MAX_ATOMS:
-        return _hall_close_mass(allowed, wa, wb)
-    return _lp_close_mass(allowed, wa, wb)
+        return _hall_close_mass(allowed, wa, wb), None
+    return _flow_close_mass(allowed, wa, wb, warm)
 
 
 def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
@@ -569,20 +575,113 @@ def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> flo
     return float(np.min(small + (inside[-1] - inside)))
 
 
-def _lp_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
-    """The max-flow as an LP over the allowed pairs (HiGHS)."""
-    ii, jj = np.nonzero(allowed)
+def _flow_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
+                     warm=None):
+    """Max-flow from the row atoms (masses ``wa``) to the column atoms
+    (``wb``) through the allowed pairs, by shortest augmenting paths
+    (Edmonds & Karp 1972).
+
+    The source arcs carry ``wa``, the sink arcs ``wb``, and every allowed
+    pair is an arc of unbounded capacity.  A greedy fill row by row starts
+    the flow, on top of ``warm`` (the state returned for a smaller allowed
+    set) if given; breadth-first searches over the dense ``allowed`` matrix
+    then augment it until the sink is out of reach.  The mass returned is
+    the capacity of the cut that the last search leaves, a sum of input
+    masses, certified against the flow by ``_certify_flow``.
+
+    Returns ``(mass, (flow, rs, rt))``, with ``rs`` and ``rt`` the residual
+    source and sink capacities.  Every residual that an augmentation uses up
+    is ``x - x``, exactly 0, so each augmentation saturates an arc and the
+    O(VE) bound on their number holds in floating point.
+    """
+    if warm is None:
+        flow, rs, rt = np.zeros(allowed.shape), wa.copy(), wb.copy()
+    else:
+        flow, rs, rt = (a.copy() for a in warm)
+    for i in np.flatnonzero(rs > 0):
+        for j in np.flatnonzero(allowed[i] & (rt > 0)):
+            d = min(rs[i], rt[j])
+            flow[i, j] += d
+            rs[i] -= d
+            rt[j] -= d
+            if rs[i] == 0:
+                break
+    while True:
+        rows, cols, row_from, col_from, sink = _augmenting_search(
+            allowed, flow, rs, rt)
+        if sink < 0:
+            break
+        # walk back: column j entered from row i, row i from column
+        # col_from[i] along a flow arc, up to a row with source residual
+        fi, fj, bi, bj = [], [], [], []
+        j = sink
+        while True:
+            i = row_from[j]
+            fi.append(i)
+            fj.append(j)
+            if col_from[i] < 0:
+                break
+            j = col_from[i]
+            bi.append(i)
+            bj.append(j)
+        delta = min(rs[i], rt[sink], *flow[bi, bj])
+        rs[i] -= delta
+        rt[sink] -= delta
+        flow[fi, fj] += delta
+        flow[bi, bj] -= delta
+    return _certify_flow(allowed, wa, wb, flow, rows, cols), (flow, rs, rt)
+
+
+def _augmenting_search(allowed: np.ndarray, flow: np.ndarray, rs: np.ndarray,
+                       rt: np.ndarray):
+    """Breadth-first search of the residual graph from every row with source
+    residual.  Rows reach their allowed columns; columns reach the rows that
+    send them flow.  Stops at the first layer holding a column with sink
+    residual and returns (rows reached, columns reached, the row each
+    column was reached from, the column each row was reached from or -1,
+    that sink column or -1)."""
     na, nb = allowed.shape
-    nvar = ii.size
-    rows = np.concatenate([ii, na + jj])
-    cols = np.concatenate([np.arange(nvar), np.arange(nvar)])
-    A_ub = _csr(np.ones(2 * nvar), rows, cols, (na + nb, nvar))
-    b_ub = np.concatenate([wa, wb])
-    res = linprog(-np.ones(nvar), A_ub=A_ub, b_ub=b_ub, bounds=(0, None),
-                  method="highs")
-    if res.status != 0:
-        raise SolverFailure(f"close-mass LP failed: {res.message}")
-    return float(-res.fun)
+    rows = rs > 0
+    cols = np.zeros(nb, dtype=bool)
+    row_from = np.full(nb, -1)
+    col_from = np.full(na, -1)
+    front = np.flatnonzero(rows)
+    while front.size:
+        reach = allowed[front] & ~cols
+        new = np.flatnonzero(reach.any(axis=0))
+        if not new.size:
+            break
+        row_from[new] = front[reach[:, new].argmax(axis=0)]
+        cols[new] = True
+        hit = new[rt[new] > 0]
+        if hit.size:
+            return rows, cols, row_from, col_from, int(hit[0])
+        back = (flow[:, new] > 0) & ~rows[:, None]
+        front = np.flatnonzero(back.any(axis=1))
+        col_from[front] = new[back[front].argmax(axis=1)]
+        rows[front] = True
+    return rows, cols, row_from, col_from, -1
+
+
+def _certify_flow(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
+                  flow: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Capacity of the cut with the reached ``rows`` and ``cols`` on the
+    source side, certified as the max-flow by ``flow``: the cut crosses no
+    allowed pair, the flow is a sub-coupling on allowed pairs, and its mass
+    matches the cut's within ``STRUCTURAL_TOL`` (weak duality then pins
+    both).  ``SolverFailure`` otherwise."""
+    tol = STRUCTURAL_TOL
+    if allowed[np.ix_(rows, ~cols)].any():
+        raise SolverFailure("close-mass cut crosses an allowed pair")
+    if flow.min() < 0.0 or flow[~allowed].any():
+        raise SolverFailure("close-mass flow is negative or off the allowed pairs")
+    if (flow.sum(axis=1) > wa + tol).any() or (flow.sum(axis=0) > wb + tol).any():
+        raise SolverFailure("close-mass flow exceeds a marginal")
+    cut = float(wa[~rows].sum() + wb[cols].sum())
+    gap = abs(float(flow.sum()) - cut)
+    if gap > tol:
+        raise SolverFailure(f"close-mass flow misses its cut by {gap:.3e}")
+    return cut
 
 
 def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
@@ -595,22 +694,33 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
     mass on pairs within ``d_k``), then compare with the crossing point
     ``1 - F_{k-1}`` of the previous piece.  ``F_k`` is a bipartite max-flow:
     exact by Hall's formula when either support has at most
-    ``HALL_MAX_ATOMS`` atoms, otherwise an LP solved by HiGHS.
+    ``HALL_MAX_ATOMS`` atoms, otherwise by augmenting paths, each search
+    step starting from the flow of the largest infeasible step so far
+    (allowed sets only grow with the threshold).
     """
     dist = np.asarray(dist, dtype=float)
     wa = np.asarray(wa, dtype=float)
     wb = np.asarray(wb, dtype=float)
+    if dist.shape[0] > dist.shape[1]:  # the smaller support on the rows
+        dist, wa, wb = np.ascontiguousarray(dist.T), wb, wa
     cands = np.unique(np.concatenate([[0.0], dist.ravel()]))
+    F = {}
+    warm = None
 
-    def F(k: int) -> float:
-        return _max_close_mass(dist <= cands[k], wa, wb)
+    def feasible(k: int) -> bool:
+        nonlocal warm
+        F[k], flow = _max_close_mass(dist <= cands[k], wa, wb, warm)
+        if F[k] >= 1.0 - cands[k] - ENTROPY_TOL:
+            return True
+        warm = flow
+        return False
 
-    # the last candidate is feasible: all mass lies within the max distance
-    hi = first_feasible(lambda k: F(k) >= 1.0 - cands[k] - ENTROPY_TOL,
-                        cands.size)
+    # the last candidate is feasible: all mass lies within the max distance;
+    # first_feasible has asked every step below the one it returns
+    hi = first_feasible(feasible, cands.size)
     if hi == 0:
         return float(cands[0])
-    crossing = 1.0 - F(hi - 1)
+    crossing = 1.0 - F[hi - 1]
     return float(min(cands[hi], max(crossing, 0.0)))
 
 

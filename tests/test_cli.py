@@ -388,6 +388,14 @@ def test_only_lp_commands_load_scipy(inputs):
     (tmp / "f.json").write_text(json.dumps({"values": [2.0, 0.0]}))
     (tmp / "g.json").write_text(json.dumps({"values": [0.0, 0.0]}))
     out = str(tmp / "r")
+    # more than 12 atoms on both sides: Prokhorov takes the max-flow
+    rng = np.random.default_rng(3)
+    big = FiniteMmSpace.from_points(rng.random((16, 2)),
+                                    rng.dirichlet(np.ones(16)))
+    (tmp / "big.json").write_text(big.to_json())
+    for name in ("p", "q"):
+        (tmp / f"{name}.json").write_text(
+            json.dumps({"weights": list(rng.dirichlet(np.ones(16)))}))
     no_lp = [
         ["entropy", "--mu", str(inputs["mu"]), "--nu", str(inputs["mu"]),
          "--nprime", "-1", "--out", out],
@@ -396,6 +404,8 @@ def test_only_lp_commands_load_scipy(inputs):
         # Prokhorov against the two-atom limit takes Hall's formula
         ["counterexample", "--K", "-1", "--N", "-1", "--n-list", "1,2",
          "--M", "256", "--out", out],
+        ["prokhorov", "--space", str(tmp / "big.json"), "--mu",
+         str(tmp / "p.json"), "--nu", str(tmp / "q.json"), "--out", out],
     ]
     code = "import mmlab.cli\n" + "".join(
         f"assert mmlab.cli.main({argv!r}) == 0\n" for argv in no_lp)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mmlab.concentration import (
+    _subset_masses,
     cd_obsdiam_bound,
     cd_separation_bound,
     cdstar_obsdiam_bound,
@@ -219,6 +220,24 @@ def test_separation_line_matches_bruteforce():
         assert res.method == "line-window"
         assert res.value == pytest.approx(
             oracle_separation(s.dist, s.weights, k0, k1), abs=1e-9)
+
+
+def loop_subset_masses(w):
+    # each subset adds its lowest atom to the mass of the rest
+    mass = np.zeros(1 << w.size)
+    for s in range(1, 1 << w.size):
+        low = s & -s
+        mass[s] = mass[s ^ low] + w[low.bit_length() - 1]
+    return mass
+
+
+def test_subset_masses_match_loop():
+    # the same single addition per entry as the loop, so the same floats
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(1, 15))
+        w = rng.dirichlet(np.full(n, rng.uniform(0.2, 3.0)))
+        assert np.array_equal(_subset_masses(w), loop_subset_masses(w))
 
 
 def test_separation_too_large_masses():

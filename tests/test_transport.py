@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from mmlab import transport
 from mmlab.core import FiniteMmSpace
-from mmlab.errors import DegenerateDensity, NonSegment, ValidationError
+from mmlab.errors import (
+    DegenerateDensity,
+    NonSegment,
+    SolverFailure,
+    ValidationError,
+)
 from mmlab.experiments import (
     CounterexampleParams,
     cosh_family,
@@ -14,8 +20,10 @@ from mmlab.experiments import (
 from mmlab.transport import (
     HALL_MAX_ATOMS,
     MonotonePlan,
+    _augmenting_search,
+    _certify_flow,
+    _flow_close_mass,
     _hall_close_mass,
-    _lp_close_mass,
     _marginal_pattern,
     PiecewiseQuantile,
     WeightedOneDimSpace,
@@ -550,6 +558,54 @@ def random_bipartite_case(rng, na, nb):
     return dist, rng.dirichlet(np.ones(na)), rng.dirichlet(np.ones(nb))
 
 
+def lp_close_mass(allowed, wa, wb):
+    """Oracle: the max-flow as an LP over the allowed pairs (HiGHS)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    ii, jj = np.nonzero(allowed)
+    na, nb = allowed.shape
+    nvar = ii.size
+    A_ub = sparse.coo_matrix(
+        (np.ones(2 * nvar), (np.concatenate([ii, na + jj]),
+                             np.tile(np.arange(nvar), 2))),
+        shape=(na + nb, nvar)).tocsr()
+    res = linprog(-np.ones(nvar), A_ub=A_ub, b_ub=np.concatenate([wa, wb]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(-res.fun)
+
+
+def lp_flow(allowed, wa, wb, warm):
+    """``transport._flow_close_mass`` with the LP oracle in its place."""
+    return lp_close_mass(allowed, wa, wb), None
+
+
+def subset_close_mass(allowed, wa, wb):
+    """Oracle: the smallest cut, w(rows outside U) + w(columns allowed to U),
+    over every row subset U."""
+    na = allowed.shape[0]
+    best = math.inf
+    for size in range(na + 1):
+        for U in itertools.combinations(range(na), size):
+            U = list(U)
+            outside = np.ones(na, dtype=bool)
+            outside[U] = False
+            best = min(best, wa[outside].sum()
+                       + wb[allowed[U].any(axis=0)].sum())
+    return best
+
+
+def flow_case(rng, na, nb):
+    """Random masses (some atoms of zero mass) and tied distances."""
+    dist, wa, wb = random_bipartite_case(rng, na, nb)
+    for w in (wa, wb):
+        if w.size > 1 and rng.random() < 0.3:
+            w[rng.integers(w.size)] = 0.0
+            w /= w.sum()
+    return dist, wa, wb
+
+
 def test_hall_close_mass_matches_lp():
     rng = np.random.default_rng(41)
     checked = 0
@@ -563,13 +619,103 @@ def test_hall_close_mass_matches_lp():
             if allowed.all():
                 continue
             hall = _hall_close_mass(allowed, wa, wb)
-            assert hall == pytest.approx(_lp_close_mass(allowed, wa, wb),
+            assert hall == pytest.approx(lp_close_mass(allowed, wa, wb),
                                          abs=1e-12)
             # the two orientations are the same flow
             assert _hall_close_mass(allowed.T, wb, wa) == pytest.approx(
                 hall, abs=1e-12)
             checked += 1
     assert checked > 200
+
+
+def test_flow_close_mass_matches_lp():
+    rng = np.random.default_rng(53)
+    checked = 0
+    for _ in range(60):
+        na = int(rng.integers(HALL_MAX_ATOMS + 1, 61))
+        nb = int(rng.integers(HALL_MAX_ATOMS + 1, 61))
+        dist, wa, wb = flow_case(rng, na, nb)
+        for thr in rng.choice(dist.ravel(), size=3):
+            allowed = dist <= thr
+            lp = lp_close_mass(allowed, wa, wb)
+            value, _ = _flow_close_mass(allowed, wa, wb)
+            assert value == pytest.approx(lp, abs=1e-12)
+            # the two orientations are the same flow
+            value_t, _ = _flow_close_mass(allowed.T, wb, wa)
+            assert value_t == pytest.approx(lp, abs=1e-12)
+            checked += 1
+    assert checked == 180
+
+
+def test_flow_close_mass_matches_subset_oracle():
+    rng = np.random.default_rng(59)
+    for _ in range(150):
+        na = int(rng.integers(1, 8))
+        nb = int(rng.integers(1, 12))
+        dist, wa, wb = flow_case(rng, na, nb)
+        allowed = dist <= rng.choice(dist.ravel())
+        value, _ = _flow_close_mass(allowed, wa, wb)
+        assert value == pytest.approx(subset_close_mass(allowed, wa, wb),
+                                      abs=1e-12)
+
+
+def test_flow_warm_start_matches_cold_start():
+    # allowed sets grow with the threshold, so each flow starts the next
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        na = int(rng.integers(HALL_MAX_ATOMS + 1, 40))
+        nb = int(rng.integers(HALL_MAX_ATOMS + 1, 40))
+        dist, wa, wb = flow_case(rng, na, nb)
+        warm = None
+        for thr in np.unique(dist)[::3]:
+            allowed = dist <= thr
+            cold, _ = _flow_close_mass(allowed, wa, wb)
+            value, warm = _flow_close_mass(allowed, wa, wb, warm)
+            assert value == cold
+
+
+def corrupt_open_cut(allowed, wa, flow, rows, cols):
+    rows[:] = True
+    cols[:] = False
+
+
+def corrupt_negative(allowed, wa, flow, rows, cols):
+    i, j = np.argwhere(flow > 0)[0]
+    flow[i, j] = -flow[i, j]
+
+
+def corrupt_off_allowed(allowed, wa, flow, rows, cols):
+    i, j = np.argwhere(~allowed)[0]
+    flow[i, j] = 1e-3
+
+
+def corrupt_over_marginal(allowed, wa, flow, rows, cols):
+    i = int(np.argmax(flow.sum(axis=1) - wa))  # a saturated row
+    flow[i, np.argmax(flow[i])] += 1e-3
+
+
+def corrupt_zero_flow(allowed, wa, flow, rows, cols):
+    flow[:] = 0.0
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (corrupt_open_cut, "crosses an allowed pair"),
+    (corrupt_negative, "negative or off"),
+    (corrupt_off_allowed, "negative or off"),
+    (corrupt_over_marginal, "exceeds a marginal"),
+    (corrupt_zero_flow, "misses its cut"),
+])
+def test_flow_certificate_rejects_corrupted_flow(corrupt, message):
+    rng = np.random.default_rng(67)
+    dist, wa, wb = random_bipartite_case(rng, 16, 20)
+    allowed = dist <= 0.8
+    value, (flow, rs, rt) = _flow_close_mass(allowed, wa, wb)
+    rows, cols, _, _, sink = _augmenting_search(allowed, flow, rs, rt)
+    assert sink == -1
+    assert _certify_flow(allowed, wa, wb, flow, rows, cols) == value
+    corrupt(allowed, wa, flow, rows, cols)
+    with pytest.raises(SolverFailure, match=message):
+        _certify_flow(allowed, wa, wb, flow, rows, cols)
 
 
 def test_prokhorov_hall_path_matches_lp_path(monkeypatch):
@@ -582,8 +728,20 @@ def test_prokhorov_hall_path_matches_lp_path(monkeypatch):
         cases.append(random_bipartite_case(rng, large, small))
     hall = [prokhorov_from_distances(*c) for c in cases]
     monkeypatch.setattr(transport, "HALL_MAX_ATOMS", 0)
+    monkeypatch.setattr(transport, "_flow_close_mass", lp_flow)
     lp = [prokhorov_from_distances(*c) for c in cases]
     assert hall == pytest.approx(lp, abs=1e-12)
+
+
+def test_prokhorov_flow_path_matches_lp_path(monkeypatch):
+    rng = np.random.default_rng(71)
+    cases = [flow_case(rng, int(rng.integers(HALL_MAX_ATOMS + 1, 61)),
+                       int(rng.integers(HALL_MAX_ATOMS + 1, 61)))
+             for _ in range(30)]
+    flow = [prokhorov_from_distances(*c) for c in cases]
+    monkeypatch.setattr(transport, "_flow_close_mass", lp_flow)
+    lp = [prokhorov_from_distances(*c) for c in cases]
+    assert flow == pytest.approx(lp, abs=1e-12)
 
 
 def test_prokhorov_hall_path_matches_subset_oracle():
@@ -592,6 +750,20 @@ def test_prokhorov_hall_path_matches_subset_oracle():
         na = int(rng.integers(1, 6))
         nb = int(rng.integers(1, HALL_MAX_ATOMS + 1))
         dist, mu, nu = random_bipartite_case(rng, na, nb)
+        slow = oracle_prokhorov(dist, mu, nu)
+        assert prokhorov_from_distances(dist, mu, nu) == pytest.approx(
+            slow, abs=1e-12)
+        assert prokhorov_from_distances(dist.T, nu, mu) == pytest.approx(
+            slow, abs=1e-12)
+
+
+def test_prokhorov_flow_path_matches_subset_oracle(monkeypatch):
+    monkeypatch.setattr(transport, "HALL_MAX_ATOMS", 0)
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        na = int(rng.integers(1, 6))
+        nb = int(rng.integers(1, 12))
+        dist, mu, nu = flow_case(rng, na, nb)
         slow = oracle_prokhorov(dist, mu, nu)
         assert prokhorov_from_distances(dist, mu, nu) == pytest.approx(
             slow, abs=1e-12)
@@ -647,18 +819,27 @@ def test_lp_solves_go_through_transport_linprog(lp_calls):
     w2_exact(s, mu, nu)
     assert lp_calls == ["highs-ds"]
     prokhorov(s, mu, nu)  # more than HALL_MAX_ATOMS atoms on both sides
-    assert len(lp_calls) > 1 and set(lp_calls[1:]) == {"highs"}
+    assert lp_calls == ["highs-ds"]
 
 
-def test_prokhorov_lp_count_is_pinned(lp_calls):
-    # the threshold search asks F(0), bisects, then recomputes F(hi - 1);
-    # any drift in that order changes the number of LPs solved
+def test_prokhorov_lp_count_is_pinned(lp_calls, monkeypatch):
+    # the threshold search asks F(0), then bisects, and reads F(hi - 1)
+    # from the bisection; any drift in that order changes the count
+    evaluations = []
+    close_mass = transport._max_close_mass
+
+    def counting(allowed, *args):
+        evaluations.append(int(allowed.sum()))
+        return close_mass(allowed, *args)
+
+    monkeypatch.setattr(transport, "_max_close_mass", counting)
     rng = np.random.default_rng(17)
     s = random_space(rng, 16)
     mu = rng.dirichlet(np.ones(16))
     nu = rng.dirichlet(np.ones(16))
     prokhorov(s, mu, nu)
-    assert len(lp_calls) == 9
+    assert len(lp_calls) == 0
+    assert len(evaluations) == 8
 
 
 # ---------------------------------------------------------------------------
