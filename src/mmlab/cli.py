@@ -164,6 +164,7 @@ def _cmd_w2(args, cfg):
     nu = _load_weights(args.nu, "--nu")
     rep = w2_exact(space, mu, nu)
     return ("w2", {"value": rep.value, "dual_gap": rep.dual_gap,
+                   "lower": rep.lower, "upper": rep.upper,
                    "iterations": rep.iterations, "method": rep.method}, True,
             f"w2: {rep.value!r} (dual gap {rep.dual_gap:.2e})")
 

@@ -1,9 +1,10 @@
 """Optimal transport and measure-comparison solvers.
 
 Covers the exact quadratic-cost transportation problem on finite spaces (LP
-with a dual certificate), monotone quantile transport and displacement
-interpolation for piecewise-constant densities on segments and circles, the
-Prokhorov distance through coupling feasibility, and the Ky Fan metric.
+certified by a primal-dual bracket), monotone quantile transport and
+displacement interpolation for piecewise-constant densities on segments and
+circles, the Prokhorov distance through coupling feasibility, and the Ky Fan
+metric.
 """
 
 from __future__ import annotations
@@ -394,11 +395,18 @@ class MonotonePlan:
 
 @dataclass(frozen=True)
 class TransportPlanReport:
-    """Outcome of a transport computation."""
+    """Outcome of a transport computation.
+
+    ``lower`` and ``upper`` bracket the squared cost ``value**2``: the dual
+    and primal bounds of ``w2_exact``, or both the closed-form value of a
+    quantile transport.
+    """
 
     value: float
     coupling: Coupling | None
     dual_gap: float
+    lower: float
+    upper: float
     iterations: int
     method: str
     map_description: str | None = None
@@ -435,13 +443,49 @@ def _marginal_pattern(na: int, nb: int):
     return rows, cols
 
 
+# A transportation LP gains nothing from presolve, and presolve called some
+# valid ones infeasible (total masses a few ulp apart).  The tolerances only
+# keep the gap small; the certificate in ``w2_exact`` decides acceptance.
+_HIGHS_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
+
+
+def _round_to_marginals(plan: np.ndarray, r: np.ndarray,
+                        c: np.ndarray) -> np.ndarray:
+    """ROUND (Altschuler, Weed & Rigollet, NeurIPS 2017, Alg. 2): scale
+    rows above ``r`` and then columns above ``c`` down to them, and add the
+    missing mass as the rank-one term err_r err_c^T / |err_c|_1.  The result
+    is nonnegative with row sums ``r`` and column sums ``c``, up to rounding
+    and the difference of their totals."""
+    plan = np.maximum(plan, 0.0)
+    rs = plan.sum(axis=1)
+    plan *= np.divide(r, rs, out=np.ones_like(r), where=rs > r)[:, None]
+    cs = plan.sum(axis=0)
+    plan *= np.divide(c, cs, out=np.ones_like(c), where=cs > c)[None, :]
+    err_r = np.maximum(r - plan.sum(axis=1), 0.0)
+    err_c = np.maximum(c - plan.sum(axis=0), 0.0)
+    total = float(err_c.sum())
+    if total > 0.0:
+        plan += np.outer(err_r, err_c / total)
+    return plan
+
+
 def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     """Quadratic-cost transport distance via the transportation LP.
 
-    Solved with the HiGHS dual simplex; optimality is certified from the
-    returned duals (nonnegative reduced costs and a primal-dual gap below
-    ``SOLVER_TOL`` times the cost scale) and from the plan's marginals;
-    otherwise ``SolverFailure`` is raised.
+    One HiGHS dual-simplex solve without presolve, on the marginal rows of
+    ``mu`` and of ``nu`` rescaled to the same total, less the last (it is
+    implied).  The result is certified by a bracket on the squared cost:
+
+    * ``lower`` = u.mu + v.nu, from the LP's row duals u and their
+      c-transform v_j = min_i (c_ij - u_i), a dual-feasible pair by
+      construction, so ``lower`` bounds every coupling's cost from below;
+    * ``upper`` = the cost of the LP plan rounded onto the exact marginals
+      (``_round_to_marginals``), a coupling that ``Coupling`` accepts.
+
+    ``dual_gap`` is ``|upper - lower|``; above ``SOLVER_TOL`` times the cost
+    scale, or when ``Coupling`` rejects the rounded plan, ``SolverFailure``
+    is raised.  ``value`` is the square root of the LP's optimal cost.
     """
     mu = prob_weights(mu)
     nu = prob_weights(nu)
@@ -452,32 +496,34 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     wa, wb = mu[sa], nu[sb]
     cost = space.dist[np.ix_(sa, sb)] ** 2
     na, nb = sa.size, sb.size
-    c = cost.ravel()
     rows, cols = _marginal_pattern(na, nb)
-    data = np.ones(rows.size)
-    A_eq = _csr(data, rows, cols, (na + nb, na * nb))
-    b_eq = np.concatenate([wa, wb])
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+    keep = rows < na + nb - 1
+    A_eq = _csr(np.ones(int(keep.sum())), rows[keep], cols[keep],
+                (na + nb - 1, na * nb))
+    b_eq = np.concatenate([wa, (wb * (wa.sum() / wb.sum()))[:-1]])
+    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds", options=_HIGHS_OPTIONS)
     if res.status != 0:
         raise SolverFailure(f"transport LP failed: {res.message}")
+    u = res.eqlin.marginals[:na]
+    v = (cost - u[:, None]).min(axis=0)
+    lower = float(u @ wa + v @ wb)
+    rounded = _round_to_marginals(res.x.reshape(na, nb), wa, wb)
+    upper = float(np.sum(rounded * cost))
+    gap = abs(upper - lower)
     scale = max(float(cost.max(initial=0.0)), 1.0)
-    y = res.eqlin.marginals
-    u, v = y[:na], y[na:]
-    reduced = cost - u[:, None] - v[None, :]
-    if float(reduced.min(initial=0.0)) < -SOLVER_TOL * scale:
-        raise SolverFailure("dual infeasibility: negative reduced cost")
-    gap = abs(float(res.fun) - float(u @ wa + v @ wb))
     if gap > SOLVER_TOL * scale:
         raise SolverFailure(f"primal-dual gap {gap:.3e} exceeds tolerance")
     plan = np.zeros((space.n, space.n))
-    plan[np.ix_(sa, sb)] = res.x.reshape(na, nb)
+    plan[np.ix_(sa, sb)] = rounded
     try:
         coupling = Coupling(plan, mu, nu, marginal_tol=SOLVER_TOL * 10)
     except ValidationError as e:  # the solver's plan, not the input, is at fault
         raise SolverFailure(f"transport plan fails its certificate: {e}") from e
     value = math.sqrt(max(float(res.fun), 0.0))
     return TransportPlanReport(value=value, coupling=coupling, dual_gap=gap,
-                               iterations=int(res.nit), method="lp-highs-ds")
+                               iterations=int(res.nit), method="lp-highs-ds",
+                               lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +542,21 @@ def w2_quantile_1d(space: WeightedOneDimSpace, rho0, rho1, *,
     if space.kind != "segment":
         raise NonSegment("quantile transport requires a segment space")
     plan = MonotonePlan.build(space, rho0, rho1, model=model)
-    value = math.sqrt(max(plan.sq_distance(), 0.0))
+    sq = plan.sq_distance()
+    value = math.sqrt(max(sq, 0.0))
     return TransportPlanReport(value=value, coupling=None, dual_gap=0.0,
+                               lower=sq, upper=sq,
                                iterations=0, method=f"quantile-{model}",
                                map_description="monotone (quantile) coupling")
 
 
 def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
-    """Circle transport as the best segment transport over grid cut points.
+    """Cheapest monotone coupling over the grid cuts of a circle.
+
+    Cutting both densities at a cell boundary and transporting monotonically
+    along the resulting segment gives a coupling of the circle measures; the
+    value is the cheapest over the m boundary cuts.  It is an upper bound on
+    circle W2, not always attained: the optimal cut may fall inside a cell.
 
     Returns ``(value, cut_index)``; the cut is a cell boundary index, and
     among cuts within 1e-12 relative of the minimum (exact ties round apart

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mmlab.cli
+from mmlab import transport
 from mmlab.config import RunConfig
 from mmlab.core import FiniteMmSpace
 from mmlab.reporting import params_hash
@@ -67,10 +69,10 @@ def test_cd_check_flat_circle_passes_zero_curvature(inputs):
     assert res.returncode == 0, res.stdout + res.stderr
 
 
-def test_w2_solver_fault_is_not_an_input_error(tmp_path):
-    # valid Dirichlet(0.3) masses on which the LP's plan has missed the
-    # coupling's marginal tolerance (by 2.3e-9 against 1e-9): that is a
-    # failed certification, exit 1, never an input error
+def test_w2_solver_fault_is_not_an_input_error(tmp_path, monkeypatch, capsys):
+    # valid Dirichlet(0.3) masses on which an LP plan without rounding misses
+    # the coupling's marginal tolerance (by 2.3e-9 against 1e-9): the
+    # certified solve reports its bracket and exits 0
     rng = np.random.default_rng(0)
     space = FiniteMmSpace.from_points(rng.random((64, 3)), np.full(64, 1 / 64))
     paths = {"space": tmp_path / "space.json", "mu": tmp_path / "mu.json",
@@ -79,11 +81,25 @@ def test_w2_solver_fault_is_not_an_input_error(tmp_path):
     for name in ("mu", "nu"):
         weights = rng.dirichlet(0.3 * np.ones(64))
         paths[name].write_text(json.dumps({"weights": list(weights)}))
-    res = run_cli("w2", *(f"--{k}={v}" for k, v in paths.items()),
-                  "--out", str(tmp_path / "reports"))
-    assert res.returncode != 2, res.stderr
-    if res.returncode != 0:
-        assert res.stderr.startswith("check failed"), res.stderr
+    argv = ["w2", *(f"--{k}={v}" for k, v in paths.items()),
+            "--out", str(tmp_path / "reports")]
+    res = run_cli(*argv)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(next((tmp_path / "reports").glob("w2-*.json")).read_text())
+    assert doc["lower"] <= doc["value"] ** 2 + 1e-14
+    assert doc["value"] ** 2 <= doc["upper"] + 1e-14
+    assert doc["dual_gap"] == abs(doc["upper"] - doc["lower"])
+    # a failed certification is exit 1, never an input error
+    solve = transport.linprog
+
+    def failing(*args, **kwargs):  # a plan that is not optimal
+        res = solve(*args, **kwargs)
+        res.x = np.full_like(res.x, 1.0 / res.x.size)
+        return res
+
+    monkeypatch.setattr(transport, "linprog", failing)
+    assert mmlab.cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("check failed")
 
 
 def test_usage_errors_exit_two(inputs):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mmlab import transport
-from mmlab.core import FiniteMmSpace
+from mmlab.config import SOLVER_TOL
+from mmlab.core import Coupling, FiniteMmSpace
 from mmlab.errors import (
     DegenerateDensity,
     NonSegment,
@@ -25,6 +26,7 @@ from mmlab.transport import (
     _flow_close_mass,
     _hall_close_mass,
     _marginal_pattern,
+    _round_to_marginals,
     PiecewiseQuantile,
     WeightedOneDimSpace,
     discretize,
@@ -160,6 +162,180 @@ def test_w2_lower_semicontinuity_surrogate():
         val = w2_exact(s, mu_k, nu_k).value
         slack = 2.0 * diam * math.sqrt(1.0 / k)
         assert target <= val + slack + 1e-12
+
+
+def head_lp_w2_squared(space, mu, nu):
+    """The earlier ``w2_exact``, kept as an oracle: HiGHS dual simplex with
+    presolve on, on all na + nb marginal rows, accepted only when its duals
+    give nonnegative reduced costs and a gap within ``SOLVER_TOL`` times the
+    cost scale and its plan meets the marginals within 1e-9.  Returns the
+    optimal squared cost, or None where that procedure raised."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+    sa, sb = np.flatnonzero(mu > 0), np.flatnonzero(nu > 0)
+    wa, wb = mu[sa], nu[sb]
+    cost = space.dist[np.ix_(sa, sb)] ** 2
+    na, nb = sa.size, sb.size
+    rows, cols = _marginal_pattern(na, nb)
+    A_eq = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(na + nb, na * nb))
+    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=np.concatenate([wa, wb]),
+                  bounds=(0, None), method="highs-ds")
+    if res.status != 0:
+        return None
+    scale = max(float(cost.max()), 1.0)
+    u, v = res.eqlin.marginals[:na], res.eqlin.marginals[na:]
+    if (cost - u[:, None] - v[None, :]).min() < -SOLVER_TOL * scale:
+        return None
+    if abs(res.fun - (u @ wa + v @ wb)) > SOLVER_TOL * scale:
+        return None
+    plan = np.zeros((space.n, space.n))
+    plan[np.ix_(sa, sb)] = res.x.reshape(na, nb)
+    try:
+        Coupling(plan, mu, nu, marginal_tol=SOLVER_TOL * 10)
+    except ValidationError:
+        return None
+    return float(res.fun)
+
+
+def assert_certified(space, mu, nu):
+    """``w2_exact`` brackets value**2 between its bounds (up to rounding)
+    within ``SOLVER_TOL`` times the cost scale, and agrees with the oracle
+    where the oracle succeeds.  Returns the oracle's result."""
+    rep = w2_exact(space, mu, nu)
+    scale = max(float(space.dist.max()) ** 2, 1.0)
+    sq = rep.value ** 2
+    assert rep.lower <= sq + 1e-14 * scale
+    assert sq <= rep.upper + 1e-14 * scale
+    assert rep.dual_gap == abs(rep.upper - rep.lower)
+    assert rep.dual_gap <= SOLVER_TOL * scale
+    # the plan is rounded onto the marginals, not left at HiGHS's tolerance
+    assert np.abs(rep.coupling.matrix.sum(axis=1) - mu).max() <= 1e-14
+    assert np.abs(rep.coupling.matrix.sum(axis=0) - nu).max() <= 1e-14
+    oracle = head_lp_w2_squared(space, np.asarray(mu), np.asarray(nu))
+    if oracle is not None:
+        assert abs(sq - oracle) <= SOLVER_TOL * scale
+    return oracle
+
+
+@pytest.mark.parametrize("seed", [0, 5, 8, 10, 12, 15, 16, 19])
+def test_w2_certified_on_dirichlet_cube(seed):
+    # 64 cube points with Dirichlet(0.3) masses: the earlier LP missed the
+    # coupling's 1e-9 marginal check on six of these seeds, and presolve
+    # called seeds 10 and 16 infeasible (total masses a few ulp apart)
+    rng = np.random.default_rng(seed)
+    space = FiniteMmSpace.from_points(rng.random((64, 3)), np.full(64, 1 / 64))
+    mu = rng.dirichlet(np.full(64, 0.3))
+    nu = rng.dirichlet(np.full(64, 0.3))
+    assert_certified(space, mu, nu)
+
+
+def dyadic_line_space(rng):
+    """Sorted uniform points on [0, 1] with |x_i - x_j| and two mass vectors
+    on multiples of 2**-10."""
+    n = int(rng.integers(8, 33))
+    x = np.sort(rng.random(n))
+
+    def masses():
+        counts = np.floor(rng.dirichlet(np.ones(n)) * 1024).astype(int)
+        counts[np.argmax(counts)] += 1024 - counts.sum()
+        return counts / 1024
+
+    space = FiniteMmSpace(tuple(range(n)), np.abs(x[:, None] - x[None, :]),
+                          np.full(n, 1 / n))
+    return space, masses(), masses()
+
+
+def test_w2_certified_on_dyadic_lines():
+    # line metrics are degenerate transportation LPs; in this batch the
+    # earlier LP's duals failed their reduced-cost check at least once
+    rng = np.random.default_rng(12345)
+    oracles = [assert_certified(*dyadic_line_space(rng)) for _ in range(100)]
+    assert any(o is None for o in oracles)
+
+
+def test_round_to_marginals_meets_marginals():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        na, nb = rng.integers(1, 12, size=2)
+        r = rng.dirichlet(np.ones(na))
+        c = rng.dirichlet(np.ones(nb))
+        plan = np.outer(r, c) * rng.uniform(0.5, 1.5, size=(na, nb))
+        plan[rng.random((na, nb)) < 0.3] = 0.0
+        plan[0, 0] -= 1e-12  # a slightly negative entry is clipped
+        out = _round_to_marginals(plan, r, c)
+        assert out.min() >= 0.0
+        assert np.abs(out.sum(axis=1) - r).max() <= 1e-15
+        assert np.abs(out.sum(axis=0) - c).max() <= 1e-15
+    # a plan that already has the marginals is left as it is
+    plan = np.array([[0.25, 0.25], [0.5, 0.0]])
+    assert np.array_equal(
+        _round_to_marginals(plan, np.array([0.5, 0.5]), np.array([0.75, 0.25])),
+        plan)
+
+
+def tamper_lp_results(monkeypatch, tamper):
+    """Pass every result of ``transport.linprog`` through ``tamper(res)``."""
+    solve = transport.linprog
+
+    def tampered(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        tamper(res)
+        return res
+
+    monkeypatch.setattr(transport, "linprog", tampered)
+
+
+def eight_point_case():
+    rng = np.random.default_rng(4)
+    return random_space(rng, 8), rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(8))
+
+
+def test_w2_lower_bound_ignores_lp_column_duals(monkeypatch):
+    # the column duals are the c-transform of the row duals, feasible by
+    # construction; infeasible column duals from the solver change nothing
+    clean = w2_exact(*eight_point_case())
+
+    def raise_last_column_dual(res):
+        res.eqlin.marginals[-1] += 0.5
+
+    tamper_lp_results(monkeypatch, raise_last_column_dual)
+    rep = w2_exact(*eight_point_case())
+    assert (rep.lower, rep.upper, rep.value) == (clean.lower, clean.upper,
+                                                 clean.value)
+
+
+def test_w2_rounds_plan_within_solver_tolerance(monkeypatch):
+    # HiGHS may return a plan off its marginals and slightly negative
+    # within its feasibility tolerance; the reported coupling is exact
+    noise = np.random.default_rng(5)
+
+    def perturb_plan(res):
+        res.x = res.x * (1.0 + 1e-11 * noise.standard_normal(res.x.size))
+        res.x[np.argmin(res.x)] = -1e-12
+
+    tamper_lp_results(monkeypatch, perturb_plan)
+    s, mu, nu = eight_point_case()
+    plan = w2_exact(s, mu, nu).coupling.matrix
+    assert plan.min() >= 0.0
+    assert np.abs(plan.sum(axis=1) - mu).max() <= 1e-15
+    assert np.abs(plan.sum(axis=0) - nu).max() <= 1e-15
+
+
+def spread_plan(res):
+    res.x = np.full_like(res.x, 1.0 / res.x.size)
+
+
+def lower_first_row_dual(res):
+    res.eqlin.marginals[0] -= 0.5
+
+
+@pytest.mark.parametrize("tamper", [spread_plan, lower_first_row_dual])
+def test_w2_certificate_rejects_corrupted_solution(monkeypatch, tamper):
+    # a plan that is not optimal raises the upper bound, row duals that are
+    # not optimal lower the lower bound; either opens the gap
+    tamper_lp_results(monkeypatch, tamper)
+    with pytest.raises(SolverFailure, match="primal-dual gap"):
+        w2_exact(*eight_point_case())
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +996,24 @@ def test_lp_solves_go_through_transport_linprog(lp_calls):
     assert lp_calls == ["highs-ds"]
     prokhorov(s, mu, nu)  # more than HALL_MAX_ATOMS atoms on both sides
     assert lp_calls == ["highs-ds"]
+
+
+def test_w2_exact_is_one_lp_without_presolve(monkeypatch):
+    # the benchmark's transport.linprog counts rely on one solve per call
+    calls = []
+    solve = transport.linprog
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", recording)
+    rng = np.random.default_rng(2)
+    s = random_space(rng, 10)
+    w2_exact(s, rng.dirichlet(np.ones(10)), rng.dirichlet(np.ones(10)))
+    assert len(calls) == 1
+    assert calls[0]["method"] == "highs-ds"
+    assert calls[0]["options"]["presolve"] is False
 
 
 def test_prokhorov_lp_count_is_pinned(lp_calls, monkeypatch):
