@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -415,21 +416,72 @@ class TransportPlanReport:
 # ---------------------------------------------------------------------------
 # exact transportation LP
 #
-# scipy is imported on the first LP, not with this module, so commands that
-# solve none (most of the CLI) start without it.  ``linprog`` stays a
-# module-level name that tracers and tests can rebind.
+# HiGHS is called through the bindings that scipy bundles
+# (``scipy.optimize._highspy``, since scipy 1.15), imported on the first LP,
+# not with this module, so commands that solve none (most of the CLI) start
+# without scipy.  ``linprog`` stays the one module-level name that tracers
+# and tests rebind.
+
+# The HiGHS settings of ``scipy.optimize.linprog(method="highs-ds")``; the
+# ones it leaves unset stay at HiGHS's defaults.  simplex_strategy 1 is the
+# dual simplex, highs_debug_level 0 no debugging.
+_HIGHS_DS_SETTINGS = {"presolve": True, "solver": "simplex",
+                      "simplex_strategy": 1, "highs_debug_level": 0,
+                      "output_flag": False, "log_to_console": False}
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call."""
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(*args, **kwargs)
+def linprog(c, *, A_eq, b_eq, bounds, method, options):
+    """min c.x subject to A_eq x = b_eq, x >= 0, by one HiGHS dual-simplex
+    solve: the same settings, the same model and so the same result, bit for
+    bit, as ``scipy.optimize.linprog(..., method="highs-ds")``, without its
+    argument parsing and result assembly.
 
+    Only that form: ``A_eq`` is CSC ``(indptr, indices, data)`` with the
+    rows of each column in increasing order, ``bounds=(0, None)``,
+    ``method="highs-ds"``, and ``options`` HiGHS option values, with
+    ``presolve`` a bool as in scipy.  Other bounds or methods, and options
+    or a model that HiGHS rejects, raise ``ValueError``.
 
-def _csr(data, rows, cols, shape):
-    """CSR matrix from coordinate triples (duplicates summed)."""
-    from scipy import sparse
-    return sparse.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    The result has ``status`` (0 when HiGHS reports the model optimal, else
+    1), ``message`` (HiGHS's name for the model status) and ``nit`` (simplex
+    iterations); on success also ``x``, ``fun`` and ``eqlin.marginals``, the
+    row duals.
+    """
+    if bounds != (0, None) or method != "highs-ds":
+        raise ValueError("linprog solves method='highs-ds' with "
+                         "bounds=(0, None) only")
+    from scipy.optimize._highspy import _core as highs
+    settings = highs.HighsOptions()
+    for key, value in {**_HIGHS_DS_SETTINGS, **options}.items():
+        if key == "presolve":  # a bool for scipy, a string for HiGHS
+            value = "on" if value else "off"
+        setattr(settings, key, value)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = b_eq.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A_eq
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    solver = highs._Highs()
+    if (solver.passOptions(settings) == highs.HighsStatus.kError
+            or solver.passModel(lp) == highs.HighsStatus.kError):
+        raise ValueError("HiGHS rejected the LP or its options")
+    solver.run()
+    status = solver.getModelStatus()
+    info = solver.getInfo()
+    res = SimpleNamespace(status=1, message=solver.modelStatusToString(status),
+                          nit=info.simplex_iteration_count, x=None, fun=None,
+                          eqlin=SimpleNamespace(marginals=None))
+    if status == highs.HighsModelStatus.kOptimal:
+        solution = solver.getSolution()
+        res.status = 0
+        res.x = np.array(solution.col_value)
+        res.fun = info.objective_function_value
+        res.eqlin.marginals = np.array(solution.row_dual)
+    return res
 
 
 def _marginal_pattern(na: int, nb: int):
@@ -498,8 +550,12 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     na, nb = sa.size, sb.size
     rows, cols = _marginal_pattern(na, nb)
     keep = rows < na + nb - 1
-    A_eq = _csr(np.ones(int(keep.sum())), rows[keep], cols[keep],
-                (na + nb - 1, na * nb))
+    rows, cols = rows[keep], cols[keep]
+    # CSC: column k = i nb + j holds row i and, when j < nb - 1, row na + j;
+    # the pattern lists row i first, and the stable sort keeps that order
+    indptr = np.zeros(na * nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=na * nb), out=indptr[1:])
+    A_eq = (indptr, rows[np.argsort(cols, kind="stable")], np.ones(rows.size))
     b_eq = np.concatenate([wa, (wb * (wa.sum() / wb.sum()))[:-1]])
     res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs-ds", options=_HIGHS_OPTIONS)

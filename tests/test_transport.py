@@ -217,16 +217,23 @@ def assert_certified(space, mu, nu):
     return oracle
 
 
-@pytest.mark.parametrize("seed", [0, 5, 8, 10, 12, 15, 16, 19])
-def test_w2_certified_on_dirichlet_cube(seed):
-    # 64 cube points with Dirichlet(0.3) masses: the earlier LP missed the
-    # coupling's 1e-9 marginal check on six of these seeds, and presolve
-    # called seeds 10 and 16 infeasible (total masses a few ulp apart)
+# 64 cube points with Dirichlet(0.3) masses: the earlier LP missed the
+# coupling's 1e-9 marginal check on six of these seeds, and presolve called
+# seeds 10 and 16 infeasible (total masses a few ulp apart)
+CUBE_SEEDS = [0, 5, 8, 10, 12, 15, 16, 19]
+
+
+def dirichlet_cube(seed):
     rng = np.random.default_rng(seed)
     space = FiniteMmSpace.from_points(rng.random((64, 3)), np.full(64, 1 / 64))
     mu = rng.dirichlet(np.full(64, 0.3))
     nu = rng.dirichlet(np.full(64, 0.3))
-    assert_certified(space, mu, nu)
+    return space, mu, nu
+
+
+@pytest.mark.parametrize("seed", CUBE_SEEDS)
+def test_w2_certified_on_dirichlet_cube(seed):
+    assert_certified(*dirichlet_cube(seed))
 
 
 def dyadic_line_space(rng):
@@ -335,6 +342,89 @@ def test_w2_certificate_rejects_corrupted_solution(monkeypatch, tamper):
     # not optimal lower the lower bound; either opens the gap
     tamper_lp_results(monkeypatch, tamper)
     with pytest.raises(SolverFailure, match="primal-dual gap"):
+        w2_exact(*eight_point_case())
+
+
+def oracle_cases():
+    """(space, mu, nu) for the scipy oracle: random spaces of 1 to 40
+    points, one-atom supports on either side, the Dirichlet cubes and a few
+    dyadic line spaces."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 41):
+        yield random_space(rng, n), rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    space = random_space(rng, 6)
+    spread = rng.dirichlet(np.ones(6))
+    yield space, np.eye(6)[2], spread
+    yield space, spread, np.eye(6)[4]
+    for seed in CUBE_SEEDS:
+        yield dirichlet_cube(seed)
+    rng = np.random.default_rng(12345)
+    for _ in range(5):
+        yield dyadic_line_space(rng)
+
+
+def test_linprog_matches_scipy_bit_for_bit(monkeypatch):
+    # the slow oracle: transport.linprog calls scipy's private HiGHS
+    # bindings, and must return what the public scipy.optimize.linprog
+    # returns on the same LP; a scipy release that changes them fails here
+    from scipy.optimize import linprog as scipy_linprog
+    from scipy.sparse import csc_array
+    lps = []
+    solve = transport.linprog
+
+    def recording(c, **kwargs):
+        lps.append((c, kwargs))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", recording)
+    cases = list(oracle_cases())
+    for case in cases:
+        w2_exact(*case)
+    assert len(lps) == len(cases)
+    for c, kwargs in lps:
+        ours = solve(c, **kwargs)
+        indptr, indices, data = kwargs["A_eq"]
+        b_eq = kwargs["b_eq"]
+        ref = scipy_linprog(c, A_eq=csc_array((data, indices, indptr),
+                                              shape=(b_eq.size, c.size)),
+                            b_eq=b_eq, bounds=(0, None), method="highs-ds",
+                            options=transport._HIGHS_OPTIONS)
+        assert ours.status == ref.status == 0
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert float(ours.fun).hex() == float(ref.fun).hex()
+        assert ours.nit == ref.nit
+        assert ours.eqlin.marginals.tobytes() == ref.eqlin.marginals.tobytes()
+
+
+# one column that two rows pin to 0.5 and to 0.7
+INFEASIBLE_LP = {"A_eq": (np.array([0, 2]), np.array([0, 1]), np.ones(2)),
+                 "b_eq": np.array([0.5, 0.7]), "bounds": (0, None),
+                 "method": "highs-ds", "options": transport._HIGHS_OPTIONS}
+
+
+def test_linprog_reports_a_model_that_is_not_optimal():
+    res = transport.linprog(np.ones(1), **INFEASIBLE_LP)
+    assert res.status != 0
+    assert res.message == "Infeasible"
+
+
+@pytest.mark.parametrize("change", [
+    {"method": "highs"},
+    {"bounds": (None, None)},
+    {"options": {"primal_feasibility_tolerance": -1.0}},
+    {"b_eq": np.array([0.5])},
+])
+def test_linprog_rejects_what_it_does_not_solve(change):
+    # another form, an option HiGHS refuses or a malformed model raise,
+    # rather than solve under HiGHS's default settings or an empty model
+    with pytest.raises(ValueError):
+        transport.linprog(np.ones(1), **{**INFEASIBLE_LP, **change})
+
+
+def test_w2_raises_when_the_lp_is_not_optimal(monkeypatch):
+    failed = transport.linprog(np.ones(1), **INFEASIBLE_LP)
+    monkeypatch.setattr(transport, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(SolverFailure, match="transport LP failed: Infeasible"):
         w2_exact(*eight_point_case())
 
 
