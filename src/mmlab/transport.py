@@ -428,6 +428,8 @@ class TransportPlanReport:
 _HIGHS_DS_SETTINGS = {"presolve": True, "solver": "simplex",
                       "simplex_strategy": 1, "highs_debug_level": 0,
                       "output_flag": False, "log_to_console": False}
+# HiGHS counts columns, rows and nonzeros in int32
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def linprog(c, *, A_eq, b_eq, bounds, method, options):
@@ -439,8 +441,9 @@ def linprog(c, *, A_eq, b_eq, bounds, method, options):
     Only that form: ``A_eq`` is CSC ``(indptr, indices, data)`` with the
     rows of each column in increasing order, ``bounds=(0, None)``,
     ``method="highs-ds"``, and ``options`` HiGHS option values, with
-    ``presolve`` a bool as in scipy.  Other bounds or methods, and options
-    or a model that HiGHS rejects, raise ``ValueError``.
+    ``presolve`` a bool as in scipy.  Other bounds or methods, more
+    columns, rows or nonzeros than int32 counts, and options or a model
+    that HiGHS rejects, raise ``ValueError``.
 
     The result has ``status`` (0 when HiGHS reports the model optimal, else
     1), ``message`` (HiGHS's name for the model status) and ``nit`` (simplex
@@ -450,24 +453,28 @@ def linprog(c, *, A_eq, b_eq, bounds, method, options):
     if bounds != (0, None) or method != "highs-ds":
         raise ValueError("linprog solves method='highs-ds' with "
                          "bounds=(0, None) only")
+    indptr, indices, data = A_eq
+    n, nnz = c.size, int(indptr[-1])
+    if max(n, b_eq.size, nnz) > _INT32_MAX:
+        raise ValueError(f"the LP has {n} columns, {b_eq.size} rows and "
+                         f"{nnz} nonzeros; HiGHS counts to {_INT32_MAX}")
     from scipy.optimize._highspy import _core as highs
     settings = highs.HighsOptions()
     for key, value in {**_HIGHS_DS_SETTINGS, **options}.items():
         if key == "presolve":  # a bool for scipy, a string for HiGHS
             value = "on" if value else "off"
         setattr(settings, key, value)
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = b_eq.size
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A_eq
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(c.size)
-    lp.col_upper_ = np.full(c.size, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
+    # the array form of passModel takes each buffer whole, where filling a
+    # HighsLp field by field copies it one element at a time; it requires
+    # an integrality array, all zeros (continuous), not an empty one
     solver = highs._Highs()
     if (solver.passOptions(settings) == highs.HighsStatus.kError
-            or solver.passModel(lp) == highs.HighsStatus.kError):
+            or solver.passModel(
+                n, b_eq.size, nnz, highs.MatrixFormat.kColwise,
+                highs.ObjSense.kMinimize, 0.0, c, np.zeros(n),
+                np.full(n, highs.kHighsInf), b_eq, b_eq,
+                indptr.astype(np.int32), indices.astype(np.int32), data,
+                np.zeros(n, np.int32)) == highs.HighsStatus.kError):
         raise ValueError("HiGHS rejected the LP or its options")
     solver.run()
     status = solver.getModelStatus()
@@ -647,21 +654,23 @@ HALL_MAX_ATOMS = 12
 
 
 def _max_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                    warm=None):
+                    warm=None, target: float = math.inf):
     """Largest sub-coupling mass supported on allowed pairs: a bipartite
     max-flow, by Hall's formula when one support has at most
     ``HALL_MAX_ATOMS`` atoms and by augmenting paths otherwise.
 
-    Returns the mass and the flow state behind it (None unless augmenting
-    paths ran), which is a feasible ``warm`` start for any larger allowed
-    set of the same shape."""
+    The mass is exact unless augmenting paths reach ``target`` first: then
+    they stop, and the mass is that of a certified sub-coupling, at least
+    ``target`` and at most the maximum.  Returns the mass and the flow state
+    behind it (None unless augmenting paths ran), which is a feasible
+    ``warm`` start for any larger allowed set of the same shape."""
     if allowed.all():
         return 1.0, None
     if not allowed.any():
         return 0.0, None
     if min(allowed.shape) <= HALL_MAX_ATOMS:
         return _hall_close_mass(allowed, wa, wb), None
-    return _flow_close_mass(allowed, wa, wb, warm)
+    return _flow_close_mass(allowed, wa, wb, warm, target)
 
 
 def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
@@ -685,10 +694,10 @@ def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> flo
 
 
 def _flow_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                     warm=None):
+                     warm=None, target: float = math.inf):
     """Max-flow from the row atoms (masses ``wa``) to the column atoms
     (``wb``) through the allowed pairs, by shortest augmenting paths
-    (Edmonds & Karp 1972).
+    (Edmonds & Karp 1972), or a flow of at least ``target``.
 
     The source arcs carry ``wa``, the sink arcs ``wb``, and every allowed
     pair is an arc of unbounded capacity.  A greedy fill row by row starts
@@ -696,7 +705,11 @@ def _flow_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     set) if given; breadth-first searches over the dense ``allowed`` matrix
     then augment it until the sink is out of reach.  The mass returned is
     the capacity of the cut that the last search leaves, a sum of input
-    masses, certified against the flow by ``_certify_flow``.
+    masses, certified against the flow by ``_certify_flow``: the exact
+    maximum.  If the flow's mass reaches ``target`` after the greedy fill
+    or after an augmentation, it stops there and returns that mass,
+    certified by ``_certify_partial_flow``: a lower bound on the maximum,
+    enough to show that the maximum reaches ``target``.
 
     Returns ``(mass, (flow, rs, rt))``, with ``rs`` and ``rt`` the residual
     source and sink capacities.  Every residual that an augmentation uses up
@@ -715,11 +728,11 @@ def _flow_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
             rt[j] -= d
             if rs[i] == 0:
                 break
-    while True:
+    while flow.sum() < target:
         rows, cols, row_from, col_from, sink = _augmenting_search(
             allowed, flow, rs, rt)
         if sink < 0:
-            break
+            return _certify_flow(allowed, wa, wb, flow, rows, cols), (flow, rs, rt)
         # walk back: column j entered from row i, row i from column
         # col_from[i] along a flow arc, up to a row with source residual
         fi, fj, bi, bj = [], [], [], []
@@ -738,7 +751,7 @@ def _flow_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
         rt[sink] -= delta
         flow[fi, fj] += delta
         flow[bi, bj] -= delta
-    return _certify_flow(allowed, wa, wb, flow, rows, cols), (flow, rs, rt)
+    return _certify_partial_flow(allowed, wa, wb, flow, target), (flow, rs, rt)
 
 
 def _augmenting_search(allowed: np.ndarray, flow: np.ndarray, rs: np.ndarray,
@@ -772,6 +785,19 @@ def _augmenting_search(allowed: np.ndarray, flow: np.ndarray, rs: np.ndarray,
     return rows, cols, row_from, col_from, -1
 
 
+def _subcoupling_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
+                      flow: np.ndarray) -> float:
+    """``flow.sum()``, once ``flow`` is certified a sub-coupling on the
+    allowed pairs: nonnegative, zero off them, and within each marginal by
+    ``STRUCTURAL_TOL``.  ``SolverFailure`` otherwise."""
+    tol = STRUCTURAL_TOL
+    if flow.min() < 0.0 or flow[~allowed].any():
+        raise SolverFailure("close-mass flow is negative or off the allowed pairs")
+    if (flow.sum(axis=1) > wa + tol).any() or (flow.sum(axis=0) > wb + tol).any():
+        raise SolverFailure("close-mass flow exceeds a marginal")
+    return float(flow.sum())
+
+
 def _certify_flow(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                   flow: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     """Capacity of the cut with the reached ``rows`` and ``cols`` on the
@@ -779,23 +805,34 @@ def _certify_flow(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     allowed pair, the flow is a sub-coupling on allowed pairs, and its mass
     matches the cut's within ``STRUCTURAL_TOL`` (weak duality then pins
     both).  ``SolverFailure`` otherwise."""
-    tol = STRUCTURAL_TOL
     if allowed[np.ix_(rows, ~cols)].any():
         raise SolverFailure("close-mass cut crosses an allowed pair")
-    if flow.min() < 0.0 or flow[~allowed].any():
-        raise SolverFailure("close-mass flow is negative or off the allowed pairs")
-    if (flow.sum(axis=1) > wa + tol).any() or (flow.sum(axis=0) > wb + tol).any():
-        raise SolverFailure("close-mass flow exceeds a marginal")
+    mass = _subcoupling_mass(allowed, wa, wb, flow)
     cut = float(wa[~rows].sum() + wb[cols].sum())
-    gap = abs(float(flow.sum()) - cut)
-    if gap > tol:
+    gap = abs(mass - cut)
+    if gap > STRUCTURAL_TOL:
         raise SolverFailure(f"close-mass flow misses its cut by {gap:.3e}")
     return cut
 
 
+def _certify_partial_flow(allowed: np.ndarray, wa: np.ndarray,
+                          wb: np.ndarray, flow: np.ndarray,
+                          target: float) -> float:
+    """Mass of ``flow``, certified as a sub-coupling on allowed pairs of at
+    least ``target``, so the max-flow reaches ``target`` too.
+    ``SolverFailure`` otherwise."""
+    mass = _subcoupling_mass(allowed, wa, wb, flow)
+    if not mass >= target:
+        raise SolverFailure(
+            f"close-mass flow {mass:.17g} stops below its target {target:.17g}")
+    return mass
+
+
 def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
     """Smallest eps admitting a coupling with mass at most eps on pairs
-    farther than eps.
+    farther than eps, for probability weights ``wa`` and ``wb`` and the
+    finite, nonnegative ``len(wa) x len(wb)`` block ``dist`` between their
+    atoms.
 
     The feasible set only changes at pairwise distances, so the infimum is
     found exactly: binary search over sorted distances for the first
@@ -803,33 +840,45 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
     mass on pairs within ``d_k``), then compare with the crossing point
     ``1 - F_{k-1}`` of the previous piece.  ``F_k`` is a bipartite max-flow:
     exact by Hall's formula when either support has at most
-    ``HALL_MAX_ATOMS`` atoms, otherwise by augmenting paths, each search
-    step starting from the flow of the largest infeasible step so far
-    (allowed sets only grow with the threshold).
+    ``HALL_MAX_ATOMS`` atoms, otherwise by augmenting paths.  A step that
+    fails is solved exactly, to its cut, and its flow starts every later
+    step (allowed sets only grow with the threshold); so is ``F_{k-1}``,
+    the last step that fails.  A step that passes stops at a flow
+    certificate, a sub-coupling on the allowed pairs with mass at least
+    ``1 - d_k - ENTROPY_TOL``.
     """
+    wa = prob_weights(wa)
+    wb = prob_weights(wb)
     dist = np.asarray(dist, dtype=float)
-    wa = np.asarray(wa, dtype=float)
-    wb = np.asarray(wb, dtype=float)
+    if dist.shape != (wa.size, wb.size):
+        raise ValidationError(f"distance block of shape {dist.shape} does not "
+                              f"match {wa.size} x {wb.size} weights")
+    bad = ~np.isfinite(dist) | (dist < 0.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValidationError("distances must be finite and nonnegative, "
+                              f"dist[{i}, {j}] = {dist[i, j]}")
     if dist.shape[0] > dist.shape[1]:  # the smaller support on the rows
         dist, wa, wb = np.ascontiguousarray(dist.T), wb, wa
     cands = np.unique(np.concatenate([[0.0], dist.ravel()]))
-    F = {}
     warm = None
+    last_fail = None  # F of the last step that failed
 
     def feasible(k: int) -> bool:
-        nonlocal warm
-        F[k], flow = _max_close_mass(dist <= cands[k], wa, wb, warm)
-        if F[k] >= 1.0 - cands[k] - ENTROPY_TOL:
+        nonlocal warm, last_fail
+        target = 1.0 - cands[k] - ENTROPY_TOL
+        mass, flow = _max_close_mass(dist <= cands[k], wa, wb, warm, target)
+        if mass >= target:
             return True
-        warm = flow
+        warm, last_fail = flow, mass
         return False
 
     # the last candidate is feasible: all mass lies within the max distance;
-    # first_feasible has asked every step below the one it returns
+    # the last step that first_feasible found infeasible is hi - 1
     hi = first_feasible(feasible, cands.size)
     if hi == 0:
         return float(cands[0])
-    crossing = 1.0 - F[hi - 1]
+    crossing = 1.0 - last_fail
     return float(min(cands[hi], max(crossing, 0.0)))
 
 

@@ -23,6 +23,7 @@ from mmlab.transport import (
     MonotonePlan,
     _augmenting_search,
     _certify_flow,
+    _certify_partial_flow,
     _flow_close_mass,
     _hall_close_mass,
     _marginal_pattern,
@@ -361,6 +362,9 @@ def oracle_cases():
     rng = np.random.default_rng(12345)
     for _ in range(5):
         yield dyadic_line_space(rng)
+    # the scale of the benchmark's largest finite spaces
+    rng = np.random.default_rng(120)
+    yield random_space(rng, 120), rng.dirichlet(np.ones(120)), rng.dirichlet(np.ones(120))
 
 
 def test_linprog_matches_scipy_bit_for_bit(monkeypatch):
@@ -419,6 +423,18 @@ def test_linprog_rejects_what_it_does_not_solve(change):
     # rather than solve under HiGHS's default settings or an empty model
     with pytest.raises(ValueError):
         transport.linprog(np.ones(1), **{**INFEASIBLE_LP, **change})
+
+
+@pytest.mark.parametrize("change", [
+    {"c": np.broadcast_to(1.0, 2 ** 31)},
+    {"A_eq": (np.array([0, 2 ** 31]), np.array([0, 1]), np.ones(2))},
+])
+def test_linprog_rejects_counts_past_int32(change):
+    # HiGHS counts in int32; a cast would wrap.  The huge column vector is a
+    # broadcast view, so nothing large is allocated
+    lp = {"c": np.ones(1), **INFEASIBLE_LP, **change}
+    with pytest.raises(ValueError, match="HiGHS counts to 2147483647"):
+        transport.linprog(lp.pop("c"), **lp)
 
 
 def test_w2_raises_when_the_lp_is_not_optimal(monkeypatch):
@@ -795,6 +811,31 @@ def test_prokhorov_mass_shift():
     assert prokhorov(s, mu, nu) == pytest.approx(0.1, abs=1e-9)
 
 
+GOOD_BLOCK = (np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]]),
+              np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5]))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"wa": np.array([0.7, 0.7])}, "sum to 1"),
+    ({"wb": np.array([0.75, 0.75, -0.5])}, r"nonnegative, weights\[2\]"),
+    ({"wa": np.array([np.nan, 1.0])}, "finite"),
+    ({"dist": np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0]])},
+     r"dist\[0, 2\] = nan"),
+    ({"dist": np.array([[0.0, 1.0, 2.0], [1.0, -1.0, 1.0]])},
+     r"dist\[1, 1\] = -1.0"),
+    ({"dist": np.array([[0.0, 1.0, 2.0], [np.inf, 0.0, 1.0]])},
+     r"dist\[1, 0\] = inf"),
+    ({"dist": np.zeros((3, 2))}, r"shape \(3, 2\) does not match 2 x 3"),
+])
+def test_prokhorov_from_distances_rejects_bad_input(change, message):
+    # unvalidated, the threshold search returns 0.0 or 1.0 on the sums,
+    # signs and NaNs here without an error: it assumes probability masses
+    case = dict(zip(("dist", "wa", "wb"), GOOD_BLOCK))
+    assert prokhorov_from_distances(**case) == 0.5
+    with pytest.raises(ValidationError, match=message):
+        prokhorov_from_distances(**{**case, **change})
+
+
 def test_prokhorov_against_subset_oracle():
     rng = np.random.default_rng(17)
     for _ in range(8):
@@ -842,7 +883,7 @@ def lp_close_mass(allowed, wa, wb):
     return float(-res.fun)
 
 
-def lp_flow(allowed, wa, wb, warm):
+def lp_flow(allowed, wa, wb, warm, target=None):
     """``transport._flow_close_mass`` with the LP oracle in its place."""
     return lp_close_mass(allowed, wa, wb), None
 
@@ -984,6 +1025,29 @@ def test_flow_certificate_rejects_corrupted_flow(corrupt, message):
         _certify_flow(allowed, wa, wb, flow, rows, cols)
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    (corrupt_negative, "negative or off"),
+    (corrupt_off_allowed, "negative or off"),
+    (corrupt_over_marginal, "exceeds a marginal"),
+    (corrupt_zero_flow, "below its target"),
+])
+def test_partial_flow_certificate_rejects_corrupted_flow(corrupt, message):
+    # a flow that stops at its target is certified as a sub-coupling on the
+    # allowed pairs with at least that mass
+    rng = np.random.default_rng(67)
+    dist, wa, wb = random_bipartite_case(rng, 16, 20)
+    allowed = dist <= 0.8
+    greedy, _ = _flow_close_mass(allowed, wa, wb, target=-math.inf)
+    full, _ = _flow_close_mass(allowed, wa, wb)
+    target = 0.5 * (greedy + full)
+    value, (flow, _, _) = _flow_close_mass(allowed, wa, wb, target=target)
+    assert greedy < target <= value < full  # stopped after an augmentation
+    assert _certify_partial_flow(allowed, wa, wb, flow, target) == value
+    corrupt(allowed, wa, flow, None, None)
+    with pytest.raises(SolverFailure, match=message):
+        _certify_partial_flow(allowed, wa, wb, flow, target)
+
+
 def test_prokhorov_hall_path_matches_lp_path(monkeypatch):
     rng = np.random.default_rng(43)
     cases = []
@@ -1008,6 +1072,26 @@ def test_prokhorov_flow_path_matches_lp_path(monkeypatch):
     monkeypatch.setattr(transport, "_flow_close_mass", lp_flow)
     lp = [prokhorov_from_distances(*c) for c in cases]
     assert flow == pytest.approx(lp, abs=1e-12)
+
+
+def test_prokhorov_stop_matches_run_to_cut_and_lp(monkeypatch):
+    # steps that pass stop at a flow certificate; forcing every step to its
+    # cut, or the LP oracle, must give the same distance
+    rng = np.random.default_rng(79)
+    cases = [flow_case(rng, int(rng.integers(HALL_MAX_ATOMS + 1, 61)),
+                       int(rng.integers(HALL_MAX_ATOMS + 1, 61)))
+             for _ in range(40)]
+    stop = [prokhorov_from_distances(*c) for c in cases]
+    close_mass = transport._max_close_mass
+
+    def to_the_cut(allowed, wa, wb, warm, target):
+        return close_mass(allowed, wa, wb, warm, math.inf)
+
+    monkeypatch.setattr(transport, "_max_close_mass", to_the_cut)
+    assert [prokhorov_from_distances(*c) for c in cases] == stop
+    monkeypatch.setattr(transport, "_flow_close_mass", lp_flow)
+    lp = [prokhorov_from_distances(*c) for c in cases]
+    assert stop == pytest.approx(lp, abs=1e-12)
 
 
 def test_prokhorov_hall_path_matches_subset_oracle():
@@ -1124,6 +1208,26 @@ def test_prokhorov_lp_count_is_pinned(lp_calls, monkeypatch):
     prokhorov(s, mu, nu)
     assert len(lp_calls) == 0
     assert len(evaluations) == 8
+
+
+def test_prokhorov_augmenting_search_count_is_pinned(monkeypatch):
+    # steps that pass stop at their flow certificate: 77 searches ran to
+    # the cut on every step, 26 stop there; a lost stop raises the count
+    searches = []
+    search = transport._augmenting_search
+
+    def counting(*args):
+        searches.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(transport, "_augmenting_search", counting)
+    rng = np.random.default_rng(17)
+    s = random_space(rng, 40)
+    mu = rng.dirichlet(np.ones(40))
+    nu = rng.dirichlet(np.ones(40))
+    prokhorov(s, mu, nu)
+    assert len(searches) < 77
+    assert len(searches) == 26
 
 
 # ---------------------------------------------------------------------------
