@@ -66,12 +66,12 @@ def _load_doc(path: str, flag: str) -> dict:
         raise ValidationError(f"{flag}: invalid JSON in {path}: {e}") from e
 
 
-def _load_finite_space(path: str, flag: str = "--space") -> FiniteMmSpace:
-    return FiniteMmSpace.from_json(_read(path, flag))
+def _load_finite_space(path: str) -> FiniteMmSpace:
+    return FiniteMmSpace.from_json(_read(path, "--space"))
 
 
-def _load_1d_space(path: str, flag: str = "--space") -> WeightedOneDimSpace:
-    return WeightedOneDimSpace.from_json(_read(path, flag))
+def _load_1d_space(path: str) -> WeightedOneDimSpace:
+    return WeightedOneDimSpace.from_json(_read(path, "--space"))
 
 
 def _load_weights(path: str, flag: str) -> np.ndarray:

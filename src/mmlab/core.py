@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import STRUCTURAL_TOL
+from .config import LINE_METRIC_TOL, STRUCTURAL_TOL
 from .errors import ValidationError, ZeroMassSet
 
 __all__ = [
@@ -41,8 +41,10 @@ def prob_weights(values) -> np.ndarray:
         raise ValidationError(f"weights must be a vector, got shape {w.shape}")
     if w.size == 0:
         raise ValidationError("weights must be nonempty")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite")
+    finite = np.isfinite(w)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(f"weights must be finite, weights[{i}] = {w[i]}")
     if np.any(w < 0):
         i = int(np.argmin(w))
         raise ValidationError(f"weights must be nonnegative, weights[{i}] = {w[i]}")
@@ -67,7 +69,8 @@ def as_index_array(subset, n: int) -> np.ndarray:
     return idx
 
 
-def line_embedding(dist: np.ndarray, *, rtol: float = 1e-9) -> np.ndarray | None:
+def line_embedding(dist: np.ndarray, *,
+                   rtol: float = LINE_METRIC_TOL) -> np.ndarray | None:
     """Coordinates x with dist[i,j] = |x_i - x_j| if the metric is a line
     metric, else None."""
     dist = np.asarray(dist, dtype=float)

@@ -435,21 +435,18 @@ def kn_convexity_check(f_samples, K: float, N: float, h: float, *,
                            tol_c=c, tol=tol, verdict=bool(res[i] >= -tol))
 
 
-def convexity_order_study(f, K: float, N: float, h_list, domain, *,
-                          window=None, ref_refine: int = 4):
+def convexity_order_study(f, K: float, N: float, h_list, domain):
     """Residual error against a refined-step reference at shared points.
 
     For each h the residual field on the h-grid is compared with the
-    residual computed at step h/ref_refine on the same points, max-normed
-    over the window (defaults to the middle third of the domain).  Since the
-    reference step scales with h its truncation bias cancels in the ratios,
-    so second-order stencils give ratios near 4 when h is halved; keeping
-    the refinement moderate also keeps cancellation roundoff below the
-    signal.  Returns (errors, ratios).
+    residual computed at step h/4 on the same points, max-normed over the
+    middle third of the domain.  Since the reference step scales with h its
+    truncation bias cancels in the ratios, so second-order stencils give
+    ratios near 4 when h is halved; keeping the refinement moderate also
+    keeps cancellation roundoff below the signal.  Returns (errors, ratios).
     """
     lo, hi = map(float, domain)
-    if window is None:
-        window = (lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0)
+    window = (lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0)
 
     def residual_at(x: np.ndarray, step: float) -> np.ndarray:
         g = lambda z: np.exp(-np.asarray(f(z), dtype=float) / N)  # noqa: E731
@@ -460,7 +457,7 @@ def convexity_order_study(f, K: float, N: float, h_list, domain, *,
     for h in h_list:
         x = np.arange(lo, hi + h / 2.0, h)
         x = x[(x >= window[0]) & (x <= window[1])]
-        err = np.max(np.abs(residual_at(x, h) - residual_at(x, h / ref_refine)))
+        err = np.max(np.abs(residual_at(x, h) - residual_at(x, h / 4)))
         errors.append(float(err))
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else math.inf
               for i in range(len(errors) - 1)]

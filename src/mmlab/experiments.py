@@ -122,7 +122,7 @@ def build_counterexample(params: CounterexampleParams, n: int):
         return float(np.sum(_pole_profile(params, n, t) ** npr) * h)
 
     m = params.m
-    prev = integral(m)
+    declared = prev = integral(m)
     converged = None
     for _ in range(12):
         m *= 2
@@ -135,7 +135,7 @@ def build_counterexample(params: CounterexampleParams, n: int):
         raise QuadratureNonConvergent(
             f"normaliser quadrature stalled at {m} points"
         )
-    grid_mass = integral(params.m) / converged
+    grid_mass = declared / converged
     if abs(grid_mass - 1.0) > MASS_1D_TOL:
         raise QuadratureNonConvergent(
             f"grid size {params.m} too coarse for softness {n}: "
@@ -232,18 +232,19 @@ class TwoPointGap:
     grid_size: int
 
 
-def two_point_midpoint_gap(D: float, grid_size: int = 4097) -> TwoPointGap:
-    """Minimise over q the worse of |W2(delta_0, nu_q) - D/2| and
-    |W2(nu_q, delta_1) - D/2| with nu_q = (q, 1-q); the transport distances
-    have the closed forms sqrt(1-q) D and sqrt(q) D."""
+def two_point_midpoint_gap(D: float) -> TwoPointGap:
+    """Minimise over 4097 equispaced q in [0, 1] the worse of
+    |W2(delta_0, nu_q) - D/2| and |W2(nu_q, delta_1) - D/2| with
+    nu_q = (q, 1-q); the transport distances have the closed forms
+    sqrt(1-q) D and sqrt(q) D."""
     if D < 0:
         raise ValidationError("D must be nonnegative")
-    q = np.linspace(0.0, 1.0, int(grid_size))
+    q = np.linspace(0.0, 1.0, 4097)
     gap = np.maximum(np.abs(np.sqrt(1.0 - q) - 0.5),
                      np.abs(np.sqrt(q) - 0.5)) * D
     i = int(np.argmin(gap))
     return TwoPointGap(min_gap=float(gap[i]), q_opt=float(q[i]), D=float(D),
-                       grid_size=int(grid_size))
+                       grid_size=q.size)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +306,17 @@ def smooth_density_pairs(space: WeightedOneDimSpace, count: int, *,
 
 def calibrate_cd_budget(K: float = 1.0, N: float = -1.0, lam: float = 1.0,
                         L: float = 3.0, resolutions=(256, 512),
-                        n_pairs: int = 8, nprimes=(-1.0, -0.5, -0.1),
-                        seed: int = 0, safety: float = 3.0, *,
-                        config: RunConfig | None = None):
+                        n_pairs: int = 8, seed: int = 0):
     """Fit the discretisation budget tol(h) = c1 h + c2 h^2 on the certified
     cosh control at two resolutions.
 
-    The worst negative relative margin observed at each grid step is scaled
-    by the safety factor and the two-parameter model is solved exactly;
+    Each pair is checked with the budget off at N' in {-1, -0.5, -0.1}.  The
+    worst negative relative margin observed at each grid step is scaled by
+    the safety factor 3 and the two-parameter model is solved exactly;
     negative coefficients are clamped and refit with the single remaining
     term.  Returns (c1, c2).
     """
-    cfg = (config or default_config()).replace(cd_budget_c1=0.0,
-                                               cd_budget_c2=0.0)
+    cfg = RunConfig(cd_budget_c1=0.0, cd_budget_c2=0.0)
     if len(resolutions) != 2 or resolutions[0] == resolutions[1]:
         raise ValidationError("exactly two distinct resolutions are required")
     hs, worst = [], []
@@ -326,10 +325,10 @@ def calibrate_cd_budget(K: float = 1.0, N: float = -1.0, lam: float = 1.0,
         neg = 0.0
         for rho0, rho1 in smooth_density_pairs(space, n_pairs, seed=seed):
             rep = cd_check_1d(space, rho0, rho1, K, N,
-                              nprime_grid=list(nprimes), config=cfg)
+                              nprime_grid=[-1.0, -0.5, -0.1], config=cfg)
             neg = max(neg, -min(0.0, rep.min_rel_margin))
         hs.append(space.h)
-        worst.append(safety * neg)
+        worst.append(3.0 * neg)
     h1, h2 = hs
     e1, e2 = worst
     det = h1 * h2 * h2 - h2 * h1 * h1

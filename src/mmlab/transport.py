@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import (
+    DENSITY_MASS_TOL,
     ENTROPY_TOL,
     INTERP_MASS_TOL,
     MASS_1D_TOL,
@@ -125,20 +126,22 @@ class WeightedOneDimSpace:
         return np.exp(self.log_density) * self.h
 
     def validate_density(self, rho) -> np.ndarray:
-        """Density samples (per length) on this grid, with mass 1 within 1e-6."""
+        """Density samples (per length) on this grid, with mass 1 within
+        ``DENSITY_MASS_TOL``."""
         rho = np.asarray(rho, dtype=float)
         if rho.shape != self.grid.shape:
             raise ValidationError("density samples must match the space grid")
         if np.any(rho < 0) or not np.all(np.isfinite(rho)):
             raise ValidationError("density samples must be finite and nonnegative")
         mass = float(rho.sum() * self.h)
-        if abs(mass - 1.0) > 1e-6:
-            raise ValidationError(f"density mass {mass!r} deviates from 1 beyond 1e-06")
+        if abs(mass - 1.0) > DENSITY_MASS_TOL:
+            raise ValidationError(
+                f"density mass {mass!r} deviates from 1 beyond {DENSITY_MASS_TOL}")
         return rho
 
     @classmethod
-    def from_density(cls, kind: str, total_length: float, m: int, density,
-                     *, normalize: bool = False) -> "WeightedOneDimSpace":
+    def from_density(cls, kind: str, total_length: float, m: int,
+                     density) -> "WeightedOneDimSpace":
         """Sample a density callable (or array) on the cell centers."""
         h = float(total_length) / m
         grid = (np.arange(m) + 0.5) * h
@@ -148,8 +151,6 @@ class WeightedOneDimSpace:
         if np.any(rho <= 0):
             raise ValidationError("density samples must be positive; use masses 0 "
                                   "through measures on a sub-grid instead")
-        if normalize:
-            rho = rho / (rho.sum() * h)
         return cls(kind, float(total_length), np.log(rho))
 
     def to_json(self) -> str:
@@ -421,38 +422,35 @@ class TransportPlanReport:
 # not with this module, so commands that solve none (most of the CLI) start
 # without scipy.  ``linprog`` stays the one module-level name that tracers
 # and tests rebind.
-
-# The HiGHS settings of ``scipy.optimize.linprog(method="highs-ds")``; the
-# ones it leaves unset stay at HiGHS's defaults.  simplex_strategy 1 is the
-# dual simplex, highs_debug_level 0 no debugging.
-_HIGHS_DS_SETTINGS = {"presolve": True, "solver": "simplex",
-                      "simplex_strategy": 1, "highs_debug_level": 0,
-                      "output_flag": False, "log_to_console": False}
+#
+# Its options, in HiGHS's names and values, are those of scipy's
+# method="highs-ds" (simplex_strategy 1: the dual simplex) with presolve
+# off, which gains a transportation LP nothing and called some valid ones
+# infeasible (total masses a few ulp apart), and tolerances that only keep
+# the gap small: the certificate in ``w2_exact`` decides acceptance.
+_HIGHS_OPTIONS = {"presolve": "off", "solver": "simplex",
+                  "simplex_strategy": 1, "highs_debug_level": 0,
+                  "output_flag": False, "log_to_console": False,
+                  "primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 # HiGHS counts columns, rows and nonzeros in int32
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-def linprog(c, *, A_eq, b_eq, bounds, method, options):
-    """min c.x subject to A_eq x = b_eq, x >= 0, by one HiGHS dual-simplex
-    solve: the same settings, the same model and so the same result, bit for
-    bit, as ``scipy.optimize.linprog(..., method="highs-ds")``, without its
-    argument parsing and result assembly.
+def linprog(c, A_eq, b_eq):
+    """min c.x subject to A_eq x = b_eq, x >= 0, by one HiGHS solve under
+    ``_HIGHS_OPTIONS``: bit for bit the result of ``scipy.optimize.linprog``
+    with ``bounds=(0, None)``, ``method="highs-ds"`` and those options in
+    scipy's spelling, without its argument parsing and result assembly.
 
-    Only that form: ``A_eq`` is CSC ``(indptr, indices, data)`` with the
-    rows of each column in increasing order, ``bounds=(0, None)``,
-    ``method="highs-ds"``, and ``options`` HiGHS option values, with
-    ``presolve`` a bool as in scipy.  Other bounds or methods, more
-    columns, rows or nonzeros than int32 counts, and options or a model
-    that HiGHS rejects, raise ``ValueError``.
+    ``A_eq`` is CSC ``(indptr, indices, data)`` with the rows of each
+    column in increasing order.  More columns, rows or nonzeros than int32
+    counts, and options or a model that HiGHS rejects, raise ``ValueError``.
 
     The result has ``status`` (0 when HiGHS reports the model optimal, else
     1), ``message`` (HiGHS's name for the model status) and ``nit`` (simplex
-    iterations); on success also ``x``, ``fun`` and ``eqlin.marginals``, the
-    row duals.
+    iterations); on success also ``x``, ``fun`` and ``row_dual``.
     """
-    if bounds != (0, None) or method != "highs-ds":
-        raise ValueError("linprog solves method='highs-ds' with "
-                         "bounds=(0, None) only")
     indptr, indices, data = A_eq
     n, nnz = c.size, int(indptr[-1])
     if max(n, b_eq.size, nnz) > _INT32_MAX:
@@ -460,9 +458,7 @@ def linprog(c, *, A_eq, b_eq, bounds, method, options):
                          f"{nnz} nonzeros; HiGHS counts to {_INT32_MAX}")
     from scipy.optimize._highspy import _core as highs
     settings = highs.HighsOptions()
-    for key, value in {**_HIGHS_DS_SETTINGS, **options}.items():
-        if key == "presolve":  # a bool for scipy, a string for HiGHS
-            value = "on" if value else "off"
+    for key, value in _HIGHS_OPTIONS.items():
         setattr(settings, key, value)
     # the array form of passModel takes each buffer whole, where filling a
     # HighsLp field by field copies it one element at a time; it requires
@@ -481,13 +477,13 @@ def linprog(c, *, A_eq, b_eq, bounds, method, options):
     info = solver.getInfo()
     res = SimpleNamespace(status=1, message=solver.modelStatusToString(status),
                           nit=info.simplex_iteration_count, x=None, fun=None,
-                          eqlin=SimpleNamespace(marginals=None))
+                          row_dual=None)
     if status == highs.HighsModelStatus.kOptimal:
         solution = solver.getSolution()
         res.status = 0
         res.x = np.array(solution.col_value)
         res.fun = info.objective_function_value
-        res.eqlin.marginals = np.array(solution.row_dual)
+        res.row_dual = np.array(solution.row_dual)
     return res
 
 
@@ -500,13 +496,6 @@ def _marginal_pattern(na: int, nb: int):
                            np.tile(np.arange(0, na * nb, nb), nb)
                            + np.repeat(np.arange(nb), na)])
     return rows, cols
-
-
-# A transportation LP gains nothing from presolve, and presolve called some
-# valid ones infeasible (total masses a few ulp apart).  The tolerances only
-# keep the gap small; the certificate in ``w2_exact`` decides acceptance.
-_HIGHS_OPTIONS = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
-                  "dual_feasibility_tolerance": 1e-10}
 
 
 def _round_to_marginals(plan: np.ndarray, r: np.ndarray,
@@ -564,11 +553,10 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     np.cumsum(np.bincount(cols, minlength=na * nb), out=indptr[1:])
     A_eq = (indptr, rows[np.argsort(cols, kind="stable")], np.ones(rows.size))
     b_eq = np.concatenate([wa, (wb * (wa.sum() / wb.sum()))[:-1]])
-    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs-ds", options=_HIGHS_OPTIONS)
+    res = linprog(cost.ravel(), A_eq, b_eq)
     if res.status != 0:
         raise SolverFailure(f"transport LP failed: {res.message}")
-    u = res.eqlin.marginals[:na]
+    u = res.row_dual[:na]
     v = (cost - u[:, None]).min(axis=0)
     lower = float(u @ wa + v @ wb)
     rounded = _round_to_marginals(res.x.reshape(na, nb), wa, wb)

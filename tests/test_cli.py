@@ -114,6 +114,17 @@ def test_usage_errors_exit_two(inputs):
     assert res.returncode == 2
 
 
+def test_non_finite_weight_is_named(inputs):
+    # json reads NaN and Infinity; the message names the first such entry
+    bad = inputs["tmp"] / "bad.json"
+    bad.write_text('{"weights": [0.25, 0.25, NaN, 0.5, Infinity]}')
+    res = run_cli("w2", "--space", str(inputs["space"]), "--mu", str(bad),
+                  "--nu", str(inputs["mu"]), "--out", str(inputs["tmp"] / "r"))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "weights[2] = nan" in res.stderr
+    assert not (inputs["tmp"] / "r").exists()
+
+
 @pytest.mark.parametrize("command", ["cd-check", "entropy", "bm-check"])
 def test_nan_dimension_exits_two(inputs, command):
     flags = {

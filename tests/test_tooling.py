@@ -4,13 +4,15 @@ import importlib
 import importlib.util
 import re
 import types
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from mmlab.config import RunConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "mmbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "mmbench" / "tracing.py"
 
 
 def _load_targets():
@@ -41,7 +43,7 @@ def test_trace_target_resolves(modname, path, span):
     assert isinstance(raw, types.FunctionType)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mmlab"
+SRC = ROOT / "src" / "mmlab"
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
@@ -51,6 +53,63 @@ def test_every_config_field_is_read(field):
     readers = [p.name for p in sorted(SRC.glob("*.py")) if p.name != "config.py"
                and re.search(rf"\.{field}\b", p.read_text(encoding="utf-8"))]
     assert readers, f"RunConfig.{field} is read nowhere in src/mmlab"
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter, index among a call's positional arguments,
+    or None for a keyword-only one) for each defaulted parameter of a
+    module-level function or a method; ``__init__`` goes by its class."""
+    scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for scope in scopes:
+        method = isinstance(scope, ast.ClassDef)
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = scope.name if method and fn.name == "__init__" else fn.name
+            # a method's self or cls is bound, not passed
+            bound = method and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            args = fn.args.posonlyargs + fn.args.args
+            for i in range(len(args) - len(fn.args.defaults), len(args)):
+                yield name, args[i].arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _calls_by_name():
+    """Every call in src/, tests/ and mmbench/, keyed by the called name."""
+    calls = defaultdict(list)
+    for top in ("src", "tests", "mmbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls[name].append(node)
+    return calls
+
+
+def _sets(call, param, index) -> bool:
+    # a **mapping or *sequence argument may set anything
+    return (any(k.arg in (None, param) for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (index is not None and len(call.args) > index))
+
+
+def test_every_default_is_set_by_some_call():
+    # the function-level twin of test_every_config_field_is_read: a
+    # defaulted parameter that no call sets, by keyword or by position, has
+    # one value and belongs in a constant.  Calls match by name alone, so
+    # a parameter set only through a callback or a partial needs a call
+    # spelled out somewhere
+    calls = _calls_by_name()
+    unset = [f"{path.stem}.{fn}({param})"
+             for path in sorted(SRC.glob("*.py"))
+             for fn, param, index in _defaulted_parameters(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if not any(_sets(call, param, index) for call in calls[fn])]
+    assert not unset, f"no call sets the defaulted parameters {unset}"
 
 
 MODULES = [f"mmlab.{p.stem}" for p in sorted(SRC.glob("*.py"))
