@@ -21,7 +21,6 @@ INTERP_MASS_TOL = 1e-6      # mass drift allowed in displacement interpolation
 ENTROPY_TOL = 1e-9          # slack in entropy inequalities
 QUADRATURE_REL_TOL = 1e-8   # doubling-quadrature relative convergence
 DENSITY_MASS_TOL = 1e-6     # mass of the density samples of a 1D space
-LINE_METRIC_TOL = 1e-9      # line-metric fast path of partial diameter, separation
 
 
 @dataclass(frozen=True)

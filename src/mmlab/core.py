@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import LINE_METRIC_TOL, STRUCTURAL_TOL
+from .config import STRUCTURAL_TOL
 from .errors import ValidationError, ZeroMassSet
 
 __all__ = [
@@ -69,10 +69,10 @@ def as_index_array(subset, n: int) -> np.ndarray:
     return idx
 
 
-def line_embedding(dist: np.ndarray, *,
-                   rtol: float = LINE_METRIC_TOL) -> np.ndarray | None:
+def line_embedding(dist: np.ndarray) -> np.ndarray | None:
     """Coordinates x with dist[i,j] = |x_i - x_j| if the metric is a line
-    metric, else None."""
+    metric within ``STRUCTURAL_TOL / 4`` (relative to the largest distance),
+    else None."""
     dist = np.asarray(dist, dtype=float)
     n = dist.shape[0]
     if n <= 1:
@@ -85,7 +85,7 @@ def line_embedding(dist: np.ndarray, *,
     np.abs(gap, out=gap)
     gap -= dist
     np.abs(gap, out=gap)
-    if gap.max() <= rtol * scale:
+    if gap.max() <= STRUCTURAL_TOL / 4 * scale:
         return x
     return None
 
@@ -149,7 +149,7 @@ def _validate_distance_matrix(dist: np.ndarray) -> None:
         raise ValidationError(
             f"asymmetric distances at ({i},{j}): {dist[i, j]} vs {dist[j, i]}"
         )
-    if line_embedding(dist, rtol=STRUCTURAL_TOL / 4) is None:
+    if line_embedding(dist) is None:
         _triangle_scan(dist, atol)
 
 

@@ -9,10 +9,14 @@ metric.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from types import SimpleNamespace
 
 import numpy as np
@@ -417,11 +421,12 @@ class TransportPlanReport:
 # ---------------------------------------------------------------------------
 # exact transportation LP
 #
-# HiGHS is called through the bindings that scipy bundles
-# (``scipy.optimize._highspy``, since scipy 1.15), imported on the first LP,
-# not with this module, so commands that solve none (most of the CLI) start
-# without scipy.  ``linprog`` stays the one module-level name that tracers
-# and tests rebind.
+# HiGHS is called through the pybind11 extension that scipy bundles
+# (``scipy.optimize._highspy._core``, since scipy 1.15).  ``_highs`` loads
+# that one extension on the first LP, not ``scipy.optimize``, whose import
+# (``scipy.linalg``, ``numpy.f2py`` and more) costs dozens of times as much;
+# commands that solve no LP (most of the CLI) load neither.  ``linprog``
+# stays the one module-level name that tracers and tests rebind.
 #
 # Its options, in HiGHS's names and values, are those of scipy's
 # method="highs-ds" (simplex_strategy 1: the dual simplex) with presolve
@@ -435,6 +440,32 @@ _HIGHS_OPTIONS = {"presolve": "off", "solver": "simplex",
                   "dual_feasibility_tolerance": 1e-10}
 # HiGHS counts columns, rows and nonzeros in int32
 _INT32_MAX = np.iinfo(np.int32).max
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """The HiGHS extension module: the one in ``sys.modules`` if any (say,
+    ``scipy.optimize`` was imported first), else the file itself, loaded
+    without its parent packages and registered under its full name, so
+    that a later ``import scipy.optimize`` reuses it rather than register
+    its pybind11 types a second time."""
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    root = scipy.submodule_search_locations[0] if scipy else "scipy"
+    # EXTENSION_SUFFIXES[0] is the interpreter's EXT_SUFFIX
+    path = os.path.join(root, "optimize", "_highspy",
+                        "_core" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"the HiGHS extension {path} is missing; "
+                          "mmlab needs scipy >= 1.15", path=path)
+    spec = importlib.util.spec_from_file_location(
+        _HIGHS_MODULE, path, loader=ExtensionFileLoader(_HIGHS_MODULE, path))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def linprog(c, A_eq, b_eq):
@@ -456,7 +487,7 @@ def linprog(c, A_eq, b_eq):
     if max(n, b_eq.size, nnz) > _INT32_MAX:
         raise ValueError(f"the LP has {n} columns, {b_eq.size} rows and "
                          f"{nnz} nonzeros; HiGHS counts to {_INT32_MAX}")
-    from scipy.optimize._highspy import _core as highs
+    highs = _highs()
     settings = highs.HighsOptions()
     for key, value in _HIGHS_OPTIONS.items():
         setattr(settings, key, value)

@@ -388,20 +388,28 @@ def test_report_does_not_depend_on_out(inputs, name):
 
 
 # ---------------------------------------------------------------------------
-# import boundary: scipy loads on the first LP, so commands that solve none
-# start without it
+# import boundary: commands that solve no LP start without scipy, and the
+# first LP loads HiGHS's extension alone, not scipy.optimize
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+HIGHS = "scipy.optimize._highspy._core"
+
+
+def loaded_after(code, *modules):
+    """Which of ``modules`` ``code``, run in a fresh interpreter, leaves
+    loaded, in order."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         code + f"\nimport sys\nprint(*[m in sys.modules for m in {modules!r}])"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stdout + res.stderr
+    return [v == "True" for v in res.stdout.split()[-len(modules):]]
 
 
 def scipy_loaded_after(code):
     """Whether ``code``, run in a fresh interpreter, leaves scipy loaded."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\nprint('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stdout + res.stderr
-    return res.stdout.split()[-1] == "True"
+    return loaded_after(code, "scipy") == [True]
 
 
 @pytest.mark.parametrize("module", ["mmlab", "mmlab.cli"])
@@ -439,4 +447,8 @@ def test_only_lp_commands_load_scipy(inputs):
     assert not scipy_loaded_after(code)
     w2 = ["w2", "--space", str(inputs["space"]), "--mu", str(inputs["mu"]),
           "--nu", str(inputs["mu"]), "--out", out]
-    assert scipy_loaded_after(code + f"assert mmlab.cli.main({w2!r}) == 0\n")
+    lemmas = ["lemma-suite", "--n", "5", "--trials", "10", "--out", out]
+    for argv in (w2, lemmas):
+        run = f"import mmlab.cli\nassert mmlab.cli.main({argv!r}) == 0\n"
+        assert loaded_after(run, HIGHS, "scipy.optimize", "scipy.linalg") == [
+            True, False, False]

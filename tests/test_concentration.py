@@ -169,6 +169,26 @@ def test_partial_diameter_line_path_used():
     assert res.exact and res.method == "line-window"
 
 
+def test_near_line_metric_takes_no_line_window():
+    # a line metric with every off-diagonal distance raised by 4e-10 is a
+    # metric, but a line metric only within 4e-10: the line window would be
+    # off by up to that much and still report exact=True
+    rng = np.random.default_rng(14)
+    for trial in range(300):
+        s, _ = line_space(rng, 7)
+        dist = s.dist + 4e-10 * (1.0 - np.eye(7))
+        s = FiniteMmSpace(s.point_ids, dist, s.weights)
+        assert line_embedding(dist) is None
+        res = partial_diameter(s, s.weights, 0.6)
+        assert res.exact and res.method != "line-window"
+        assert res.value == oracle_partial_diameter(dist, s.weights, 0.6)
+        if trial < 20:
+            k0, k1 = (float(v) for v in rng.uniform(0.1, 0.4, size=2))
+            res = separation(s, s.weights, k0, k1)
+            assert res.exact and res.method != "line-window"
+            assert res.value == oracle_separation(dist, s.weights, k0, k1)
+
+
 # ---------------------------------------------------------------------------
 # separation
 

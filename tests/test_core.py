@@ -201,7 +201,7 @@ def test_line_certificate_is_sound(n, seed, noise, scale):
     dist = np.maximum(dist + bump + bump.T, 0.0)
     atol = STRUCTURAL_TOL * max(float(dist.max()), 1.0)
     scan_ok = passes(_triangle_scan, dist, atol)
-    if line_embedding(dist, rtol=STRUCTURAL_TOL / 4) is not None:
+    if line_embedding(dist) is not None:
         assert scan_ok
     assert passes(_validate_distance_matrix, dist) == scan_ok
 
@@ -209,7 +209,7 @@ def test_line_certificate_is_sound(n, seed, noise, scale):
 def test_line_certificate_accepts_exact_line_metrics():
     x = np.random.default_rng(3).random(64) * 7.0
     dist = np.abs(x[:, None] - x[None, :])
-    emb = line_embedding(dist, rtol=STRUCTURAL_TOL / 4)
+    emb = line_embedding(dist)
     assert emb is not None
     assert np.allclose(np.abs(emb[:, None] - emb[None, :]), dist)
     assert concentration.line_embedding is line_embedding

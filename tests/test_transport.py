@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,9 +405,72 @@ def test_linprog_matches_scipy_bit_for_bit(monkeypatch):
         assert ours.row_dual.tobytes() == ref.eqlin.marginals.tobytes()
 
 
+# LPs through transport.linprog in a fresh interpreter, then scipy.optimize:
+# its public linprog must give the same bits and reuse the extension module
+# that linprog loaded, one object with one set of pybind11 types
+LINPROG_FIRST = """
+import sys
+import numpy as np
+from mmlab import transport
+from mmlab.core import FiniteMmSpace
+lps, solve = [], transport.linprog
+def recording(*lp):
+    lps.append((*lp, solve(*lp)))
+    return lps[-1][-1]
+transport.linprog = recording
+rng = np.random.default_rng(31)
+for n in (1, 2, 7, 40):
+    space = FiniteMmSpace.from_points(rng.random((n, 3)),
+                                      rng.dirichlet(np.ones(n)))
+    transport.w2_exact(space, rng.dirichlet(np.ones(n)),
+                       rng.dirichlet(np.ones(n)))
+assert "scipy.optimize" not in sys.modules
+highs = sys.modules["scipy.optimize._highspy._core"]
+from scipy.optimize import linprog
+from scipy.optimize._linprog_highs import HighsModelStatus
+from scipy.sparse import csc_array
+import scipy.optimize._highspy._core as core
+assert core is highs and transport._highs() is highs
+assert HighsModelStatus is highs.HighsModelStatus
+options = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
+           "dual_feasibility_tolerance": 1e-10}
+for c, (indptr, indices, data), b_eq, ours in lps:
+    ref = linprog(c, A_eq=csc_array((data, indices, indptr),
+                                    shape=(b_eq.size, c.size)),
+                  b_eq=b_eq, bounds=(0, None), method="highs-ds",
+                  options=options)
+    assert ours.status == ref.status == 0
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert float(ours.fun).hex() == float(ref.fun).hex()
+    assert ours.nit == ref.nit
+    assert ours.row_dual.tobytes() == ref.eqlin.marginals.tobytes()
+print(len(lps))
+"""
+
+
+def test_linprog_matches_scipy_when_it_loads_highs_first():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", LINPROG_FIRST],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.split() == ["4"]
+
+
 # one column that two rows pin to 0.5 and to 0.7
 INFEASIBLE_LP = {"A_eq": (np.array([0, 2]), np.array([0, 1]), np.ones(2)),
                  "b_eq": np.array([0.5, 0.7])}
+
+
+def test_missing_highs_extension_names_its_path(monkeypatch):
+    monkeypatch.delitem(sys.modules, transport._HIGHS_MODULE, raising=False)
+    monkeypatch.setattr(transport, "EXTENSION_SUFFIXES", [".absent.so"])
+    with pytest.raises(ImportError, match="scipy >= 1.15") as err:
+        transport.linprog(np.ones(1), **INFEASIBLE_LP)
+    assert err.value.path.endswith(
+        os.path.join("scipy", "optimize", "_highspy", "_core.absent.so"))
+    assert err.value.path in str(err.value)
+    assert transport._HIGHS_MODULE not in sys.modules
 
 
 def test_linprog_reports_a_model_that_is_not_optimal():
