@@ -61,46 +61,59 @@ def _check_finite(value: float, name: str = "K") -> None:
         raise ValidationError(f"{name} must be finite, got {value}")
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must lie in [0,1], got {t}")
+def _check_t(t):
+    """t as a float, or as a float array when given an array; every entry
+    must lie in [0, 1]."""
+    if np.ndim(t) == 0:
+        t = float(t)
+        if not 0.0 <= t <= 1.0:
+            raise ValidationError(f"t must lie in [0,1], got {t}")
+        return t
+    t = np.asarray(t, dtype=float)
+    bad = np.argwhere(~((t >= 0.0) & (t <= 1.0)))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        where = ", ".join(map(str, idx))
+        raise ValidationError(f"t must lie in [0,1], t[{where}] = {t[idx]}")
     return t
 
 
-def _sin_ratio(t: float, z: np.ndarray) -> np.ndarray:
+def _sin_ratio(t, z, sin_z):
     # sin(t z)/sin(z) on z in (0, pi); equals sigma for kappa > 0
-    return np.sin(t * z) / np.sin(z)
+    return np.sin(t * z) / sin_z
 
 
-def _sinh_ratio(t: float, z: np.ndarray) -> np.ndarray:
-    # sinh(t z)/sinh(z), stable for all z > 0 via expm1
+def _sinh_ratio(t, z, expm1_z):
+    # sinh(t z)/sinh(z), stable for all z > 0 via expm1; expm1_z = expm1(-2z)
     num = np.expm1(-2.0 * t * z)
-    den = np.expm1(-2.0 * z)
-    return np.exp((t - 1.0) * z) * (num / den)
+    return np.exp((t - 1.0) * z) * (num / expm1_z)
 
 
-def sigma_vals(kappa: float, t: float, thetas) -> np.ndarray:
-    """Vectorised distortion ratio; ``inf`` on the closed branch."""
+def sigma_vals(kappa: float, t, thetas) -> np.ndarray:
+    """Vectorised distortion ratio; ``inf`` on the closed branch.
+
+    ``t`` is a number or an array that broadcasts against ``thetas``; the
+    terms that depend on theta alone are computed once on the theta shape.
+    """
     _check_finite(kappa, "kappa")
     t = _check_t(t)
     th = np.asarray(thetas, dtype=float)
     if np.any(th < 0):
         raise ValidationError("theta must be nonnegative")
+    shape = np.broadcast_shapes(np.shape(t), th.shape)
     if kappa == 0:
-        return np.full(th.shape, t, dtype=float)
+        return np.full(shape, t, dtype=float)
     z = math.sqrt(abs(kappa)) * th
-    out = np.full(th.shape, t, dtype=float)
+    # the denominators depend on theta alone; entries at z = 0 (0/0) and on
+    # the closed branch are replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kappa > 0:
+            vals = _sin_ratio(t, z, np.sin(z))
+        else:
+            vals = _sinh_ratio(t, z, np.expm1(-2.0 * z))
+    out = np.where(z > 0, vals, t)
     if kappa > 0:
-        closed = z >= math.pi
-        open_pos = ~closed & (z > 0)
-        if np.any(open_pos):
-            out[open_pos] = _sin_ratio(t, z[open_pos])
-        out[closed] = math.inf
-    else:
-        pos = z > 0
-        if np.any(pos):
-            out[pos] = _sinh_ratio(t, z[pos])
+        out[np.broadcast_to(z >= math.pi, shape)] = math.inf
     return out
 
 
@@ -123,24 +136,21 @@ def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) ->
     return sigma(kappa, t, theta_lo if kappa <= 0 else theta_hi)
 
 
-def tau_vals(K: float, N: float, t: float, thetas) -> np.ndarray:
-    """Vectorised tau coefficient for dimension parameter N < 0."""
+def tau_vals(K: float, N: float, t, thetas) -> np.ndarray:
+    """Vectorised tau coefficient for dimension parameter N < 0; ``t`` as
+    in ``sigma_vals``."""
     _check_finite(K)
     if not N < 0:
         raise InvalidDimension(f"N must be negative, got {N}")
     t = _check_t(t)
-    th = np.asarray(thetas, dtype=float)
-    kappa = K / (N - 1.0)
-    if t == 0.0:
-        out = np.zeros(th.shape, dtype=float)
-        if kappa > 0:
-            out[math.sqrt(kappa) * th >= math.pi] = math.inf
-        return out
-    sig = sigma_vals(kappa, t, th)
-    out = np.where(np.isinf(sig), math.inf, 0.0)
-    finite = ~np.isinf(sig)
-    # tau = t * (s(t theta)/s(theta))^{1-1/N} = t * (sigma/t)^{1-1/N}
-    out[finite] = t * (sig[finite] / t) ** (1.0 - 1.0 / N)
+    sig = sigma_vals(K / (N - 1.0), t, thetas)
+    closed = np.isinf(sig)
+    out = np.where(closed, math.inf, 0.0)
+    # tau = t * (s(t theta)/s(theta))^{1-1/N} = t * (sigma/t)^{1-1/N}; an
+    # entry at t = 0 keeps its 0 (0/0 here), the closed branch its inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = t * (sig / t) ** (1.0 - 1.0 / N)
+    np.copyto(out, vals, where=~closed & (t > 0.0))
     return out
 
 

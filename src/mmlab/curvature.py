@@ -55,8 +55,23 @@ __all__ = [
 
 # default number of points of the t grid of cd_check_1d
 T_GRID_SIZE = 9
-# Gauss-Legendre order of the distortion quadrature on each plan piece
-CD_QUAD_ORDER = 12
+# Gauss-Legendre rule of order 12 for the distortion quadrature on each plan
+# piece, mapped to [0, 1]: 0.5 * (x + 1) and 0.5 * w of
+# numpy.polynomial.legendre.leggauss(12), written out so that no import or
+# call pays for it
+CD_GAUSS_NODES = np.array([
+    0.009219682876640378, 0.0479413718147626, 0.11504866290284765,
+    0.20634102285669126, 0.31608425050090994, 0.43738329574426554,
+    0.5626167042557344, 0.6839157494990901, 0.7936589771433087,
+    0.8849513370971523, 0.9520586281852375, 0.9907803171233596])
+CD_GAUSS_WEIGHTS = np.array([
+    0.023587668193255706, 0.05346966299765953, 0.08003916427167321,
+    0.10158371336153287, 0.1167462682691773, 0.12457352290670134,
+    0.12457352290670134, 0.1167462682691773, 0.10158371336153287,
+    0.08003916427167321, 0.05346966299765953, 0.023587668193255706])
+# cap on the entries of one (fraction, piece, node) coefficient block of the
+# right-hand side evaluator: 2 MiB per float array, whatever the t grid
+CD_BLOCK_ELEMENTS = 1 << 18
 # convexity check: tolerance c*h^2 + slack with c estimated from the fourth
 # difference of the data, times this safety factor
 CONVEXITY_SAFETY = 2.0
@@ -107,11 +122,6 @@ def renyi_entropy_1d(space: WeightedOneDimSpace, rho_nu, nprime: float) -> float
 # right-hand side of the entropy-convexity inequalities
 
 
-def _gauss_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
-
-
 def cd_rhs(space: WeightedOneDimSpace, rho0, rho1, K: float, nprime: float,
            t: float, variant: str = "CD") -> float:
     """Distortion-weighted endpoint-entropy integral along the monotone
@@ -120,50 +130,84 @@ def cd_rhs(space: WeightedOneDimSpace, rho0, rho1, K: float, nprime: float,
     Integration runs over the pieces of the ``MonotonePlan``: on each both
     quantiles are affine, the relative densities constant and the signed
     displacement of one sign, so only the distortion coefficient needs
-    quadrature (Gauss-Legendre of order ``CD_QUAD_ORDER``).  Returns +inf as
-    soon as a coefficient hits its closed branch.
+    quadrature (the 12-point Gauss-Legendre rule ``CD_GAUSS_NODES``).
+    Returns +inf as soon as a coefficient hits its closed branch.  This is
+    one cell of the evaluator ``cd_check_1d`` runs over its whole t grid.
     """
-    return _plan_rhs(MonotonePlan.build(space, rho0, rho1), K, nprime, t,
-                     variant)
+    return _rhs_grid(MonotonePlan.build(space, rho0, rho1), K, [nprime], [t],
+                     variant)[0][0]
 
 
-def _plan_rhs(plan: MonotonePlan, K: float, nprime: float, t: float,
-              variant: str) -> float:
+def _rhs_grid(plan: MonotonePlan, K: float, nprimes, ts, variant: str) -> list:
+    """``cd_rhs`` along one plan for each N' of ``nprimes`` (outer list) and
+    each t of ``ts`` (inner list of floats).
+
+    The nodes' displacements are computed once per plan.  Per N' the
+    coefficients are computed once for each distinct fraction among the
+    1 - t and the t of the interior grid points, so a mirrored grid shares
+    them, in blocks of at most ``CD_BLOCK_ELEMENTS`` entries.  Each value is
+    reduced as a lone t would be: over the nodes, then over the pieces in
+    piece order, then 0.0 + the (1 - t) side + the t side.
+    """
     _check_finite(K)
-    if not nprime < 0:
-        raise InvalidDimension(f"N' must be negative, got {nprime}")
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must lie in [0,1], got {t}")
+    for nprime in nprimes:
+        if not nprime < 0:
+            raise InvalidDimension(f"N' must be negative, got {nprime}")
+    for t in ts:
+        if not 0.0 <= t <= 1.0:
+            raise ValidationError(f"t must lie in [0,1], got {t}")
     if variant not in ("CD", "CDstar"):
         raise ValidationError(f"variant must be CD or CDstar, got {variant!r}")
+    space = plan.space
     d_a = plan.x0_lo - plan.x1_lo
     d_b = plan.x0_hi - plan.x1_hi
     theta_max = float(np.max(np.maximum(np.abs(d_a), np.abs(d_b)), initial=0.0))
-    kappa = K / (nprime - 1.0) if variant == "CD" else K / nprime
-    if kappa > 0 and theta_max >= omega(kappa):
-        return math.inf
-    space = plan.space
-    if t == 0.0 or t == 1.0:
-        # the coefficients are exactly 1 and 0: the integral is the endpoint
-        # entropy, summed over cells as renyi_entropy_1d sums it
-        rho = plan.rho0 if t == 0.0 else plan.rho1
-        return renyi_entropy(space.cell_masses, rho * space.h, nprime)
-    mu_rho = space.density
-    gx, gw = _gauss_nodes(CD_QUAD_ORDER)
     # displacement magnitude at quadrature nodes, affine per piece
-    th = np.abs(d_a[:, None] + (d_b - d_a)[:, None] * gx[None, :])
+    th = np.abs(d_a[:, None] + (d_b - d_a)[:, None] * CD_GAUSS_NODES[None, :])
     lengths = plan.u_hi - plan.u_lo
-    total = 0.0
-    for frac, cells, rho in ((1.0 - t, plan.cell0, plan.rho0),
-                             (t, plan.cell1, plan.rho1)):
-        rel = rho[cells] / mu_rho[cells]
-        coef = (tau_vals(K, nprime, frac, th) if variant == "CD"
-                else sigma_vals(K / nprime, frac, th))
-        if np.any(np.isinf(coef)):
-            return math.inf
-        per_interval = (coef * gw[None, :]).sum(axis=1) * lengths
-        total += float(np.sum(per_interval * rel ** (-1.0 / nprime)))
-    return total
+    mu_rho = space.density
+    rels = [rho[cells] / mu_rho[cells] for cells, rho in
+            ((plan.cell0, plan.rho0), (plan.cell1, plan.rho1))]
+    ts = np.asarray(ts, dtype=float)
+    inner = ts[(ts > 0.0) & (ts < 1.0)]
+    fracs = np.unique(np.concatenate((1.0 - inner, inner)))
+    rows = max(1, CD_BLOCK_ELEMENTS // th.size)
+    out = []
+    for nprime in nprimes:
+        kappa = K / (nprime - 1.0) if variant == "CD" else K / nprime
+        if kappa > 0 and theta_max >= omega(kappa):
+            out.append([math.inf] * ts.size)
+            continue
+        # per fraction: whether a coefficient is infinite, and the sums of
+        # the (1 - t) side and of the t side
+        infinite = np.empty(fracs.size, dtype=bool)
+        sides = np.empty((2, fracs.size))
+        weights = [rel ** (-1.0 / nprime) for rel in rels]
+        for lo in range(0, fracs.size, rows):
+            block = fracs[lo:lo + rows, None, None]
+            coef = (tau_vals(K, nprime, block, th) if variant == "CD"
+                    else sigma_vals(K / nprime, block, th))
+            infinite[lo:lo + rows] = np.isinf(coef).any(axis=(1, 2))
+            per_interval = (coef * CD_GAUSS_WEIGHTS).sum(axis=2) * lengths
+            for side, w in zip(sides, weights):
+                side[lo:lo + rows] = (per_interval * w).sum(axis=1)
+        row = []
+        for t in ts:
+            if t == 0.0 or t == 1.0:
+                # the coefficients are exactly 1 and 0: the integral is the
+                # endpoint entropy, summed over cells as renyi_entropy_1d
+                # sums it
+                rho = plan.rho0 if t == 0.0 else plan.rho1
+                row.append(renyi_entropy(space.cell_masses, rho * space.h,
+                                         nprime))
+                continue
+            i0, i1 = np.searchsorted(fracs, (1.0 - t, t))
+            if infinite[i0] or infinite[i1]:
+                row.append(math.inf)
+            else:
+                row.append(0.0 + float(sides[0, i0]) + float(sides[1, i1]))
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +302,13 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     relative margin stays above -tol(h) with the configured discretisation
     budget tol(h) = c1 h + c2 h^2 (margins are normalised by the larger of
     the two sides because entropies grow rapidly as N' approaches 0).
+
+    One plan serves the whole grid.  The right-hand sides of an N' row come
+    from one distortion-coefficient call over the whole t grid (one per
+    ``CD_BLOCK_ELEMENTS`` entries on very long grids), at the distinct
+    fractions among t and 1 - t, so mirrored fractions (as on the default
+    grid) share their coefficients; each value is bit-identical to
+    ``cd_rhs`` at that (t, N').
     """
     cfg = config or default_config()
     _check_finite(K)
@@ -278,13 +329,15 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
         space, rho0, rho1, shift = _unroll_circle(space, rho0, rho1, cut)
     plan = MonotonePlan.build(space, rho0, rho1)
     tol = cfg.cd_budget_c1 * space.h + cfg.cd_budget_c2 * space.h * space.h
+    rhs_grid = _rhs_grid(plan, K, [float(x) for x in nprime_grid],
+                         [float(t) for t in t_grid], variant)
     cells = []
     worst = (math.inf, None, None)
-    for t in t_grid:
+    for i, t in enumerate(t_grid):
         rho_t = plan.interpolate(float(t))
-        for np_ in nprime_grid:
+        for np_, rhs_t in zip(nprime_grid, rhs_grid):
             lhs = renyi_entropy_1d(space, rho_t, float(np_))
-            rhs = _plan_rhs(plan, K, float(np_), float(t), variant)
+            rhs = rhs_t[i]
             margin, rel = _margin(lhs, rhs)
             ok = rel >= -tol
             cells.append(CdCell(float(t), float(np_), lhs, rhs, margin, rel,

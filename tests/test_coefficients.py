@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,42 @@ def test_softabs_band_property():
         representable = 2.0 * a * np.abs(x) < 30.0
         assert np.all(v[representable] > np.abs(x)[representable])
         assert np.all(v <= np.abs(x) + math.log(2.0) / a + 1e-15)
+
+
+# every closed-branch, z = 0 and series-free case of both branches: K/(N-1)
+# and K/N are positive for K < 0 and negative for K > 0
+ARRAY_T_CASES = [(K, N) for K in (-40.0, -2.0, 0.0, 1.5) for N in (-0.1, -1.0, -3.0)]
+
+
+@pytest.mark.parametrize("K, N", ARRAY_T_CASES)
+def test_array_t_matches_scalar_calls_bit_for_bit(K, N):
+    rng = np.random.default_rng(11)
+    thetas = np.abs(rng.normal(scale=1.5, size=(7, 12)))
+    thetas[0, :3] = 0.0
+    ts = np.array([0.0, 1e-9, 0.125, 0.3, 0.5, 0.875, 1.0 - 1e-12, 1.0])
+    for arr, one in ((tau_vals(K, N, ts[:, None, None], thetas),
+                      lambda t: tau_vals(K, N, t, thetas)),
+                     (sigma_vals(K / N, ts[:, None, None], thetas),
+                      lambda t: sigma_vals(K / N, t, thetas))):
+        assert arr.shape == (ts.size,) + thetas.shape
+        for row, t in zip(arr, ts):
+            assert row.tobytes() == one(float(t)).tobytes()
+    # a t array along the theta axis broadcasts the same way
+    line = np.linspace(0.05, 0.95, thetas.shape[1])
+    assert (tau_vals(K, N, line, thetas).tobytes()
+            == np.stack([[tau(K, N, t, th) for t, th in zip(line, row)]
+                         for row in thetas]).tobytes())
+
+
+@pytest.mark.parametrize("bad, where", [
+    (math.nan, "t[2, 0] = nan"), (-0.1, "t[2, 0] = -0.1"),
+    (1.5, "t[2, 0] = 1.5")])
+def test_array_t_rejects_bad_entry_by_index(bad, where):
+    t = np.array([[0.2], [0.4], [bad], [math.nan]])
+    for call in (lambda: tau_vals(1.0, -1.0, t, [0.0, 1.0]),
+                 lambda: sigma_vals(0.5, t, [0.0, 1.0])):
+        with pytest.raises(ValidationError, match=re.escape(where)):
+            call()
 
 
 def test_softabs_sharp_limit():

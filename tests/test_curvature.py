@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from mmlab import curvature
@@ -37,7 +39,7 @@ from mmlab.experiments import (
     smooth_density_pairs,
 )
 from mmlab.reporting import write_report
-from mmlab.transport import PiecewiseQuantile, WeightedOneDimSpace
+from mmlab.transport import MonotonePlan, PiecewiseQuantile, WeightedOneDimSpace
 
 
 def uniform_circle(m=128, C=8.0):
@@ -180,6 +182,164 @@ def test_cd_rhs_closed_branch_returns_inf():
     rho0 /= rho0.sum() * space.h
     rho1 /= rho1.sum() * space.h
     assert math.isinf(cd_rhs(space, rho0, rho1, K, npr, 0.5, "CD"))
+
+
+def test_gauss_rule_is_leggauss_on_unit_interval():
+    x, w = np.polynomial.legendre.leggauss(curvature.CD_GAUSS_NODES.size)
+    assert curvature.CD_GAUSS_NODES.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert curvature.CD_GAUSS_WEIGHTS.tobytes() == (0.5 * w).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the right-hand side one (t, N') cell at a time
+
+
+def plan_rhs_oracle(plan, K, nprime, t, variant):
+    """The per-cell evaluation the grid evaluator replaced: Gauss nodes from
+    leggauss, two scalar-t coefficient calls, early +inf returns."""
+    d_a = plan.x0_lo - plan.x1_lo
+    d_b = plan.x0_hi - plan.x1_hi
+    theta_max = float(np.max(np.maximum(np.abs(d_a), np.abs(d_b)), initial=0.0))
+    kappa = K / (nprime - 1.0) if variant == "CD" else K / nprime
+    if kappa > 0 and theta_max >= math.pi / math.sqrt(kappa):
+        return math.inf
+    space = plan.space
+    if t == 0.0 or t == 1.0:
+        rho = plan.rho0 if t == 0.0 else plan.rho1
+        return renyi_entropy(space.cell_masses, rho * space.h, nprime)
+    x, w = np.polynomial.legendre.leggauss(12)
+    gx, gw = 0.5 * (x + 1.0), 0.5 * w
+    th = np.abs(d_a[:, None] + (d_b - d_a)[:, None] * gx[None, :])
+    lengths = plan.u_hi - plan.u_lo
+    total = 0.0
+    for frac, cells, rho in ((1.0 - t, plan.cell0, plan.rho0),
+                             (t, plan.cell1, plan.rho1)):
+        rel = rho[cells] / space.density[cells]
+        coef = (tau_vals(K, nprime, frac, th) if variant == "CD"
+                else sigma_vals(K / nprime, frac, th))
+        if np.any(np.isinf(coef)):
+            return math.inf
+        per_interval = (coef * gw[None, :]).sum(axis=1) * lengths
+        total += float(np.sum(per_interval * rel ** (-1.0 / nprime)))
+    return total
+
+
+def cd_cells_oracle(space, rho0, rho1, K, t_grid, nprime_grid, variant, cut):
+    """cd_check_1d's cells, the right-hand side one cell at a time."""
+    if space.kind == "circle":
+        space, rho0, rho1, _ = curvature._unroll_circle(space, rho0, rho1, cut)
+    plan = MonotonePlan.build(space, rho0, rho1)
+    tol = (default_config().cd_budget_c1 * space.h
+           + default_config().cd_budget_c2 * space.h * space.h)
+    cells = []
+    for t in t_grid:
+        rho_t = plan.interpolate(float(t))
+        for np_ in nprime_grid:
+            lhs = renyi_entropy_1d(space, rho_t, float(np_))
+            rhs = plan_rhs_oracle(plan, K, float(np_), float(t), variant)
+            margin, rel = curvature._margin(lhs, rhs)
+            cells.append(curvature.CdCell(float(t), float(np_), lhs, rhs,
+                                          margin, rel, rel >= -tol))
+    return tuple(cells)
+
+
+def random_space_pair(seed, kind, m):
+    """A space with a random smooth log density and two positive densities
+    of a few bumps each."""
+    rng = np.random.default_rng(seed)
+    length = float(rng.uniform(1.0, 6.0))
+    h = length / m
+    x = (np.arange(m) + 0.5) * h
+    a = rng.normal(size=3)
+    ld = (a[0] * np.cos(2 * np.pi * x / length)
+          + a[1] * np.sin(2 * np.pi * x / length)
+          + a[2] * np.cos(4 * np.pi * x / length))
+    space = WeightedOneDimSpace(kind, length,
+                                ld - math.log(np.exp(ld).sum() * h))
+
+    def bumps():
+        rho = np.full(m, float(rng.uniform(1e-3, 0.3)))
+        for _ in range(int(rng.integers(1, 4))):
+            c = rng.uniform(0.0, length)
+            w = rng.uniform(0.02, 0.3) * length
+            rho = rho + np.exp(-((x - c) / w) ** 2)
+        return rho / (rho.sum() * space.h)
+
+    return space, bumps(), bumps()
+
+
+# K > 0, K = 0, K < 0, and K << 0, where the CD and CD* coefficients reach
+# their closed branch (+inf) on the wider displacements
+CURVATURES = st.one_of(st.floats(0.1, 6.0), st.just(0.0), st.floats(-3.0, -0.1),
+                       st.floats(-200.0, -20.0))
+T_GRIDS = st.one_of(
+    st.just(None),                                   # linspace(0, 1, 9)
+    st.just([1.0, 0.5, 0.0, 0.5, 0.25, 1.0]),        # unsorted, repeated
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.125, 0.5, 0.875]),
+                       st.floats(0.0, 1.0)), min_size=1, max_size=10))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), kind=st.sampled_from(["segment", "circle"]),
+       m=st.integers(8, 96), K=CURVATURES, N=st.floats(-3.0, -0.15),
+       variant=st.sampled_from(["CD", "CDstar"]), t_grid=T_GRIDS,
+       default_nprimes=st.booleans())
+def test_cd_check_matches_per_cell_oracle(seed, kind, m, K, N, variant, t_grid,
+                                         default_nprimes):
+    # every field of every cell equals the per-cell evaluation, bit for bit
+    space, rho0, rho1 = random_space_pair(seed, kind, m)
+    cut = seed % m if kind == "circle" else None
+    # None is the default grid, which holds N' = -0.1
+    nprime_grid = None if default_nprimes else [N, N / 2.0, N / 4.0]
+    rep = cd_check_1d(space, rho0, rho1, K, N, t_grid=t_grid,
+                      nprime_grid=nprime_grid, variant=variant, cut=cut)
+    oracle = cd_cells_oracle(space, rho0, rho1, K, rep.t_grid,
+                             rep.nprime_grid, variant, cut)
+    assert rep.cells == oracle
+    for cell in rep.cells[:4]:
+        if space.kind == "segment":
+            assert cd_rhs(space, rho0, rho1, K, cell.nprime, cell.t,
+                          variant) == cell.rhs
+
+
+def test_cd_check_matches_oracle_on_the_closed_branch():
+    # K < 0 set from the largest displacement theta: the finite branch of
+    # kappa ends at 1.15 theta for kappa = 0.75 (pi/theta)^2 and at 0.86
+    # theta for 1.36 (pi/theta)^2, so some N' rows are +inf and some finite
+    space, rho0, rho1 = random_space_pair(3, "segment", 64)
+    x = space.grid
+    rho0 = np.where(x < 0.3 * space.total_length, rho0, 0.0)
+    rho1 = np.where(x > 0.7 * space.total_length, rho1, 0.0)
+    rho0, rho1 = (r / (r.sum() * space.h) for r in (rho0, rho1))
+    plan = MonotonePlan.build(space, rho0, rho1)
+    theta = max(np.max(np.abs(plan.x0_lo - plan.x1_lo)),
+                np.max(np.abs(plan.x0_hi - plan.x1_hi)))
+    K = -1.5 * (math.pi / theta) ** 2
+    for variant in ("CD", "CDstar"):
+        rep = cd_check_1d(space, rho0, rho1, K, -2.0,
+                          nprime_grid=[-2.0, -1.0, -0.1], variant=variant)
+        assert rep.cells == cd_cells_oracle(space, rho0, rho1, K, rep.t_grid,
+                                            rep.nprime_grid, variant, None)
+        rhs = {math.isinf(c.rhs) for c in rep.cells if 0.0 < c.t < 1.0}
+        assert rhs == {True, False}
+
+
+def test_cd_check_matches_oracle_across_coefficient_blocks(monkeypatch):
+    # 1,025 grid points on m = 512 need several coefficient blocks per N'
+    space, rho0, rho1, K, N = seeded_cosh_pair(2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tau_vals(*args)
+
+    monkeypatch.setattr(curvature, "tau_vals", counted)
+    t_grid = np.linspace(0.0, 1.0, 1025)
+    rep = cd_check_1d(space, rho0, rho1, K, N, t_grid=t_grid,
+                      nprime_grid=[N, N / 4.0])
+    assert len(calls) > 2 * 2
+    assert rep.cells == cd_cells_oracle(space, rho0, rho1, K, rep.t_grid,
+                                        rep.nprime_grid, "CD", None)
 
 
 # ---------------------------------------------------------------------------

@@ -132,3 +132,43 @@ def test_package_imports_resolve():
             source = importlib.import_module(f"mmlab.{node.module}")
             for alias in node.names:
                 assert getattr(mmlab, alias.name) is getattr(source, alias.name)
+
+
+@pytest.mark.parametrize("variant, counted", [("CD", "tau_vals"),
+                                              ("CDstar", "sigma_vals")])
+def test_cd_check_makes_one_coefficient_call_per_nprime(monkeypatch, variant,
+                                                        counted):
+    # the grid evaluator computes each N' row's coefficients in one call over
+    # the whole t grid, and reads the Gauss rule from a constant; the
+    # benchmark's traced tau_vals count rests on this
+    import numpy as np
+
+    from mmlab import coefficients, curvature
+    from mmlab.experiments import cosh_family, smooth_density_pairs
+    from mmlab.transport import WeightedOneDimSpace
+
+    calls = defaultdict(int)
+    for name in ("tau_vals", "sigma_vals"):
+        def wrapper(*args, _name=name, _fn=getattr(coefficients, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        for mod in (coefficients, curvature):
+            monkeypatch.setattr(mod, name, wrapper)
+
+    def no_leggauss(order):
+        raise AssertionError("leggauss called inside cd_check_1d")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_leggauss)
+    space = cosh_family(1.0, -1.0, 1.0, 3.0, 512)
+    rho0, rho1 = smooth_density_pairs(space, 1, seed=4)[0]
+    circle = WeightedOneDimSpace.from_density(
+        "circle", 4.0, 256, lambda x: np.full_like(x, 0.25))
+    arc0, arc1 = (r / (r.sum() * circle.h) for r in (rho0[::2], rho1[1::2]))
+    for args, kwargs in (((space, rho0, rho1, 1.0, -1.0), {}),
+                         ((circle, arc0, arc1, -0.5, -2.0), {"cut": 5})):
+        calls.clear()
+        rep = curvature.cd_check_1d(*args, variant=variant, **kwargs)
+        assert len(rep.t_grid) == curvature.T_GRID_SIZE
+        assert calls[counted] == len(rep.nprime_grid) == 4
+        if variant == "CDstar":
+            assert calls["tau_vals"] == 0
