@@ -219,7 +219,10 @@ def _cmd_cd_check(args, cfg):
         raise ValidationError("--rho0 and --rho1 must be given together")
     else:
         rho0, rho1 = _default_density_pair(space)
-    t_grid = np.linspace(0.0, 1.0, args.t_points) if args.t_points else None
+    if args.t_points is not None and args.t_points < 1:
+        raise ValidationError(f"--t-points must be at least 1, got {args.t_points}")
+    t_grid = (None if args.t_points is None
+              else np.linspace(0.0, 1.0, args.t_points))
     nprimes = _csv_floats(args.nprimes, "--nprimes") if args.nprimes else None
     rep = cd_check_1d(space, rho0, rho1, args.K, args.N, t_grid, nprimes,
                       args.variant, cut=args.cut, config=cfg)

@@ -80,6 +80,9 @@ CONVEXITY_SLACK = 1e-9
 # last doubling that flags divergence
 VOLUME_POINTS_PER_UNIT = 256
 VOLUME_GROWTH_FACTOR = 1.5
+# cap on the Simpson points of one radius: R = 2048 at VOLUME_POINTS_PER_UNIT;
+# odd, so that rounding a grid up to an odd size never passes it
+VOLUME_MAX_POINTS = (1 << 20) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,9 @@ def _rhs_grid(plan: MonotonePlan, K: float, nprimes, ts, variant: str) -> list:
     inner = ts[(ts > 0.0) & (ts < 1.0)]
     fracs = np.unique(np.concatenate((1.0 - inner, inner)))
     rows = max(1, CD_BLOCK_ELEMENTS // th.size)
+    # reference and endpoint masses, for the entropies at t = 0 and t = 1
+    ref = space.cell_masses
+    ends = {0.0: plan.rho0 * space.h, 1.0: plan.rho1 * space.h}
     out = []
     for nprime in nprimes:
         kappa = K / (nprime - 1.0) if variant == "CD" else K / nprime
@@ -193,13 +199,10 @@ def _rhs_grid(plan: MonotonePlan, K: float, nprimes, ts, variant: str) -> list:
                 side[lo:lo + rows] = (per_interval * w).sum(axis=1)
         row = []
         for t in ts:
-            if t == 0.0 or t == 1.0:
+            if t in ends:
                 # the coefficients are exactly 1 and 0: the integral is the
-                # endpoint entropy, summed over cells as renyi_entropy_1d
-                # sums it
-                rho = plan.rho0 if t == 0.0 else plan.rho1
-                row.append(renyi_entropy(space.cell_masses, rho * space.h,
-                                         nprime))
+                # endpoint entropy, summed over cells as cd_check_1d sums it
+                row.append(renyi_entropy(ref, ends[t], nprime))
                 continue
             i0, i1 = np.searchsorted(fracs, (1.0 - t, t))
             if infinite[i0] or infinite[i1]:
@@ -270,20 +273,16 @@ def _unroll_circle(space: WeightedOneDimSpace, rho0, rho1, cut):
             raise ValidationError(
                 "full-circle supports require an explicit cut choice"
             )
-        # longest circular run of empty cells
-        idx = np.flatnonzero(gaps)
-        doubled = np.flatnonzero(np.concatenate([gaps, gaps]))
-        best_len, best_end = 0, idx[0]
-        run = 1
-        for i in range(1, doubled.size):
-            run = run + 1 if doubled[i] == doubled[i - 1] + 1 else 1
-            if run > best_len and doubled[i] < 2 * m:
-                best_len, best_end = run, doubled[i]
-        if best_len * space.h <= space.total_length / 2.0:
+        # the first longest run of empty cells in the gaps taken twice over,
+        # so that a run across the origin is seen whole
+        bounds = np.flatnonzero(np.diff(np.concatenate(([0], gaps, gaps, [0]))))
+        starts, stops = bounds[0::2], bounds[1::2]
+        best = int(np.argmax(stops - starts))
+        if (stops[best] - starts[best]) * space.h <= space.total_length / 2.0:
             raise ValidationError(
                 "joint support exceeds a half-circle; pass an explicit cut"
             )
-        shift = int((best_end + 1) % m)
+        shift = int(stops[best] % m)
     else:
         shift = int(cut) % m
     seg = WeightedOneDimSpace("segment", space.total_length,
@@ -308,7 +307,11 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     ``CD_BLOCK_ELEMENTS`` entries on very long grids), at the distinct
     fractions among t and 1 - t, so mirrored fractions (as on the default
     grid) share their coefficients; each value is bit-identical to
-    ``cd_rhs`` at that (t, N').
+    ``cd_rhs`` at that (t, N').  Each interpolant's cell masses are formed
+    once and give its entropy at every N'.
+
+    On a circle ``cut`` picks the cell boundary to cut at (see
+    ``_unroll_circle``); on a segment it must be None.
     """
     cfg = config or default_config()
     _check_finite(K)
@@ -327,16 +330,20 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     shift = None
     if space.kind == "circle":
         space, rho0, rho1, shift = _unroll_circle(space, rho0, rho1, cut)
+    elif cut is not None:
+        raise ValidationError(f"a cut applies to circles only, got cut = "
+                              f"{cut} on a segment")
     plan = MonotonePlan.build(space, rho0, rho1)
     tol = cfg.cd_budget_c1 * space.h + cfg.cd_budget_c2 * space.h * space.h
     rhs_grid = _rhs_grid(plan, K, [float(x) for x in nprime_grid],
                          [float(t) for t in t_grid], variant)
+    ref = space.cell_masses
     cells = []
     worst = (math.inf, None, None)
     for i, t in enumerate(t_grid):
-        rho_t = plan.interpolate(float(t))
+        masses = plan.interpolate(float(t)) * space.h
         for np_, rhs_t in zip(nprime_grid, rhs_grid):
-            lhs = renyi_entropy_1d(space, rho_t, float(np_))
+            lhs = renyi_entropy(ref, masses, float(np_))
             rhs = rhs_t[i]
             margin, rel = _margin(lhs, rhs)
             ok = rel >= -tol
@@ -647,18 +654,27 @@ def volume_growth_probe(log_density, C: float, x0: float,
     Integrates exp(-C (x-x0)^2 + log_density(x)) over [-R, R] by Simpson in
     log space (so double-exponential densities do not overflow); divergence
     is flagged when the last doubling grows the value by at least
-    ``VOLUME_GROWTH_FACTOR``.
+    ``VOLUME_GROWTH_FACTOR``.  A radius whose grid would need more than
+    ``VOLUME_MAX_POINTS`` points is rejected before anything is computed.
     """
     if not C > 0:
         raise ValidationError(f"C must be positive, got {C}")
     radii = [float(r) for r in radii]
     if len(radii) < 2 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValidationError("radii must be an increasing list of length >= 2")
-    logs = []
-    for r in radii:
+    sizes = []
+    for i, r in enumerate(radii):
+        if not (r > 0 and math.isfinite(r)):
+            raise ValidationError(
+                f"radii must be positive and finite, radii[{i}] = {r}")
         npts = max(129, int(VOLUME_POINTS_PER_UNIT * 2 * r) + 1)
-        if npts % 2 == 0:
-            npts += 1
+        if npts > VOLUME_MAX_POINTS:
+            raise ValidationError(
+                f"radii[{i}] = {r} needs {npts} Simpson points, more than "
+                f"the cap of {VOLUME_MAX_POINTS}")
+        sizes.append(npts + 1 - npts % 2)  # Simpson needs an odd count
+    logs = []
+    for r, npts in zip(radii, sizes):
         x = np.linspace(-r, r, npts)
         h = x[1] - x[0]
         log_f = -C * (x - x0) ** 2 + np.asarray(log_density(x), dtype=float)

@@ -58,7 +58,8 @@ class CounterexampleParams:
     """Parameters of the collapsing circle family.
 
     The circle has circumference 2 D (so diameter D); the admissibility
-    floor D >= pi sqrt((N-1)/K) is enforced at construction.  ``n_list``
+    floor D >= pi sqrt((N-1)/K) is enforced at construction, and K, N and
+    D must be finite.  ``n_list``
     are softness indices of the smoothed absolute value, ``m`` the grid
     size, ``eps`` the pole-neighbourhood radius used in the mass columns.
     """
@@ -72,6 +73,9 @@ class CounterexampleParams:
 
     def __post_init__(self):
         _check_finite(self.K)
+        _check_finite(self.N, "N")
+        if self.D is not None:
+            _check_finite(self.D, "D")
         if self.K >= 0 or not self.N < 0:
             raise ValidationError("K and N must both be negative")
         d_min = math.pi * math.sqrt((self.N - 1.0) / self.K)
@@ -184,9 +188,8 @@ def counterexample_report(params: CounterexampleParams, *,
     poles = np.array([0.0, D])
     for n in params.n_list:
         space, a_n = build_counterexample(params, n)
-        f_n = -npr * (math.log(a_n)
-                      + np.log(_pole_profile(params, n, space.grid)))
-        conv = kn_convexity_check(f_n, params.K, npr, space.h, periodic=True)
+        conv = kn_convexity_check(-space.log_density, params.K, npr, space.h,
+                                  periodic=True)
         mass_out = _mass_outside_poles(space, D, eps)
         bound = a_n ** npr * math.sin(eps / params.r) ** npr * (2.0 * D - 4.0 * eps)
         circ = space.total_length
@@ -257,22 +260,28 @@ def cosh_family(K: float, N: float, lam: float, L: float,
 
     Requires lam^2 >= K / (1 - N); the returned space is certified by the
     convexity check of its weight exponent at modulus (K, N-1), raising
-    ``ConvexityViolation`` if either fails.
+    ``ConvexityViolation`` if either fails.  lam and L must be positive and
+    finite and m at least 1 (``ValidationError``).
     """
     _check_finite(K)
     if K <= 0 or not N < 0:
         raise ValidationError("requires K > 0 and N < 0")
+    for name, value in (("lam", lam), ("L", L)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValidationError(f"{name} must be positive and finite, "
+                                  f"got {value}")
+    if m < 1:
+        raise ValidationError(f"grid size m must be at least 1, got {m}")
     if lam * lam < K / (1.0 - N) - 1e-12:
         raise ConvexityViolation(
             f"lam^2 = {lam * lam} below the threshold {K / (1.0 - N)}"
         )
     h = 2.0 * L / m
     grid = (np.arange(m) + 0.5) * h
-    x = grid - L
-    log_rho = (N - 1.0) * np.log(np.cosh(lam * x))
+    f = -(N - 1.0) * np.log(np.cosh(lam * (grid - L)))
+    log_rho = -f
     log_rho -= math.log(float(np.sum(np.exp(log_rho)) * h))
     space = WeightedOneDimSpace("segment", 2.0 * L, log_rho)
-    f = -(N - 1.0) * np.log(np.cosh(lam * x))
     cert = kn_convexity_check(f, K, N - 1.0, h)
     if not cert.verdict:
         raise ConvexityViolation(

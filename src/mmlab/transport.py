@@ -301,8 +301,9 @@ class MonotonePlan:
         rho0 = space.validate_density(rho0)
         rho1 = space.validate_density(rho1)
         if model == "cells":
-            q0 = PiecewiseQuantile.from_cells(space.cell_edges, rho0 * space.h)
-            q1 = PiecewiseQuantile.from_cells(space.cell_edges, rho1 * space.h)
+            edges = space.cell_edges
+            q0 = PiecewiseQuantile.from_cells(edges, rho0 * space.h)
+            q1 = PiecewiseQuantile.from_cells(edges, rho1 * space.h)
         elif model == "atoms":
             q0 = PiecewiseQuantile.from_atoms(space.grid, rho0 * space.h)
             q1 = PiecewiseQuantile.from_atoms(space.grid, rho1 * space.h)
@@ -518,17 +519,6 @@ def linprog(c, A_eq, b_eq):
     return res
 
 
-def _marginal_pattern(na: int, nb: int):
-    """(rows, cols) of the unit entries of the marginal constraints on a
-    row-major na x nb plan: row i sums plan row i, row na + j plan column j."""
-    rows = np.concatenate([np.repeat(np.arange(na), nb),
-                           np.repeat(np.arange(na, na + nb), na)])
-    cols = np.concatenate([np.arange(na * nb),
-                           np.tile(np.arange(0, na * nb, nb), nb)
-                           + np.repeat(np.arange(nb), na)])
-    return rows, cols
-
-
 def _round_to_marginals(plan: np.ndarray, r: np.ndarray,
                         c: np.ndarray) -> np.ndarray:
     """ROUND (Altschuler, Weed & Rigollet, NeurIPS 2017, Alg. 2): scale
@@ -575,14 +565,13 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     wa, wb = mu[sa], nu[sb]
     cost = space.dist[np.ix_(sa, sb)] ** 2
     na, nb = sa.size, sb.size
-    rows, cols = _marginal_pattern(na, nb)
+    # CSC of the row-major plan: column i nb + j holds row i (plan row sum
+    # i), then row na + j (plan column sum j) unless j = nb - 1
+    rows = np.stack(np.broadcast_arrays(np.arange(na)[:, None],
+                                        na + np.arange(nb)), axis=-1)
     keep = rows < na + nb - 1
-    rows, cols = rows[keep], cols[keep]
-    # CSC: column k = i nb + j holds row i and, when j < nb - 1, row na + j;
-    # the pattern lists row i first, and the stable sort keeps that order
-    indptr = np.zeros(na * nb + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=na * nb), out=indptr[1:])
-    A_eq = (indptr, rows[np.argsort(cols, kind="stable")], np.ones(rows.size))
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=-1).ravel())))
+    A_eq = (indptr, rows[keep], np.ones(int(indptr[-1])))
     b_eq = np.concatenate([wa, (wb * (wa.sum() / wb.sum()))[:-1]])
     res = linprog(cost.ravel(), A_eq, b_eq)
     if res.status != 0:
@@ -920,13 +909,19 @@ def ky_fan(weights, f, g) -> float:
     """Exact infimum of eps with mass(|f - g| > eps) <= eps.
 
     The survival function is a step function of eps, so the infimum is either
-    a jump location or the crossing point of a constant piece.
+    a jump location or the crossing point of a constant piece.  The samples
+    must be finite; the first that is not is named.
     """
     w = prob_weights(weights)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape != w.shape or g.shape != w.shape:
         raise ValidationError("function samples must match the weights")
+    for name, v in (("f", f), ("g", g)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValidationError(f"function samples must be finite, "
+                                  f"{name}[{bad[0]}] = {v[bad[0]]}")
     gaps = np.abs(f - g)
     order = np.argsort(gaps, kind="stable")
     gs = gaps[order]

@@ -183,6 +183,65 @@ def test_bad_scalar_input_exits_two(inputs, case):
     assert not (inputs["tmp"] / "r").exists()
 
 
+# inputs that ended in a traceback (exit 1), in a failed check, or ran with
+# the flag ignored; each must be an input error naming what is wrong
+BAD_SIZES = {
+    "kyfan-nan": (["kyfan", "--weights", "{w}", "--f", "{f_nan}", "--g", "{g}"],
+                  "f[1] = nan"),
+    "kyfan-inf-both": (["kyfan", "--weights", "{w}", "--f", "{f_inf}",
+                        "--g", "{f_inf}"], "f[1] = inf"),
+    "kyfan-inf-lone": (["kyfan", "--weights", "{w}", "--f", "{f_inf}",
+                        "--g", "{g}"], "f[1] = inf"),
+    "cosh-family-M": (["cosh-family", "--K", "1", "--N", "-1", "--lam", "1",
+                       "--L", "3", "--M", "0"], "m must be at least 1"),
+    "cosh-family-L": (["cosh-family", "--K", "1", "--N", "-1", "--lam", "1",
+                       "--L", "0"], "L must be positive and finite"),
+    "cosh-family-lam": (["cosh-family", "--K", "1", "--N", "-1", "--lam", "inf",
+                         "--L", "3"], "lam must be positive and finite"),
+    "thm4-verify-M": (["thm4-verify", "--M", "0"], "m must be at least 1"),
+    "thm4-verify-L0": (["thm4-verify", "--L0", "0"],
+                       "L must be positive and finite"),
+    "counterexample-D": (["counterexample", "--K", "-1", "--N", "-1",
+                          "--n-list", "1", "--M", "256", "--D", "inf"],
+                         "D must be finite"),
+    "cd-check-t-points-negative": (["cd-check", "--space", "{segment}", "--K",
+                                    "1", "--N", "-1", "--t-points", "-1"],
+                                   "--t-points must be at least 1"),
+    "cd-check-t-points-zero": (["cd-check", "--space", "{segment}", "--K", "1",
+                                "--N", "-1", "--t-points", "0"],
+                               "--t-points must be at least 1"),
+    "cd-check-cut-on-segment": (["cd-check", "--space", "{segment}", "--K", "1",
+                                 "--N", "-1", "--cut", "3"],
+                                "cut = 3 on a segment"),
+    # just past the cap, so that the unbounded grid of a huge radius is
+    # never asked for where the cap is missing
+    "sinh-example-R": (["sinh-example", "--K", "1", "--N", "-1",
+                        "--R-list", "1,2049"], "radii[1] = 2049.0 needs"),
+    "sinh-example-R-negative": (["sinh-example", "--K", "1", "--N", "-1",
+                                 "--R-list=-2,-1"], "radii[0] = -2.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIZES))
+def test_bad_size_input_exits_two(tmp_path, capsys, case):
+    docs = {"w": {"weights": [0.5, 0.5]}, "f_nan": {"values": [0.0, math.nan]},
+            "f_inf": {"values": [0.0, math.inf]}, "g": {"values": [0.0, 0.0]}}
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))  # json writes NaN, Infinity
+    paths["segment"] = tmp_path / "segment.json"
+    paths["segment"].write_text(WeightedOneDimSpace.from_density(
+        "segment", 4.0, 64, lambda x: np.full_like(x, 0.25)).to_json())
+    argv, message = BAD_SIZES[case]
+    out = tmp_path / "r"
+    code = mmlab.cli.main([a.format(**paths) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"n_exact_separation": 20}, "n_exact_separation"),
     ({"tolerances": {"structural": 1e-12, "mass_1d": 1e-3}}, "tolerances"),

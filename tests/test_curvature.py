@@ -416,6 +416,62 @@ def test_cd_check_full_circle_requires_cut():
     assert rep.verdict and rep.cut == 0
 
 
+def test_cd_check_rejects_a_cut_on_a_segment():
+    # a cut used to be ignored on segments, with the report reading cut None
+    space = cosh_family(1.0, -1.0, 1.0, 2.0, 64)
+    rho0, rho1 = smooth_density_pairs(space, 1, seed=9)[0]
+    with pytest.raises(ValidationError, match="cut = 3 on a segment"):
+        cd_check_1d(space, rho0, rho1, 1.0, -1.0, cut=3)
+
+
+def unroll_shift_oracle(space, gaps):
+    """The loop ``_unroll_circle`` found its shift with: the end of the
+    first longest run among the empty cells taken twice over."""
+    m = space.m
+    if not gaps.any():
+        raise ValidationError("full-circle supports require an explicit cut choice")
+    idx = np.flatnonzero(gaps)
+    doubled = np.flatnonzero(np.concatenate([gaps, gaps]))
+    best_len, best_end = 0, idx[0]
+    run = 1
+    for i in range(1, doubled.size):
+        run = run + 1 if doubled[i] == doubled[i - 1] + 1 else 1
+        if run > best_len and doubled[i] < 2 * m:
+            best_len, best_end = run, doubled[i]
+    if best_len * space.h <= space.total_length / 2.0:
+        raise ValidationError("joint support exceeds a half-circle; pass an explicit cut")
+    return int((best_end + 1) % m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=st.lists(st.integers(1, 6), min_size=1, max_size=12),
+       first_gap=st.booleans(), offset=st.integers(0, 80),
+       split=st.integers(0, 2))
+def test_unroll_circle_matches_run_loop(runs, first_gap, offset, split):
+    # alternating runs of empty and occupied cells, rotated so that a run
+    # may wrap across the origin; short runs give ties and one-cell runs
+    gaps = np.concatenate([np.full(n, (k % 2 == 0) == first_gap)
+                           for k, n in enumerate(runs)])
+    gaps = np.roll(gaps, offset % gaps.size)
+    space = uniform_circle(m=gaps.size, C=float(gaps.size))
+    # the joint support, split between the two densities in three ways
+    pos = (~gaps).astype(float)
+    rho0, rho1 = [(pos, pos), (pos, np.zeros_like(pos)),
+                  (np.where(np.arange(pos.size) % 2 == 0, pos, 0.0),
+                   np.where(np.arange(pos.size) % 2 == 1, pos, 0.0))][split]
+    try:
+        want = unroll_shift_oracle(space, gaps)
+    except ValidationError as e:
+        with pytest.raises(ValidationError, match=re.escape(str(e))):
+            curvature._unroll_circle(space, rho0, rho1, None)
+    else:
+        seg, r0, r1, shift = curvature._unroll_circle(space, rho0, rho1, None)
+        assert shift == want
+        assert seg.kind == "segment"
+        assert np.array_equal(r0, np.roll(rho0, -shift))
+        assert np.array_equal(r1, np.roll(rho1, -shift))
+
+
 def test_cd_star_margin_dominates_cd_for_positive_K():
     # the reduced inequality is weaker for K >= 0: its margins dominate
     space = cosh_family(1.0, -1.0, 1.0, 3.0, 96)
@@ -514,6 +570,30 @@ def test_convexity_rejects_bad_step(h):
 def test_volume_probe_rejects_nan_damping():
     with pytest.raises(ValidationError, match="C must be positive"):
         volume_growth_probe(lambda x: 0.0 * x, math.nan, 0.0, [1.0, 2.0])
+
+
+def never_called(x):
+    raise AssertionError("the density was evaluated before the radii were checked")
+
+
+@pytest.mark.parametrize("radius, message", [
+    # one point per 1/512 past R = 2048; the sinh-example command once
+    # asked numpy for 3.73 TiB at R = 1e9
+    (2048.01, "radii[1] = 2048.01 needs 1048582 Simpson points"),
+    (math.inf, "radii must be positive and finite, radii[1] = inf"),
+    (math.nan, "radii must be positive and finite, radii[1] = nan"),
+])
+def test_volume_probe_caps_its_grid_before_evaluating(radius, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        volume_growth_probe(never_called, 1.0, 0.0, [1.0, radius])
+
+
+def test_volume_probe_rejects_nonpositive_radii():
+    # a negative step h = x[1] - x[0] ended in a math domain error
+    with pytest.raises(ValidationError, match=re.escape("radii[0] = -2.0")):
+        volume_growth_probe(never_called, 1.0, 0.0, [-2.0, -1.0])
+    with pytest.raises(ValidationError, match=re.escape("radii[0] = 0.0")):
+        volume_growth_probe(never_called, 1.0, 0.0, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

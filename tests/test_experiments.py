@@ -34,6 +34,18 @@ def test_params_validation():
         CounterexampleParams(K=1.0, N=-1.0)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"D": math.inf}, "D must be finite, got inf"),
+    ({"D": math.nan}, "D must be finite, got nan"),
+    ({"N": -math.inf}, "N must be finite, got -inf"),
+])
+def test_params_reject_non_finite_lengths(kw, message):
+    # D = inf passed as admissible and doubled the normaliser quadrature to
+    # 1,048,576 points before it stalled
+    with pytest.raises(ValidationError, match=message):
+        CounterexampleParams(**{"K": -1.0, "N": -1.0, **kw})
+
+
 def test_build_mass_and_symmetry():
     params = CounterexampleParams(m=512)
     space, a_n = build_counterexample(params, 4)
@@ -134,6 +146,29 @@ def test_cosh_family_lambda_threshold():
     with pytest.raises(ConvexityViolation):
         cosh_family(1.0, -1.0, 0.5, 3.0, 128)  # needs lam^2 >= 1/2
     cosh_family(1.0, -1.0, math.sqrt(0.5) + 1e-8, 3.0, 128)
+
+
+@pytest.mark.parametrize("lam, L, m, message", [
+    (1.0, 3.0, 0, "m must be at least 1, got 0"),
+    (1.0, 3.0, -2, "m must be at least 1, got -2"),
+    (1.0, 0.0, 64, "L must be positive and finite, got 0.0"),
+    (1.0, math.inf, 64, "L must be positive and finite, got inf"),
+    (1.0, math.nan, 64, "L must be positive and finite, got nan"),
+    (math.inf, 3.0, 64, "lam must be positive and finite, got inf"),
+    (-1.0, 3.0, 64, "lam must be positive and finite, got -1.0"),
+])
+def test_cosh_family_rejects_bad_sizes(lam, L, m, message):
+    # m = 0 divided by zero; L = 0 and lam = inf ended in a math domain error
+    with pytest.raises(ValidationError, match=message):
+        cosh_family(1.0, -1.0, lam, L, m)
+
+
+def test_cosh_family_log_density_is_the_certified_exponent_negated():
+    space = cosh_family(1.0, -1.0, 1.3, 2.5, 101)
+    x = space.grid - 2.5
+    want = (-1.0 - 1.0) * np.log(np.cosh(1.3 * x))
+    want -= math.log(float(np.sum(np.exp(want)) * space.h))
+    assert space.log_density.tobytes() == want.tobytes()
 
 
 def test_smooth_density_pairs_are_valid():

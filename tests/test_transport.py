@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,6 @@ from mmlab.transport import (
     _certify_partial_flow,
     _flow_close_mass,
     _hall_close_mass,
-    _marginal_pattern,
     _round_to_marginals,
     PiecewiseQuantile,
     WeightedOneDimSpace,
@@ -120,7 +120,29 @@ def test_w2_half_mass_on_line():
     assert rep.value == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
-def test_marginal_pattern_matches_loop():
+def _marginal_pattern(na: int, nb: int):
+    """(rows, cols) of the unit entries of the marginal constraints on a
+    row-major na x nb plan: row i sums plan row i, row na + j plan column j."""
+    rows = np.concatenate([np.repeat(np.arange(na), nb),
+                           np.repeat(np.arange(na, na + nb), na)])
+    cols = np.concatenate([np.arange(na * nb),
+                           np.tile(np.arange(0, na * nb, nb), nb)
+                           + np.repeat(np.arange(nb), na)])
+    return rows, cols
+
+
+def pattern_csc(na: int, nb: int):
+    """The CSC that ``w2_exact`` assembled from the pattern: the last row
+    dropped, columns counted, rows put in column order by a stable sort."""
+    rows, cols = _marginal_pattern(na, nb)
+    keep = rows < na + nb - 1
+    rows, cols = rows[keep], cols[keep]
+    indptr = np.zeros(na * nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=na * nb), out=indptr[1:])
+    return indptr, rows[np.argsort(cols, kind="stable")], np.ones(rows.size)
+
+
+def test_marginal_pattern_matches_loop(monkeypatch):
     # the per-row loop the LP was assembled with: plan row sums first, then
     # column sums, each in increasing column order
     na, nb = 3, 4
@@ -133,6 +155,27 @@ def test_marginal_pattern_matches_loop():
         cols.extend(range(j, na * nb, nb))
     got_rows, got_cols = _marginal_pattern(na, nb)
     assert got_rows.tolist() == rows and got_cols.tolist() == cols
+    # the CSC that w2_exact hands to linprog is the pattern's, array for
+    # array, on every support size up to 12 a side
+    seen = []
+    real = transport.linprog
+
+    def record(c, A_eq, b_eq):
+        seen.append(A_eq)
+        return real(c, A_eq, b_eq)
+
+    monkeypatch.setattr(transport, "linprog", record)
+    space = FiniteMmSpace.from_points(np.arange(12.0)[:, None], np.full(12, 1 / 12))
+    for na in range(1, 13):
+        for nb in range(1, 13):
+            mu = np.zeros(12)
+            mu[:na] = 1.0 / na
+            nu = np.zeros(12)
+            nu[12 - nb:] = 1.0 / nb
+            w2_exact(space, mu, nu)
+            for got, want in zip(seen.pop(), pattern_csc(na, nb)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (na, nb)
 
 
 def test_w2_metric_axioms_sampled():
@@ -1337,3 +1380,15 @@ def test_ky_fan_against_scan_oracle():
         feasible = eps_grid[[float(w[gaps > e].sum()) <= e for e in eps_grid]]
         assert val <= feasible.min() + 1e-12
         assert float(w[gaps > val].sum()) <= val + 1e-12
+
+
+@pytest.mark.parametrize("f, g, where", [
+    ([0.0, math.nan], [0.0, 0.0], "f[1] = nan"),
+    ([0.0, math.inf], [0.0, math.inf], "f[1] = inf"),
+    ([0.0, 1.0], [-math.inf, 0.0], "g[0] = -inf"),
+])
+def test_ky_fan_rejects_non_finite_samples(f, g, where):
+    # a NaN gap, or inf - inf, left no level below it and ended in numpy's
+    # "zero-size array" error; a lone infinite gap gave 0.5
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        ky_fan([0.5, 0.5], f, g)
