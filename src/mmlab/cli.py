@@ -254,7 +254,10 @@ def _cmd_convexity(args, cfg):
 
 
 def _cmd_counterexample(args, cfg):
-    D = None if args.D == "auto" else float(args.D)
+    try:
+        D = None if args.D == "auto" else float(args.D)
+    except ValueError as e:
+        raise ValidationError(f"--D: expected a number or auto: {e}") from e
     params = experiments.CounterexampleParams(
         K=args.K, N=args.N, D=D,
         n_list=tuple(_csv_ints(args.n_list, "--n-list")),

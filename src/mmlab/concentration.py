@@ -47,6 +47,9 @@ N_EXACT_SEPARATION = 14
 # random members of the observable-diameter witness family
 OBSDIAM_WITNESS_SUBSETS = 16
 OBSDIAM_WITNESS_POTENTIALS = 32
+# the partial-diameter kernel sorts and sums its rows in blocks of at most
+# this many entries (256 KiB per float array), so each block stays in cache
+PARTIAL_DIAM_BLOCK_ELEMENTS = 1 << 15
 # a Levy-trend bound sequence must decay below this fraction of its first value
 LEVY_DECAY = 0.1
 
@@ -58,45 +61,91 @@ LEVY_DECAY = 0.1
 def partial_diameter_1d(values, weights, alpha: float) -> float:
     """Smallest window width on the line carrying mass at least alpha.
 
-    One pass over left ends: window i closes at the smallest k with
-    ``cum[k] - cum[i] >= alpha - STRUCTURAL_TOL``, so the result is the exact
-    minimum of ``xs[k-1] - xs[i]`` over the achieved windows.
+    Window i closes at the smallest k with ``cum[k] - cum[i] >= alpha -
+    STRUCTURAL_TOL``, so the result is the exact minimum of
+    ``xs[k-1] - xs[i]`` over the achieved windows.  Values must be finite
+    and weights finite and nonnegative, one per value; the first that is
+    not is named.
     """
-    w = np.asarray(weights, dtype=float)
     x = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if x.ndim != 1 or w.shape != x.shape:
+        raise ValidationError(f"values and weights must be vectors of one "
+                              f"length, got shapes {x.shape} and {w.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValidationError(
+            f"values must be finite, values[{bad[0]}] = {x[bad[0]]}")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
+    if bad.size:
+        raise ValidationError(f"weights must be finite and nonnegative, "
+                              f"weights[{bad[0]}] = {w[bad[0]]}")
     if alpha <= 0.0:
         return 0.0
     total = w.sum()
+    if not np.isfinite(total):
+        raise ValidationError(f"weights must have a finite sum, got {total}")
     if alpha > total + STRUCTURAL_TOL:
         raise ValidationError(f"no set reaches mass {alpha} (total {total})")
     target = alpha - STRUCTURAL_TOL
     if target <= 0.0:
         return 0.0
-    order = np.argsort(x, kind="stable")
-    xs, ws = x[order], w[order]
-    n = xs.size
-    cum = np.concatenate([[0.0], np.cumsum(ws), [np.inf]])
-    left = cum[:n]
+    return float(_partial_diameters(x[None, :], w, target)[0])
+
+
+def _partial_diameters(F: np.ndarray, w: np.ndarray, target: float) -> np.ndarray:
+    """``partial_diameter_1d`` of every row of F against the weights w, for a
+    mass target > 0 that the weights reach within ``STRUCTURAL_TOL``.
+
+    Rows go in blocks of at most ``PARTIAL_DIAM_BLOCK_ELEMENTS`` entries.  Per
+    row: a stable sort, a sequential cumulative sum, and each window's end k
+    stepped until ``cum[k] - cum[i] >= target`` decides it.  That test is
+    monotone in k, so the steps reach the smallest such k from any start.
+    """
+    r, n = F.shape
+    out = np.empty(r)
     i = np.arange(n)
-    k = np.maximum(np.searchsorted(cum[:-1], left + target, side="left"), i + 1)
-    # the sum cum[i] + target rounds apart from the difference cum[k] - cum[i]
-    # that decides a window; step k until the difference decides it
-    while True:
-        down = (k - 1 > i) & (cum[k - 1] - left >= target)
-        if not down.any():
-            break
-        k[down] -= 1
-    while True:
-        up = cum[k] - left < target
-        if not up.any():
-            break
-        k[up] += 1
-    ok = k <= n
-    if not ok.any():
-        # the whole mass falls short of target by rounding only: alpha was
-        # accepted within STRUCTURAL_TOL of the total, so take the full span
-        return float(xs[-1] - xs[0])
-    return float(np.min(xs[k[ok] - 1] - xs[ok]))
+    rows = max(1, PARTIAL_DIAM_BLOCK_ELEMENTS // n)
+    for s in range(0, r, rows):
+        block = F[s:s + rows]
+        b = block.shape[0]
+        order = np.argsort(block, axis=1, kind="stable")
+        xs = np.take_along_axis(block, order, axis=1)
+        cum = np.zeros((b, n + 2))
+        np.cumsum(w[order], axis=1, out=cum[:, 1:n + 1])
+        cum[:, n + 1] = np.inf
+        left = cum[:, :n]
+        row = np.arange(b)[:, None]
+        # start each k from one search over the rows laid end to end, each
+        # shifted by a power of two past its sums so that the shifts are
+        # exact; the sum cum[i] + target rounds apart from the difference
+        # cum[k] - cum[i] that decides a window, so step k until it decides
+        span = 2.0 ** math.ceil(math.log2(cum[:, n].max() + target + 1.0))
+        start = np.searchsorted((cum[:, :n + 1] + row * span).ravel(),
+                                (left + target + row * span).ravel())
+        k = np.maximum(start.reshape(b, n) - row * (n + 1), i + 1)
+        flat = cum.ravel()
+        base = row * (n + 2)
+        while True:
+            down = (k - 1 > i) & (flat[base + k - 1] - left >= target)
+            if not down.any():
+                break
+            k[down] -= 1
+        while True:
+            up = flat[base + k] - left < target
+            if not up.any():
+                break
+            k[up] += 1
+        ok = k <= n
+        widths = np.take_along_axis(xs, np.minimum(k, n) - 1, axis=1) - xs
+        widths[~ok] = np.inf
+        vals = widths.min(axis=1)
+        # the whole mass falls short of target by rounding only: the target
+        # was accepted within STRUCTURAL_TOL of the total, so take the span
+        short = ~ok.any(axis=1)
+        vals[short] = xs[short, -1] - xs[short, 0]
+        out[s:s + b] = vals
+    return out
 
 
 @dataclass(frozen=True)
@@ -284,30 +333,43 @@ def obsdiam_sandwich(space: FiniteMmSpace, mu, kappa: float, *,
     if kappa >= 1.0:
         return ObsDiamSandwich(0.0, 0.0, "mass defect >= 1", True)
     mu = prob_weights(mu)
+    alpha = 1.0 - kappa
+    total = mu.sum()
+    if alpha > total + STRUCTURAL_TOL:
+        raise ValidationError(f"no set reaches mass {alpha} (total {total})")
     rng = np.random.default_rng(cfg.seed)
     n = space.n
-    dist = space.dist
-    alpha = 1.0 - kappa
-    best = 0.0
-    witness = "point distance"
-    for p in range(n):
-        val = partial_diameter_1d(dist[:, p], mu, alpha)
-        if val > best:
-            best, witness = val, f"d(., {space.point_ids[p]!r})"
-    for _ in range(OBSDIAM_WITNESS_SUBSETS):
+    # row p of DT is the point witness d(., p); the other witnesses are
+    # minima over its rows, the same sums and exact minima as over the
+    # columns of dist, so no symmetry is assumed
+    DT = np.ascontiguousarray(space.dist.T)
+    others = np.empty((OBSDIAM_WITNESS_SUBSETS + OBSDIAM_WITNESS_POTENTIALS, n))
+    sizes = []
+    for j in range(OBSDIAM_WITNESS_SUBSETS):
         size = int(rng.integers(2, max(3, n // 2 + 1)))
         subset = rng.choice(n, size=min(size, n), replace=False)
-        f = dist[:, subset].min(axis=1)
-        val = partial_diameter_1d(f, mu, alpha)
-        if val > best:
-            best, witness = val, f"d(., A) for |A| = {subset.size}"
+        others[j] = DT[subset].min(axis=0)
+        sizes.append(subset.size)
     diam = space.diam
-    for _ in range(OBSDIAM_WITNESS_POTENTIALS):
+    for j in range(OBSDIAM_WITNESS_SUBSETS, others.shape[0]):
         v = rng.uniform(0.0, diam, size=n)
-        f = (v[None, :] + dist).min(axis=1)
-        val = partial_diameter_1d(f, mu, alpha)
-        if val > best:
-            best, witness = val, "regularised random potential"
+        others[j] = (DT + v[:, None]).min(axis=0)
+    target = alpha - STRUCTURAL_TOL
+    best, witness = 0.0, "point distance"
+    if target > 0.0:
+        vals = np.concatenate([_partial_diameters(DT, mu, target),
+                               _partial_diameters(others, mu, target)])
+        # the first witness of the largest value, as a scan keeping the
+        # first strict improvement on 0 finds it
+        j = int(np.argmax(vals))
+        if vals[j] > 0.0:
+            best = float(vals[j])
+            if j < n:
+                witness = f"d(., {space.point_ids[j]!r})"
+            elif j < n + OBSDIAM_WITNESS_SUBSETS:
+                witness = f"d(., A) for |A| = {sizes[j - n]}"
+            else:
+                witness = "regularised random potential"
     sep = separation(space, mu, kappa / 2.0, kappa / 2.0)
     if best > sep.value + 1e-9:
         raise SolverFailure(

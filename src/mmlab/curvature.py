@@ -549,8 +549,11 @@ def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
     W2(nu, nu_bar) <= 2 * max block diameter.
 
     Measures are drawn with full-support references (Dirichlet) and sparse
-    absolutely continuous targets; failures are returned as data.
+    absolutely continuous targets; failures are returned as data.  At least
+    one trial is required, so that an empty run never reads as a pass.
     """
+    if n_trials < 1:
+        raise ValidationError(f"n_trials must be at least 1, got {n_trials}")
     rng = np.random.default_rng(seed)
     tol = ENTROPY_TOL
     n = space.n

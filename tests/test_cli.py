@@ -204,6 +204,12 @@ BAD_SIZES = {
     "counterexample-D": (["counterexample", "--K", "-1", "--N", "-1",
                           "--n-list", "1", "--M", "256", "--D", "inf"],
                          "D must be finite"),
+    "counterexample-D-text": (["counterexample", "--K", "-1", "--N", "-1",
+                               "--D", "abc"], "--D: expected a number or auto"),
+    "lemma-suite-trials-zero": (["lemma-suite", "--trials", "0", "--n", "4"],
+                                "n_trials must be at least 1, got 0"),
+    "lemma-suite-trials-negative": (["lemma-suite", "--trials", "-1", "--n", "4"],
+                                    "n_trials must be at least 1, got -1"),
     "cd-check-t-points-negative": (["cd-check", "--space", "{segment}", "--K",
                                     "1", "--N", "-1", "--t-points", "-1"],
                                    "--t-points must be at least 1"),

@@ -1,10 +1,17 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmlab.concentration import (
+    OBSDIAM_WITNESS_POTENTIALS,
+    OBSDIAM_WITNESS_SUBSETS,
+    ObsDiamSandwich,
+    _partial_diameters,
     _subset_masses,
     cd_obsdiam_bound,
     cd_separation_bound,
@@ -17,8 +24,9 @@ from mmlab.concentration import (
     partial_diameter_1d,
     separation,
 )
-from mmlab.core import FiniteMmSpace, subset_diameter
-from mmlab.errors import ValidationError
+from mmlab.config import STRUCTURAL_TOL, default_config
+from mmlab.core import FiniteMmSpace, prob_weights, subset_diameter
+from mmlab.errors import SolverFailure, ValidationError
 
 
 def two_point_space(D=2.0, w=(0.5, 0.5)):
@@ -109,6 +117,23 @@ def test_partial_diameter_1d_full_window_that_float_widths_miss():
                   0.02941231657585719])
     assert w.sum() + 1e-12 - 1e-12 > np.cumsum(w)[-1]
     assert partial_diameter_1d(np.arange(7.0), w, w.sum() + 1e-12) == 6.0
+
+
+@pytest.mark.parametrize("values, weights, where", [
+    ([0.0, 1.0, 2.0], [0.25] * 4, "shapes (3,) and (4,)"),
+    ([0.0, 1.0, 2.0], [0.5, 0.5], "shapes (3,) and (2,)"),
+    ([[0.0, 1.0]], [[0.5, 0.5]], "shapes (1, 2) and (1, 2)"),
+    ([0.0, math.nan, 2.0], [0.25, 0.25, 0.5], "values[1] = nan"),
+    ([0.0, 1.0, -math.inf], [0.25, 0.25, 0.5], "values[2] = -inf"),
+    ([0.0, 1.0, 2.0], [0.5, -0.25, 0.75], "weights[1] = -0.25"),
+    ([0.0, 1.0, 2.0], [0.5, 0.5, math.nan], "weights[2] = nan"),
+    pytest.param([0.0, 1.0], [1e308, 1e308], "finite sum, got inf",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered")),
+])
+def test_partial_diameter_1d_rejects_bad_input(values, weights, where):
+    # a bad input is named, never answered with a number or an IndexError
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        partial_diameter_1d(values, weights, 0.5)
 
 
 def test_obsdiam_sandwich_small_uniform_planar_spaces():
@@ -302,6 +327,181 @@ def test_obsdiam_lower_nonincreasing_in_kappa():
     lows = [obsdiam_sandwich(s, s.weights, k).lower
             for k in (0.1, 0.3, 0.5, 0.8)]
     assert all(b <= a + 1e-12 for a, b in zip(lows, lows[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the row kernel against the per-witness loop it replaced
+
+
+def partial_diameter_1d_oracle(values, weights, alpha):
+    """One row as ``partial_diameter_1d`` computed it before the row kernel:
+    each window end started from a searchsorted of ``cum[i] + target``."""
+    w = np.asarray(weights, dtype=float)
+    x = np.asarray(values, dtype=float)
+    if alpha <= 0.0:
+        return 0.0
+    total = w.sum()
+    if alpha > total + STRUCTURAL_TOL:
+        raise ValidationError(f"no set reaches mass {alpha} (total {total})")
+    target = alpha - STRUCTURAL_TOL
+    if target <= 0.0:
+        return 0.0
+    order = np.argsort(x, kind="stable")
+    xs, ws = x[order], w[order]
+    n = xs.size
+    cum = np.concatenate([[0.0], np.cumsum(ws), [np.inf]])
+    left = cum[:n]
+    i = np.arange(n)
+    k = np.maximum(np.searchsorted(cum[:-1], left + target, side="left"), i + 1)
+    while True:
+        down = (k - 1 > i) & (cum[k - 1] - left >= target)
+        if not down.any():
+            break
+        k[down] -= 1
+    while True:
+        up = cum[k] - left < target
+        if not up.any():
+            break
+        k[up] += 1
+    ok = k <= n
+    if not ok.any():
+        return float(xs[-1] - xs[0])
+    return float(np.min(xs[k[ok] - 1] - xs[ok]))
+
+
+def obsdiam_oracle(space, mu, kappa):
+    """``obsdiam_sandwich`` as a loop over witnesses, one 1D partial
+    diameter each, built from the columns of ``dist``; a witness replaces
+    the best only on a strict improvement."""
+    if kappa >= 1.0:
+        return ObsDiamSandwich(0.0, 0.0, "mass defect >= 1", True)
+    mu = prob_weights(mu)
+    rng = np.random.default_rng(default_config().seed)
+    n = space.n
+    dist = space.dist
+    alpha = 1.0 - kappa
+    best = 0.0
+    witness = "point distance"
+    for p in range(n):
+        val = partial_diameter_1d_oracle(dist[:, p], mu, alpha)
+        if val > best:
+            best, witness = val, f"d(., {space.point_ids[p]!r})"
+    for _ in range(OBSDIAM_WITNESS_SUBSETS):
+        size = int(rng.integers(2, max(3, n // 2 + 1)))
+        subset = rng.choice(n, size=min(size, n), replace=False)
+        f = dist[:, subset].min(axis=1)
+        val = partial_diameter_1d_oracle(f, mu, alpha)
+        if val > best:
+            best, witness = val, f"d(., A) for |A| = {subset.size}"
+    diam = space.diam
+    for _ in range(OBSDIAM_WITNESS_POTENTIALS):
+        v = rng.uniform(0.0, diam, size=n)
+        f = (v[None, :] + dist).min(axis=1)
+        val = partial_diameter_1d_oracle(f, mu, alpha)
+        if val > best:
+            best, witness = val, "regularised random potential"
+    sep = separation(space, mu, kappa / 2.0, kappa / 2.0)
+    if best > sep.value + 1e-9:
+        raise SolverFailure(
+            f"witness value {best} exceeds separation bound {sep.value}"
+        )
+    return ObsDiamSandwich(best, sep.value, witness, sep.exact)
+
+
+def random_weights(rng, n, zeros):
+    w = rng.dirichlet(np.ones(n))
+    if zeros and n > 1:
+        w[rng.random(n) < 0.4] = 0.0
+        w[int(rng.integers(n))] += 0.1
+        w /= w.sum()
+    return w
+
+
+# n = 300 puts the 300 point witnesses in three blocks of at most 109 rows
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.one_of(st.integers(1, 24), st.just(300)),
+       ties=st.booleans(), zeros=st.booleans(), asym=st.booleans(),
+       kappa=st.one_of(st.sampled_from([1e-13, 1e-12, 0.5, 1.0 - 1e-13]),
+                       st.floats(0.01, 0.99)),
+       excess=st.sampled_from([0.0, 5e-13, -5e-13]))
+def test_obsdiam_sandwich_matches_per_witness_oracle(seed, n, ties, zeros, asym,
+                                                     kappa, excess):
+    # ties: coordinates on a quarter grid give equal distances and
+    # coincident points; excess moves the total mass within STRUCTURAL_TOL
+    # of 1, so 1 - kappa can sit above it; asym breaks symmetry within the
+    # tolerance FiniteMmSpace accepts
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    if ties:
+        pts = np.round(pts * 4.0) / 4.0
+    w = random_weights(rng, n, zeros) * (1.0 + excess)
+    dist = FiniteMmSpace.from_points(pts, np.full(n, 1.0 / n)).dist
+    if asym:
+        atol = STRUCTURAL_TOL * max(float(dist.max()), 1.0)
+        dist = dist + rng.uniform(0.0, atol / 4.0, size=(n, n)) * (1.0 - np.eye(n))
+    space = FiniteMmSpace(tuple(f"p{i}" for i in range(n)), dist, w)
+    assert obsdiam_sandwich(space, space.weights, kappa) == obsdiam_oracle(
+        space, space.weights, kappa)
+
+
+def assert_rows_match_loop(F, w, alpha):
+    want = [partial_diameter_1d_oracle(row, w, alpha) for row in F]
+    assert [partial_diameter_1d(row, w, alpha) for row in F] == want
+    target = alpha - STRUCTURAL_TOL
+    if alpha <= w.sum() + STRUCTURAL_TOL and target > 0.0:
+        assert _partial_diameters(F, w, target).tolist() == want
+
+
+# n = 1500 with more than 21 rows splits the rows into two blocks
+# (PARTIAL_DIAM_BLOCK_ELEMENTS = 2^15)
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), rows=st.integers(1, 30),
+       n=st.one_of(st.integers(1, 30), st.just(1500)), ties=st.booleans(),
+       zeros=st.booleans(),
+       alpha=st.one_of(st.sampled_from(["total", "total + tol", "total - tol"]),
+                       st.floats(2e-12, 1.0)))
+@example(seed=0, rows=30, n=1500, ties=True, zeros=True, alpha="total + tol")
+def test_row_kernel_matches_one_row_loop(seed, rows, n, ties, zeros, alpha):
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(0.0, 3.0, size=(rows, n))
+    if ties:
+        F = np.round(F)
+    w = random_weights(rng, n, zeros)
+    a = {"total": w.sum(), "total + tol": w.sum() + STRUCTURAL_TOL,
+         "total - tol": w.sum() - STRUCTURAL_TOL}.get(alpha, alpha)
+    assert_rows_match_loop(F, w, a)
+
+
+SEVEN_WEIGHTS = np.array([0.3930412548950492, 0.14819406680697655,
+                          0.011734595315458654, 0.23767590751730877,
+                          0.05958191474231669, 0.12035994414703281,
+                          0.02941231657585719])
+
+
+# cum[1] + (cum[5] - cum[1]) rounds above cum[5]: a window end started from
+# that sum lands past the end of the narrowest window and must step back
+STEP_BACK_WEIGHTS = np.array([0.1080696999358321, 0.47182870367956486,
+                              0.1408895274098062, 0.0069012073819575805,
+                              0.1927141521113439, 0.07959670948149548])
+STEP_BACK_CUM = np.concatenate([[0.0], np.cumsum(STEP_BACK_WEIGHTS)])
+STEP_BACK_TARGET = STEP_BACK_CUM[5] - STEP_BACK_CUM[1]
+
+
+@pytest.mark.parametrize("row, w, alpha", [
+    # the full-window cases of test_partial_diameter_1d_full_window_...
+    ([0.3487416591545386, 1.983069342085405], np.array([0.5, 0.5]), 1.0),
+    (np.arange(7.0), SEVEN_WEIGHTS, SEVEN_WEIGHTS.sum() + 1e-12),
+    ([0.0, 10.0, 10.1, 10.2, 10.3, 20.0], STEP_BACK_WEIGHTS,
+     STEP_BACK_TARGET + STRUCTURAL_TOL),
+])
+def test_row_kernel_rounding_cases(row, w, alpha):
+    assert (STEP_BACK_CUM[1] + STEP_BACK_TARGET > STEP_BACK_CUM[5]
+            and STEP_BACK_TARGET + STRUCTURAL_TOL - STRUCTURAL_TOL == STEP_BACK_TARGET)
+    # the case row among others, in every position of a block
+    row = np.asarray(row)
+    others = np.random.default_rng(1).uniform(0.0, 3.0, size=(3, row.size))
+    for pos in range(4):
+        assert_rows_match_loop(np.insert(others, pos, row, axis=0), w, alpha)
 
 
 # ---------------------------------------------------------------------------

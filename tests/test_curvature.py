@@ -742,6 +742,14 @@ def test_entropy_suite_all_pass():
     assert rep.passes["partition_w2"] == 60
 
 
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_entropy_suite_rejects_no_trials(n_trials):
+    # no trial ran, so nothing passed: an empty suite must not read as a pass
+    space = FiniteMmSpace.from_points(np.eye(3), np.full(3, 1.0 / 3.0))
+    with pytest.raises(ValidationError, match=f"got {n_trials}"):
+        entropy_inequality_suite(space, n_trials)
+
+
 def test_entropy_pushforward_identity_equality():
     from mmlab.core import pushforward
     rng = np.random.default_rng(14)

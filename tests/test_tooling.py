@@ -172,3 +172,23 @@ def test_cd_check_makes_one_coefficient_call_per_nprime(monkeypatch, variant,
         assert calls[counted] == len(rep.nprime_grid) == 4
         if variant == "CDstar":
             assert calls["tau_vals"] == 0
+
+
+def test_obsdiam_sandwich_scores_witnesses_without_the_1d_entry(monkeypatch):
+    # every witness goes through the row kernel in blocks; a per-witness
+    # partial_diameter_1d call would bring back the loop, and the
+    # benchmark's traced partial_diameter_1d count rests on this
+    import numpy as np
+
+    from mmlab import concentration
+    from mmlab.core import FiniteMmSpace
+
+    def no_1d(*args):
+        raise AssertionError("partial_diameter_1d called inside obsdiam_sandwich")
+
+    monkeypatch.setattr(concentration, "partial_diameter_1d", no_1d)
+    rng = np.random.default_rng(3)
+    space = FiniteMmSpace.from_points(rng.random((40, 2)),
+                                      rng.dirichlet(np.ones(40)))
+    sw = concentration.obsdiam_sandwich(space, space.weights, 0.2)
+    assert 0.0 < sw.lower <= sw.upper
