@@ -19,7 +19,13 @@ import numpy as np
 from . import experiments
 from .concentration import obsdiam_sandwich, separation
 from .config import RunConfig, default_config
-from .core import FiniteMmSpace, prob_weights
+from .core import (
+    FiniteMmSpace,
+    float_array,
+    json_field,
+    json_object,
+    prob_weights,
+)
 from .curvature import (
     cd_check_1d,
     bm_check,
@@ -61,39 +67,36 @@ def _read(path: str, flag: str) -> str:
 
 def _load_doc(path: str, flag: str) -> dict:
     try:
-        return json.loads(_read(path, flag))
+        return json_object(_read(path, flag), f"{flag}: document")
     except json.JSONDecodeError as e:
         raise ValidationError(f"{flag}: invalid JSON in {path}: {e}") from e
 
 
-def _load_finite_space(path: str) -> FiniteMmSpace:
-    return FiniteMmSpace.from_json(_read(path, "--space"))
-
-
-def _load_1d_space(path: str) -> WeightedOneDimSpace:
-    return WeightedOneDimSpace.from_json(_read(path, "--space"))
+def _load_space(cls, path: str):
+    text = _read(path, "--space")
+    try:
+        return cls.from_json(text)
+    except (ValidationError, json.JSONDecodeError) as e:
+        raise ValidationError(f"--space: {e}") from e
 
 
 def _load_weights(path: str, flag: str) -> np.ndarray:
-    doc = _load_doc(path, flag)
-    if "weights" not in doc:
-        raise ValidationError(f"{flag}: document must contain 'weights'")
-    return prob_weights(doc["weights"])
+    return prob_weights(json_field(_load_doc(path, flag), "weights",
+                                   float_array, f"{flag}: document"))
 
 
 def _load_values(path: str, flag: str) -> np.ndarray:
-    doc = _load_doc(path, flag)
-    if "values" not in doc:
-        raise ValidationError(f"{flag}: document must contain 'values'")
-    return np.asarray(doc["values"], dtype=float)
+    return json_field(_load_doc(path, flag), "values", float_array,
+                      f"{flag}: document")
 
 
 def _load_density(path: str, flag: str, space: WeightedOneDimSpace) -> np.ndarray:
     doc = _load_doc(path, flag)
+    what = f"{flag}: document"
     if "density" in doc:
-        rho = np.asarray(doc["density"], dtype=float)
+        rho = json_field(doc, "density", float_array, what)
     elif "log_density" in doc:
-        rho = np.exp(np.asarray(doc["log_density"], dtype=float))
+        rho = np.exp(json_field(doc, "log_density", float_array, what))
     else:
         raise ValidationError(f"{flag}: document must contain 'density' or "
                               "'log_density'")
@@ -159,7 +162,7 @@ def _default_density_pair(space: WeightedOneDimSpace):
 
 
 def _cmd_w2(args, cfg):
-    space = _load_finite_space(args.space)
+    space = _load_space(FiniteMmSpace, args.space)
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
     rep = w2_exact(space, mu, nu)
@@ -170,7 +173,7 @@ def _cmd_w2(args, cfg):
 
 
 def _cmd_prokhorov(args, cfg):
-    space = _load_finite_space(args.space)
+    space = _load_space(FiniteMmSpace, args.space)
     mu = _load_weights(args.mu, "--mu")
     nu = _load_weights(args.nu, "--nu")
     val = prokhorov(space, mu, nu)
@@ -195,7 +198,7 @@ def _cmd_entropy(args, cfg):
 
 
 def _cmd_sep(args, cfg):
-    space = _load_finite_space(args.space)
+    space = _load_space(FiniteMmSpace, args.space)
     res = separation(space, space.weights, args.k0, args.k1)
     return ("sep", {"value": res.value, "exact": res.exact,
                     "method": res.method}, True,
@@ -203,7 +206,7 @@ def _cmd_sep(args, cfg):
 
 
 def _cmd_obsdiam(args, cfg):
-    space = _load_finite_space(args.space)
+    space = _load_space(FiniteMmSpace, args.space)
     sw = obsdiam_sandwich(space, space.weights, args.kappa, config=cfg)
     return ("obsdiam", {"lower": sw.lower, "upper": sw.upper,
                         "witness": sw.witness, "upper_exact": sw.upper_exact},
@@ -211,7 +214,7 @@ def _cmd_obsdiam(args, cfg):
 
 
 def _cmd_cd_check(args, cfg):
-    space = _load_1d_space(args.space)
+    space = _load_space(WeightedOneDimSpace, args.space)
     if args.rho0 and args.rho1:
         rho0 = _load_density(args.rho0, "--rho0", space)
         rho1 = _load_density(args.rho1, "--rho1", space)
@@ -233,7 +236,7 @@ def _cmd_cd_check(args, cfg):
 
 
 def _cmd_bm_check(args, cfg):
-    space = _load_1d_space(args.space)
+    space = _load_space(WeightedOneDimSpace, args.space)
     a0 = _csv_floats(args.a0, "--a0")
     a1 = _csv_floats(args.a1, "--a1")
     if len(a0) != 2 or len(a1) != 2:
@@ -289,7 +292,7 @@ def _cmd_sinh_example(args, cfg):
 
 
 def _cmd_bm_collapse(args, cfg):
-    space = _load_1d_space(args.space)
+    space = _load_space(WeightedOneDimSpace, args.space)
     rep = experiments.bm_collapse_sweep(
         space, _csv_floats(args.a0, "--a0"), _csv_floats(args.a1, "--a1"),
         args.t, _csv_floats(args.K_list, "--K-list"), args.N, config=cfg)
@@ -308,7 +311,7 @@ def _cmd_verify_bounds(args, cfg):
 
 def _cmd_lemma_suite(args, cfg):
     if args.space:
-        space = _load_finite_space(args.space)
+        space = _load_space(FiniteMmSpace, args.space)
     else:
         rng = np.random.default_rng(cfg.seed)
         pts = rng.random((args.n, 3))

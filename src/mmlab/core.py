@@ -16,6 +16,9 @@ from .config import STRUCTURAL_TOL
 from .errors import ValidationError, ZeroMassSet
 
 __all__ = [
+    "json_object",
+    "json_field",
+    "float_array",
     "prob_weights",
     "FiniteMmSpace",
     "Coupling",
@@ -29,6 +32,34 @@ __all__ = [
     "row_masks",
     "subset_transform",
 ]
+
+
+def json_object(text: str, what: str) -> dict:
+    """Decode ``text``, which must hold a JSON object; ``what`` names the
+    document in the error."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, "
+                              f"got {type(doc).__name__}")
+    return doc
+
+
+def json_field(doc: dict, key: str, convert, what: str):
+    """``convert(doc[key])``.  A missing key, or the ``ValueError``,
+    ``TypeError`` or ``OverflowError`` of the conversion (a ragged list, a
+    string where numbers belong, ``int`` of Infinity), raises
+    ``ValidationError`` naming ``what`` and the key."""
+    if key not in doc:
+        raise ValidationError(f"{what} is missing {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{what} field {key!r}: {e}") from e
+
+
+def float_array(value) -> np.ndarray:
+    """``value`` as a float array, the conversion ``json_field`` wraps."""
+    return np.asarray(value, dtype=float)
 
 
 def prob_weights(values) -> np.ndarray:
@@ -222,12 +253,11 @@ class FiniteMmSpace:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMmSpace":
-        doc = json.loads(text)
-        for key in ("points", "dist", "weights"):
-            if key not in doc:
-                raise ValidationError(f"space document is missing {key!r}")
-        return cls(tuple(doc["points"]), np.asarray(doc["dist"], dtype=float),
-                   np.asarray(doc["weights"], dtype=float))
+        what = "space document"
+        doc = json_object(text, what)
+        return cls(json_field(doc, "points", tuple, what),
+                   json_field(doc, "dist", float_array, what),
+                   json_field(doc, "weights", float_array, what))
 
 
 @dataclass(frozen=True)

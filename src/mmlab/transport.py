@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -33,6 +34,9 @@ from .core import (
     Coupling,
     FiniteMmSpace,
     first_feasible,
+    float_array,
+    json_field,
+    json_object,
     prob_weights,
     row_masks,
     subset_transform,
@@ -168,17 +172,18 @@ class WeightedOneDimSpace:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedOneDimSpace":
-        doc = json.loads(text)
-        for key in ("kind", "total_length", "grid_size", "log_density"):
-            if key not in doc:
-                raise ValidationError(f"1D space document is missing {key!r}")
-        m = int(doc["grid_size"])
-        ld = np.asarray(doc["log_density"], dtype=float)
+        what = "1D space document"
+        doc = json_object(text, what)
+        if "kind" not in doc:
+            raise ValidationError(f"{what} is missing 'kind'")
+        L = json_field(doc, "total_length", float, what)
+        m = json_field(doc, "grid_size", int, what)
+        ld = json_field(doc, "log_density", float_array, what)
         if ld.size != m:
             raise ValidationError(
                 f"log_density has {ld.size} samples for grid_size {m}"
             )
-        return cls(doc["kind"], float(doc["total_length"]), ld)
+        return cls(doc["kind"], L, ld)
 
 
 def interval_mass(space: WeightedOneDimSpace, lo: float, hi: float) -> float:
@@ -442,6 +447,8 @@ _HIGHS_OPTIONS = {"presolve": "off", "solver": "simplex",
 # HiGHS counts columns, rows and nonzeros in int32
 _INT32_MAX = np.iinfo(np.int32).max
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
+# per thread: (extension module, options items, its _Highs solver)
+_SOLVERS = threading.local()
 
 
 def _highs():
@@ -469,11 +476,32 @@ def _highs():
     return module
 
 
+def _solver(highs):
+    """This thread's HiGHS solver: built on the thread's first LP, with
+    ``_HIGHS_OPTIONS`` passed once, and kept while ``highs`` is the same
+    module and the options hold the same items; either change builds a new
+    one.  ``passModel`` replaces the whole model and clears the basis and
+    solution, so a kept solver solves each LP as a fresh one would."""
+    options = tuple(_HIGHS_OPTIONS.items())
+    kept = getattr(_SOLVERS, "kept", None)
+    if kept is not None and kept[0] is highs and kept[1] == options:
+        return kept[2]
+    settings = highs.HighsOptions()
+    for key, value in options:
+        setattr(settings, key, value)
+    solver = highs._Highs()
+    if solver.passOptions(settings) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS rejected its options")
+    _SOLVERS.kept = (highs, options, solver)
+    return solver
+
+
 def linprog(c, A_eq, b_eq):
     """min c.x subject to A_eq x = b_eq, x >= 0, by one HiGHS solve under
-    ``_HIGHS_OPTIONS``: bit for bit the result of ``scipy.optimize.linprog``
-    with ``bounds=(0, None)``, ``method="highs-ds"`` and those options in
-    scipy's spelling, without its argument parsing and result assembly.
+    ``_HIGHS_OPTIONS`` on this thread's solver (``_solver``): bit for bit
+    the result of ``scipy.optimize.linprog`` with ``bounds=(0, None)``,
+    ``method="highs-ds"`` and those options in scipy's spelling, without
+    its argument parsing and result assembly.
 
     ``A_eq`` is CSC ``(indptr, indices, data)`` with the rows of each
     column in increasing order.  More columns, rows or nonzeros than int32
@@ -489,21 +517,17 @@ def linprog(c, A_eq, b_eq):
         raise ValueError(f"the LP has {n} columns, {b_eq.size} rows and "
                          f"{nnz} nonzeros; HiGHS counts to {_INT32_MAX}")
     highs = _highs()
-    settings = highs.HighsOptions()
-    for key, value in _HIGHS_OPTIONS.items():
-        setattr(settings, key, value)
+    solver = _solver(highs)
     # the array form of passModel takes each buffer whole, where filling a
     # HighsLp field by field copies it one element at a time; it requires
     # an integrality array, all zeros (continuous), not an empty one
-    solver = highs._Highs()
-    if (solver.passOptions(settings) == highs.HighsStatus.kError
-            or solver.passModel(
-                n, b_eq.size, nnz, highs.MatrixFormat.kColwise,
-                highs.ObjSense.kMinimize, 0.0, c, np.zeros(n),
-                np.full(n, highs.kHighsInf), b_eq, b_eq,
-                indptr.astype(np.int32), indices.astype(np.int32), data,
-                np.zeros(n, np.int32)) == highs.HighsStatus.kError):
-        raise ValueError("HiGHS rejected the LP or its options")
+    if solver.passModel(
+            n, b_eq.size, nnz, highs.MatrixFormat.kColwise,
+            highs.ObjSense.kMinimize, 0.0, c, np.zeros(n),
+            np.full(n, highs.kHighsInf), b_eq, b_eq,
+            indptr.astype(np.int32), indices.astype(np.int32), data,
+            np.zeros(n, np.int32)) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS rejected the LP")
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()

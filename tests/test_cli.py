@@ -248,6 +248,81 @@ def test_bad_size_input_exits_two(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# the documents of test_malformed_document_exits_two; each case replaces one
+MALFORMED_BASE = {
+    "space": {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]],
+              "weights": [0.5, 0.5]},
+    "w": {"weights": [0.5, 0.5]},
+    "f": {"values": [0.0, 1.0]},
+    "segment": {"kind": "segment", "total_length": 1.0, "grid_size": 1,
+                "log_density": [0.0]},
+}
+MALFORMED_ARGV = {
+    "w2": ["w2", "--space", "{space}", "--mu", "{mu}", "--nu", "{w}"],
+    "prokhorov": ["prokhorov", "--space", "{space}", "--mu", "{mu}",
+                  "--nu", "{w}"],
+    "entropy": ["entropy", "--mu", "{mu}", "--nu", "{w}", "--nprime", "-1"],
+    "kyfan": ["kyfan", "--weights", "{w}", "--f", "{f_bad}", "--g", "{f}"],
+    "cd-check": ["cd-check", "--space", "{segment}", "--K", "1", "--N", "-1"],
+}
+RAGGED_SPACE = {**MALFORMED_BASE["space"], "dist": [[0, 1], [1]]}
+TEXT_SPACE = {**MALFORMED_BASE["space"], "dist": "ab"}
+SCALAR_POINTS = {**MALFORMED_BASE["space"], "points": 5}
+MALFORMED = {
+    "w2-dist-ragged": ("w2", {"space": RAGGED_SPACE},
+                       "--space: space document field 'dist': setting"),
+    "w2-dist-text": ("w2", {"space": TEXT_SPACE},
+                     "--space: space document field 'dist': could not"),
+    "w2-points-scalar": ("w2", {"space": SCALAR_POINTS},
+                         "--space: space document field 'points'"),
+    "w2-space-list": ("w2", {"space": ["points", "dist", "weights"]},
+                      "--space: space document must be a JSON object"),
+    "w2-mu-text": ("w2", {"mu": {"weights": "ab"}},
+                   "--mu: document field 'weights': could not convert"),
+    "prokhorov-dist-ragged": ("prokhorov", {"space": RAGGED_SPACE},
+                              "--space: space document field 'dist'"),
+    "prokhorov-dist-text": ("prokhorov", {"space": TEXT_SPACE},
+                            "--space: space document field 'dist'"),
+    "prokhorov-points-scalar": ("prokhorov", {"space": SCALAR_POINTS},
+                                "--space: space document field 'points'"),
+    "entropy-mu-text": ("entropy", {"mu": {"weights": "ab"}},
+                        "--mu: document field 'weights'"),
+    "entropy-mu-list": ("entropy", {"mu": [0.5, 0.5]},
+                        "--mu: document must be a JSON object, got list"),
+    "kyfan-f-ragged": ("kyfan", {"f_bad": {"values": [1, [2]]}},
+                       "--f: document field 'values': setting"),
+    "cd-check-grid-size-text": (
+        "cd-check", {"segment": {**MALFORMED_BASE["segment"], "grid_size": "x"}},
+        "--space: 1D space document field 'grid_size': invalid literal"),
+    "cd-check-grid-size-infinite": (
+        "cd-check", {"segment": {**MALFORMED_BASE["segment"], "grid_size": math.inf}},
+        "--space: 1D space document field 'grid_size': cannot convert"),
+    "cd-check-key-list": (
+        "cd-check", {"segment": list(MALFORMED_BASE["segment"])},
+        "--space: 1D space document must be a JSON object, got list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_two(tmp_path, capsys, case):
+    # each ended in a ValueError, TypeError or OverflowError traceback with
+    # exit 1, the code of a failed check
+    command, bad, message = MALFORMED[case]
+    docs = {**MALFORMED_BASE, "mu": MALFORMED_BASE["w"],
+            "f_bad": MALFORMED_BASE["f"], **bad}
+    paths = {}
+    for key, doc in docs.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(doc))
+    out = tmp_path / "r"
+    argv = [a.format(**paths) for a in MALFORMED_ARGV[command]]
+    code = mmlab.cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"n_exact_separation": 20}, "n_exact_separation"),
     ({"tolerances": {"structural": 1e-12, "mass_1d": 1e-3}}, "tolerances"),

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import time
 
 import numpy as np
@@ -253,6 +255,28 @@ def test_space_json_round_trip():
 def test_space_json_missing_key():
     with pytest.raises(ValidationError, match="weights"):
         FiniteMmSpace.from_json('{"points": [0], "dist": [[0.0]]}')
+
+
+SPACE_DOC = {"points": [0, 1], "dist": [[0.0, 1.0], [1.0, 0.0]],
+             "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**SPACE_DOC, "dist": [[0, 1], [1]]}, "field 'dist': setting an array"),
+    ({**SPACE_DOC, "dist": "ab"}, "field 'dist': could not convert"),
+    ({**SPACE_DOC, "dist": [[0, {}], [1, 0]]}, "field 'dist'"),
+    ({**SPACE_DOC, "points": 5}, "field 'points'"),
+    ({**SPACE_DOC, "weights": "ab"}, "field 'weights'"),
+    ({**SPACE_DOC, "weights": [0.5, [0.5]]}, "field 'weights'"),
+    (list(SPACE_DOC), "must be a JSON object, got list"),
+    (5, "must be a JSON object, got int"),
+])
+def test_space_json_rejects_malformed_fields(doc, message):
+    # each was a bare ValueError or TypeError, which the CLI took for a
+    # failed check
+    assert FiniteMmSpace.from_json(json.dumps(SPACE_DOC)).n == 2
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        FiniteMmSpace.from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

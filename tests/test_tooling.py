@@ -192,3 +192,44 @@ def test_obsdiam_sandwich_scores_witnesses_without_the_1d_entry(monkeypatch):
                                       rng.dirichlet(np.ones(40)))
     sw = concentration.obsdiam_sandwich(space, space.weights, 0.2)
     assert 0.0 < sw.lower <= sw.upper
+
+
+def test_transport_lps_share_one_solver_per_thread(monkeypatch):
+    # linprog builds one _Highs per thread and passes it every later LP;
+    # the benchmark's finite-lp time rests on this.  New options, here a
+    # changed tolerance, build a new one
+    import numpy as np
+
+    from mmlab import transport
+    from mmlab.core import FiniteMmSpace
+
+    highs = transport._highs()
+    built = []
+
+    class CountingHighs:
+        def __getattr__(self, name):
+            return getattr(highs, name)
+
+        def _Highs(self):
+            built.append(1)
+            return highs._Highs()
+
+    counting = CountingHighs()
+    monkeypatch.setattr(transport, "_highs", lambda: counting)
+    rng = np.random.default_rng(8)
+
+    def solve_one():
+        n = int(rng.integers(1, 24))
+        space = FiniteMmSpace.from_points(rng.random((n, 2)),
+                                          rng.dirichlet(np.ones(n)))
+        transport.w2_exact(space, rng.dirichlet(np.ones(n)),
+                           rng.dirichlet(np.ones(n)))
+
+    for _ in range(30):
+        solve_one()
+    assert len(built) == 1
+    monkeypatch.setitem(transport._HIGHS_OPTIONS,
+                        "primal_feasibility_tolerance", 1e-9)
+    solve_one()
+    solve_one()
+    assert len(built) == 2

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +88,29 @@ def test_1d_space_json_round_trip():
     assert back.m == sp.m
     assert np.allclose(back.log_density, sp.log_density)
     assert np.allclose(back.grid, sp.grid)
+
+
+SEGMENT_DOC = {"kind": "segment", "total_length": 1.0, "grid_size": 1,
+               "log_density": [0.0]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**SEGMENT_DOC, "grid_size": "x"}, "field 'grid_size': invalid literal"),
+    ({**SEGMENT_DOC, "grid_size": None}, "field 'grid_size'"),
+    ({**SEGMENT_DOC, "grid_size": math.inf}, "field 'grid_size': cannot convert"),
+    ({**SEGMENT_DOC, "total_length": "x"}, "field 'total_length'"),
+    ({**SEGMENT_DOC, "grid_size": 2, "log_density": [0.0, [1.0]]},
+     "field 'log_density'"),
+    ({**SEGMENT_DOC, "log_density": "ab"}, "field 'log_density'"),
+    (list(SEGMENT_DOC), "must be a JSON object, got list"),
+    ("segment", "must be a JSON object, got str"),
+    ({k: v for k, v in SEGMENT_DOC.items() if k != "kind"}, "missing 'kind'"),
+])
+def test_1d_space_json_rejects_malformed_fields(doc, message):
+    # each was a bare ValueError, TypeError, OverflowError or KeyError
+    assert WeightedOneDimSpace.from_json(json.dumps(SEGMENT_DOC)).m == 1
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        WeightedOneDimSpace.from_json(json.dumps(doc))
 
 
 def test_interval_mass_uniform():
@@ -545,6 +570,103 @@ def test_linprog_rejects_counts_past_int32(change):
     lp = {"c": np.ones(1), **INFEASIBLE_LP, **change}
     with pytest.raises(ValueError, match="HiGHS counts to 2147483647"):
         transport.linprog(lp.pop("c"), **lp)
+
+
+def fresh_solve(c, A_eq, b_eq):
+    """The oracle for linprog's kept solver: a new ``_Highs`` given the
+    options and then the LP, as linprog built one for each LP before it
+    kept one per thread.  The result as ``linprog_summary`` gives it."""
+    highs = transport._highs()
+    settings = highs.HighsOptions()
+    for key, value in transport._HIGHS_OPTIONS.items():
+        setattr(settings, key, value)
+    solver = highs._Highs()
+    assert solver.passOptions(settings) != highs.HighsStatus.kError
+    indptr, indices, data = A_eq
+    n = c.size
+    if solver.passModel(n, b_eq.size, int(indptr[-1]),
+                        highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+                        0.0, c, np.zeros(n), np.full(n, highs.kHighsInf),
+                        b_eq, b_eq, indptr.astype(np.int32),
+                        indices.astype(np.int32), data,
+                        np.zeros(n, np.int32)) == highs.HighsStatus.kError:
+        return "rejected"
+    solver.run()
+    info = solver.getInfo()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return 1, info.simplex_iteration_count
+    solution = solver.getSolution()
+    return (0, np.array(solution.col_value).tobytes(),
+            float(info.objective_function_value).hex(),
+            np.array(solution.row_dual).tobytes(),
+            info.simplex_iteration_count)
+
+
+def linprog_summary(lp):
+    """(status, x bytes, fun hex, row_dual bytes, nit) of
+    ``transport.linprog(*lp)``; (status, nit) when it is not optimal, and
+    "rejected" when it raises ``ValueError``."""
+    try:
+        res = transport.linprog(*lp)
+    except ValueError:
+        return "rejected"
+    if res.status != 0:
+        return res.status, res.nit
+    return (0, res.x.tobytes(), float(res.fun).hex(), res.row_dual.tobytes(),
+            res.nit)
+
+
+def transport_lp(rng, n):
+    """The LP that ``w2_exact`` builds on a random space of ``n`` points."""
+    lps = []
+    solve = transport.linprog
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "linprog", lambda *lp: lps.append(lp) or solve(*lp))
+        w2_exact(random_space(rng, n), rng.dirichlet(np.ones(n)),
+                 rng.dirichlet(np.ones(n)))
+    return lps[0]
+
+
+def test_kept_solver_solves_each_lp_as_a_fresh_one():
+    # linprog passes every LP to one solver per thread; a size, basis or
+    # solution kept from the LP before, or a state left by a failed or
+    # rejected one, would show as a difference from a fresh solver (a kept
+    # basis as nit 0 on the repeated LP)
+    rng = np.random.default_rng(17)
+    large, small, single, large_again = (transport_lp(rng, n)
+                                         for n in (40, 3, 1, 32))
+    infeasible = (np.ones(1), INFEASIBLE_LP["A_eq"], INFEASIBLE_LP["b_eq"])
+    rejected = (np.ones(1), INFEASIBLE_LP["A_eq"], np.array([0.5]))
+    sequence = [large, small, single, large_again, large_again, infeasible,
+                rejected, small, large]
+    highs = transport._highs()
+    solver = transport._solver(highs)
+    summaries = [linprog_summary(lp) for lp in sequence]
+    assert transport._solver(highs) is solver
+    for lp, summary in zip(sequence, summaries):
+        assert summary == fresh_solve(*lp)
+    assert summaries[3] == summaries[4] and summaries[4][-1] > 0
+    assert summaries[5] == (1, summaries[5][1])
+    assert summaries[6] == "rejected"
+    assert summaries[8] == summaries[0]
+
+
+def test_each_thread_solves_on_its_own_solver():
+    lp = transport_lp(np.random.default_rng(18), 24)
+    highs = transport._highs()
+    solver = transport._solver(highs)
+    seen = {}
+
+    def solve_in_thread():
+        seen["summary"] = linprog_summary(lp)
+        seen["solver"] = transport._solver(highs)
+
+    thread = threading.Thread(target=solve_in_thread)
+    thread.start()
+    thread.join()
+    assert seen["solver"] is not solver
+    assert seen["summary"] == linprog_summary(lp) == fresh_solve(*lp)
+    assert transport._solver(highs) is solver
 
 
 def test_w2_raises_when_the_lp_is_not_optimal(monkeypatch):
