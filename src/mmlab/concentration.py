@@ -186,6 +186,26 @@ def _clique_feasible(adj: list[int], weights: np.ndarray, target: float) -> bool
     return rec(0, (1 << n) - 1, 0.0)
 
 
+def _space_weights(space: FiniteMmSpace, mu) -> np.ndarray:
+    """``prob_weights(mu)``, one weight per point of the space."""
+    mu = prob_weights(mu)
+    if mu.size != space.n:
+        raise ValidationError(f"{mu.size} weights for {space.n} points")
+    return mu
+
+
+def _support(space: FiniteMmSpace, mu: np.ndarray):
+    """Distances, weights and line coordinates (or None) on the support of
+    ``mu``.  A measure that charges every point gets the space's own matrix
+    and validated ``line_coords``; a smaller support is cut out and embedded
+    afresh, since its anchor point, and so its coordinates, can differ."""
+    sup = np.flatnonzero(mu > 0)
+    if sup.size == space.n:
+        return space.dist, mu, space.line_coords
+    dist = space.dist[np.ix_(sup, sup)]
+    return dist, mu[sup], line_embedding(dist)
+
+
 def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> Certified:
     """Smallest diameter of a subset of mass at least alpha.
 
@@ -194,15 +214,12 @@ def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> Certified:
     ``N_EXACT_PARTIAL_DIAM`` points; otherwise a certified upper bound from
     the metric-ball family is returned with ``exact=False``.
     """
-    mu = prob_weights(mu)
+    mu = _space_weights(space, mu)
     if not 0.0 <= alpha <= 1.0 + STRUCTURAL_TOL:
         raise ValidationError(f"alpha must lie in [0,1], got {alpha}")
     if alpha <= 0.0:
         return Certified(0.0, True, "empty")
-    sup = np.flatnonzero(mu > 0)
-    dist = space.dist[np.ix_(sup, sup)]
-    w = mu[sup]
-    coords = line_embedding(dist)
+    dist, w, coords = _support(space, mu)
     if coords is not None:
         val = partial_diameter_1d(coords, w, alpha)
         return Certified(val, True, "line-window")
@@ -271,14 +288,11 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
     """
     if not k0 > 0 or not k1 > 0:
         raise ValidationError("mass thresholds must be positive")
-    mu = prob_weights(mu)
+    mu = _space_weights(space, mu)
     tol = STRUCTURAL_TOL
     if k0 > 1.0 + tol or k1 > 1.0 + tol:
         return Certified(0.0, True, "no-admissible-set")
-    sup = np.flatnonzero(mu > 0)
-    dist = space.dist[np.ix_(sup, sup)]
-    w = mu[sup]
-    coords = line_embedding(dist)
+    dist, w, coords = _support(space, mu)
     if coords is not None:
         return Certified(_line_separation(coords, w, k0, k1, tol), True,
                          "line-window")
@@ -332,7 +346,7 @@ def obsdiam_sandwich(space: FiniteMmSpace, mu, kappa: float, *,
         raise ValidationError(f"kappa must be positive, got {kappa}")
     if kappa >= 1.0:
         return ObsDiamSandwich(0.0, 0.0, "mass defect >= 1", True)
-    mu = prob_weights(mu)
+    mu = _space_weights(space, mu)
     alpha = 1.0 - kappa
     total = mu.sum()
     if alpha > total + STRUCTURAL_TOL:

@@ -19,6 +19,8 @@ __all__ = [
     "json_object",
     "json_field",
     "float_array",
+    "json_real",
+    "json_count",
     "prob_weights",
     "FiniteMmSpace",
     "Coupling",
@@ -60,6 +62,22 @@ def json_field(doc: dict, key: str, convert, what: str):
 def float_array(value) -> np.ndarray:
     """``value`` as a float array, the conversion ``json_field`` wraps."""
     return np.asarray(value, dtype=float)
+
+
+def json_real(value) -> float:
+    """``float(value)`` for ``json_field``; a JSON boolean is no number."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def json_count(value) -> int:
+    """``int(value)`` for ``json_field``; a JSON boolean or a fraction is no
+    count (``int`` would read ``true`` as 1 and truncate 2.7 to 2)."""
+    n = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return n
 
 
 def prob_weights(values) -> np.ndarray:
@@ -153,14 +171,20 @@ def subset_transform(v: np.ndarray, k: int, op) -> np.ndarray:
     return g.reshape(-1)
 
 
-def _validate_distance_matrix(dist: np.ndarray) -> None:
+def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray | None:
     """Check that ``dist`` is a finite pseudometric within ``STRUCTURAL_TOL``
-    (relative to the largest distance), naming the offending entry.
+    (relative to the largest distance), naming the offending entry, and
+    return ``line_embedding(dist)``: the line coordinates, or None.
 
-    The triangle inequality is certified in O(n^2) when the matrix is a line
-    metric within a quarter of the tolerance: then every triangle slack is
-    at most three quarters of it.  Otherwise the O(n^3) scan over every
-    intermediate point decides, and names the first violated triple.
+    A line metric within a quarter of the tolerance has every triangle
+    slack within three quarters of it and every asymmetry within half of
+    it, so the O(n^2) line certificate runs before the asymmetry check and,
+    when it passes, stands in for that check and the triangle scan.  An
+    asymmetric input fails the certificate, so it still reaches the check
+    and its message.  The O(n) diagonal check comes first, because one
+    point is a line metric whatever its diagonal.  Otherwise the O(n^3)
+    scan over every intermediate point decides, and names the first
+    violated triple.
     """
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValidationError(f"distance matrix must be square, got {dist.shape}")
@@ -174,14 +198,17 @@ def _validate_distance_matrix(dist: np.ndarray) -> None:
     if np.any(np.abs(np.diagonal(dist)) > atol):
         i = int(np.argmax(np.abs(np.diagonal(dist))))
         raise ValidationError(f"nonzero diagonal at ({i},{i}): {dist[i, i]}")
+    coords = line_embedding(dist)
+    if coords is not None:
+        return coords
     asym = np.abs(dist - dist.T)
     if asym.max(initial=0.0) > atol:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         raise ValidationError(
             f"asymmetric distances at ({i},{j}): {dist[i, j]} vs {dist[j, i]}"
         )
-    if line_embedding(dist) is None:
-        _triangle_scan(dist, atol)
+    _triangle_scan(dist, atol)
+    return None
 
 
 def _triangle_scan(dist: np.ndarray, atol: float) -> None:
@@ -200,15 +227,22 @@ def _triangle_scan(dist: np.ndarray, atol: float) -> None:
 
 @dataclass(frozen=True)
 class FiniteMmSpace:
-    """A finite metric measure space: points, distances, probability weights."""
+    """A finite metric measure space: points, distances, probability weights.
+
+    ``line_coords`` keeps the coordinates that validation's line certificate
+    found, ``line_embedding(dist)`` bit for bit, read-only, or None when
+    ``dist`` is not a line metric.  It is derived from ``dist``, so it takes
+    no part in ``==`` or ``repr``.
+    """
 
     point_ids: tuple
     dist: np.ndarray
     weights: np.ndarray
+    line_coords: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dist = np.asarray(self.dist, dtype=float).copy()
-        _validate_distance_matrix(dist)
+        coords = _validate_distance_matrix(dist)
         n = dist.shape[0]
         if len(self.point_ids) != n:
             raise ValidationError(
@@ -218,9 +252,12 @@ class FiniteMmSpace:
         if w.size != n:
             raise ValidationError(f"{w.size} weights for {n} points")
         dist.flags.writeable = False
+        if coords is not None:
+            coords.flags.writeable = False
         object.__setattr__(self, "point_ids", tuple(self.point_ids))
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "line_coords", coords)
 
     @property
     def n(self) -> int:

@@ -35,8 +35,10 @@ from .core import (
     FiniteMmSpace,
     first_feasible,
     float_array,
+    json_count,
     json_field,
     json_object,
+    json_real,
     prob_weights,
     row_masks,
     subset_transform,
@@ -176,8 +178,8 @@ class WeightedOneDimSpace:
         doc = json_object(text, what)
         if "kind" not in doc:
             raise ValidationError(f"{what} is missing 'kind'")
-        L = json_field(doc, "total_length", float, what)
-        m = json_field(doc, "grid_size", int, what)
+        L = json_field(doc, "total_length", json_real, what)
+        m = json_field(doc, "grid_size", json_count, what)
         ld = json_field(doc, "log_density", float_array, what)
         if ld.size != m:
             raise ValidationError(

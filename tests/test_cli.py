@@ -297,6 +297,19 @@ MALFORMED = {
     "cd-check-grid-size-infinite": (
         "cd-check", {"segment": {**MALFORMED_BASE["segment"], "grid_size": math.inf}},
         "--space: 1D space document field 'grid_size': cannot convert"),
+    "cd-check-total-length-bool": (
+        "cd-check", {"segment": {**MALFORMED_BASE["segment"], "total_length": True}},
+        "--space: 1D space document field 'total_length': expected a number, "
+        "got true"),
+    "cd-check-grid-size-bool": (
+        "cd-check", {"segment": {**MALFORMED_BASE["segment"], "grid_size": True}},
+        "--space: 1D space document field 'grid_size': expected an integer, "
+        "got true"),
+    "cd-check-grid-size-fraction": (
+        "cd-check", {"segment": {**MALFORMED_BASE["segment"], "grid_size": 2.7,
+                                 "log_density": [0.0, 0.0]}},
+        "--space: 1D space document field 'grid_size': expected an integer, "
+        "got 2.7"),
     "cd-check-key-list": (
         "cd-check", {"segment": list(MALFORMED_BASE["segment"])},
         "--space: 1D space document must be a JSON object, got list"),

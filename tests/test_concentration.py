@@ -1,12 +1,14 @@
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mmlab import concentration
 from mmlab.concentration import (
     OBSDIAM_WITNESS_POTENTIALS,
     OBSDIAM_WITNESS_SUBSETS,
@@ -27,6 +29,7 @@ from mmlab.concentration import (
 from mmlab.config import STRUCTURAL_TOL, default_config
 from mmlab.core import FiniteMmSpace, prob_weights, subset_diameter
 from mmlab.errors import SolverFailure, ValidationError
+from mmlab.transport import WeightedOneDimSpace, discretize
 
 
 def two_point_space(D=2.0, w=(0.5, 0.5)):
@@ -442,6 +445,84 @@ def test_obsdiam_sandwich_matches_per_witness_oracle(seed, n, ties, zeros, asym,
     space = FiniteMmSpace(tuple(f"p{i}" for i in range(n)), dist, w)
     assert obsdiam_sandwich(space, space.weights, kappa) == obsdiam_oracle(
         space, space.weights, kappa)
+
+
+# ---------------------------------------------------------------------------
+# the space's own line coordinates against the sub-block embedded afresh
+
+
+def parent_support(space, mu):
+    """The support as ``partial_diameter`` and ``separation`` took it before
+    spaces kept their line coordinates: the sub-block of ``dist`` over the
+    points ``mu`` charges, embedded afresh."""
+    sup = np.flatnonzero(mu > 0)
+    dist = space.dist[np.ix_(sup, sup)]
+    return dist, mu[sup], line_embedding(dist)
+
+
+def no_embedding(dist):
+    raise AssertionError("line_embedding called on a full support")
+
+
+def support_space(rng, kind, n, ties):
+    if kind == "points":
+        x = rng.random(n) * 6.0
+        if ties:
+            x = np.round(x * 4.0) / 4.0
+        return FiniteMmSpace.from_points(x, rng.dirichlet(np.ones(n)))
+    r = rng.uniform(0.2, 2.0, size=n)
+    L = float(rng.uniform(0.5, 8.0))
+    log_density = np.log(r / (r.sum() * (L / n)))
+    return discretize(WeightedOneDimSpace(kind, L, log_density))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), kind=st.sampled_from(["points", "segment", "circle"]),
+       n=st.one_of(st.integers(1, 24), st.integers(25, 80)), ties=st.booleans(),
+       measure=st.sampled_from(["space", "random", "zeros"]),
+       kappa=st.one_of(st.sampled_from([1e-13, 0.5, 1.0 - 1e-13]), st.floats(0.01, 0.99)),
+       k0=st.floats(0.01, 0.7), k1=st.floats(0.01, 0.7))
+def test_support_results_match_fresh_sub_block(seed, kind, n, ties, measure, kappa,
+                                               k0, k1):
+    # 1D point clouds and discretised segments are line metrics, circles
+    # take the clique, subset and bound branches; "zeros" leaves points
+    # uncharged, so the sub-block is cut out and embedded as before
+    rng = np.random.default_rng(seed)
+    space = support_space(rng, kind, n, ties)
+    mu = (space.weights if measure == "space"
+          else random_weights(rng, space.n, measure == "zeros"))
+    mu = prob_weights(mu)
+    full = bool(np.all(mu > 0))
+    assert (space.line_coords is not None) == (line_embedding(space.dist) is not None)
+
+    def results():
+        return (partial_diameter(space, mu, 1.0 - kappa),
+                separation(space, mu, k0, k1),
+                obsdiam_sandwich(space, mu, kappa))
+
+    with mock.patch.object(concentration, "_support", parent_support):
+        want = results()
+    if full:
+        # the validated coordinates serve: no second embedding
+        with mock.patch.object(concentration, "line_embedding", no_embedding):
+            got = results()
+    else:
+        got = results()
+    assert got == want
+
+
+@pytest.mark.parametrize("mu", [[0.5, 0.5], [0.2] * 5 + [0.0]])
+def test_measure_of_another_length_is_rejected(mu):
+    # two weights gave partial diameter and separation over the first two
+    # points, and obsdiam_sandwich an IndexError; a trailing zero weight was
+    # read as a sixth point
+    space = FiniteMmSpace.from_points(np.arange(5.0), np.full(5, 0.2))
+    message = f"^{len(mu)} weights for 5 points$"
+    for call in (lambda: partial_diameter(space, mu, 0.5),
+                 lambda: separation(space, mu, 0.3, 0.3),
+                 lambda: obsdiam_sandwich(space, mu, 0.2)):
+        with pytest.raises(ValidationError, match=message):
+            call()
 
 
 def assert_rows_match_loop(F, w, alpha):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import re
@@ -225,6 +227,117 @@ def test_line_metric_with_raised_entry_names_triple():
                        match=r"triangle inequality violated for \(i,j,k\) = "
                              r"\((3,40|40,3),\d+\)"):
         FiniteMmSpace(tuple(range(64)), dist, np.full(64, 1 / 64))
+
+
+def parent_validate(dist):
+    """The validator before the line certificate ran first: diagonal,
+    asymmetry, then the certificate or the triangle scan; it returns
+    nothing."""
+    if not np.all(np.isfinite(dist)):
+        raise ValidationError("distance matrix must be finite")
+    if np.any(dist < 0):
+        i, j = np.unravel_index(int(np.argmin(dist)), dist.shape)
+        raise ValidationError(f"negative distance at ({i},{j}): {dist[i, j]}")
+    atol = STRUCTURAL_TOL * max(float(dist.max(initial=0.0)), 1.0)
+    if np.any(np.abs(np.diagonal(dist)) > atol):
+        i = int(np.argmax(np.abs(np.diagonal(dist))))
+        raise ValidationError(f"nonzero diagonal at ({i},{i}): {dist[i, i]}")
+    asym = np.abs(dist - dist.T)
+    if asym.max(initial=0.0) > atol:
+        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+        raise ValidationError(
+            f"asymmetric distances at ({i},{j}): {dist[i, j]} vs {dist[j, i]}")
+    if line_embedding(dist) is None:
+        _triangle_scan(dist, atol)
+
+
+def validation_message(check, dist):
+    try:
+        check(dist)
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+LINE3 = np.abs(np.subtract.outer([0.0, 1.0, 3.0], [0.0, 1.0, 3.0]))
+
+
+def line3_with(*entries):
+    d = LINE3.copy()
+    for i, j, v in entries:
+        d[i, j] = v
+    return d
+
+
+@pytest.mark.parametrize("dist, message", [
+    (line3_with((1, 1, 0.5)), "nonzero diagonal at (1,1): 0.5"),
+    (np.array([[0.25]]), "nonzero diagonal at (0,0): 0.25"),
+    (line3_with((0, 2, 3.5)), "asymmetric distances at (0,2): 3.5 vs 3.0"),
+    (line3_with((0, 2, 4.5), (2, 0, 4.5)),
+     "triangle inequality violated for (i,j,k) = (0,2,1): "
+     "d(0,2) = 4.5 > 1.0 + 2.0"),
+    (line3_with((1, 2, -0.25), (2, 1, -0.25)), "negative distance at (1,2): -0.25"),
+    (line3_with((2, 0, math.nan)), "distance matrix must be finite"),
+    (line3_with((2, 0, math.inf)), "distance matrix must be finite"),
+])
+def test_validation_messages_unchanged(dist, message):
+    # the certificate now runs before the asymmetry check; every rejected
+    # input still gets the message it got before
+    assert validation_message(parent_validate, dist) == message
+    n = dist.shape[0]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        FiniteMmSpace(tuple(range(n)), dist, np.full(n, 1.0 / n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 10 ** 6),
+       st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0]),
+       st.sampled_from(["diagonal", "upper", "both", "one"]))
+def test_validation_message_matches_parent_order(n, seed, noise, where):
+    # a line metric with noise of up to noise * atol on its diagonal, on
+    # its upper triangle only (asymmetric), on both triangles, or on one
+    # entry: the validator accepts what the old order accepted and names
+    # the same entry when it rejects
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.random(n) * 8.0) / 4.0
+    dist = np.abs(x[:, None] - x[None, :])
+    atol = STRUCTURAL_TOL * max(float(dist.max()), 1.0)
+    bump = rng.uniform(0.0, 1.0, (n, n)) * noise * atol
+    if where == "diagonal":
+        dist += np.diag(np.diagonal(bump))
+    elif where == "upper":
+        dist += np.triu(bump, 1)
+    elif where == "both":
+        dist += bump
+    else:
+        dist[rng.integers(n), rng.integers(n)] += bump[0, 0]
+    want = validation_message(parent_validate, dist)
+    assert validation_message(_validate_distance_matrix, dist) == want
+
+
+def test_space_keeps_its_line_coordinates():
+    x = np.random.default_rng(11).random(40) * 3.0
+    s = FiniteMmSpace.from_points(x, np.full(40, 1 / 40))
+    assert s.line_coords.tobytes() == line_embedding(s.dist).tobytes()
+    assert not s.line_coords.flags.writeable
+    with pytest.raises(ValueError):
+        s.line_coords[0] = 1.0
+    assert FiniteMmSpace((0,), [[0.0]], [1.0]).line_coords.tobytes() == \
+        np.zeros(1).tobytes()
+    cube = FiniteMmSpace.from_points(
+        [[i >> 2 & 1, i >> 1 & 1, i & 1] for i in range(8)], np.full(8, 1 / 8))
+    assert line_embedding(cube.dist) is None and cube.line_coords is None
+
+
+def test_line_coordinates_take_no_part_in_eq_or_repr():
+    s = FiniteMmSpace.from_points([0.0, 1.0, 3.0], [0.25, 0.25, 0.5])
+    t = copy.copy(s)
+    object.__setattr__(t, "line_coords", None)
+    assert s.line_coords is not None
+    assert s == t and repr(s) == repr(t)
+    assert "line_coords" not in repr(s)
+    f = {f.name: f for f in dataclasses.fields(FiniteMmSpace)}["line_coords"]
+    assert not f.init and not f.repr and not f.compare
 
 
 def test_discretized_segment_validates_in_quadratic_time():

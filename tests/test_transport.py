@@ -113,6 +113,26 @@ def test_1d_space_json_rejects_malformed_fields(doc, message):
         WeightedOneDimSpace.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("total_length", True, "field 'total_length': expected a number, got true"),
+    ("total_length", False, "field 'total_length': expected a number, got false"),
+    ("grid_size", True, "field 'grid_size': expected an integer, got true"),
+    ("grid_size", 2.7, "field 'grid_size': expected an integer, got 2.7"),
+    ("grid_size", 1.5, "field 'grid_size': expected an integer, got 1.5"),
+])
+def test_1d_space_json_rejects_booleans_and_fractions(key, value, message):
+    # true read as a length of 1.0 or a grid of 1, and int() truncated a
+    # fraction
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        WeightedOneDimSpace.from_json(json.dumps({**SEGMENT_DOC, key: value}))
+
+
+def test_1d_space_json_reads_integral_float_grid_size():
+    doc = {**SEGMENT_DOC, "grid_size": 2.0, "log_density": [0.0, 0.0]}
+    sp = WeightedOneDimSpace.from_json(json.dumps(doc))
+    assert sp.m == 2 and type(sp.total_length) is float
+
+
 def test_interval_mass_uniform():
     sp = segment(40, L=4.0)
     assert interval_mass(sp, 0.0, 4.0) == pytest.approx(1.0, abs=1e-12)
