@@ -1,7 +1,9 @@
 """Concentration-of-measure invariants and closed-form comparison bounds.
 
 Partial diameter and separation distance are solved exactly on small spaces
-(combinatorial search) and on spaces isometric to a subset of the line
+(tables over every subset of the support: the partial diameter reads the
+smallest diameter among the subsets of enough mass, the separation searches
+its distance thresholds) and on spaces isometric to a subset of the line
 (sliding windows); beyond the fixed size budgets a certified upper bound is
 returned together with an ``exact=False`` flag.
 """
@@ -17,10 +19,12 @@ from .coefficients import _check_finite
 from .config import STRUCTURAL_TOL, RunConfig, default_config
 from .core import (
     FiniteMmSpace,
+    _space_weights,
     first_feasible,
     line_embedding,
-    prob_weights,
     row_masks,
+    subset_diameters,
+    subset_sums,
     subset_transform,
 )
 from .errors import DomainError, SolverFailure, ValidationError
@@ -40,8 +44,8 @@ __all__ = [
     "levy_bound_sequence",
 ]
 
-# exact combinatorial searches up to these support sizes; beyond them a
-# certified upper bound is returned
+# exact subset tables up to these support sizes; beyond them a certified
+# upper bound is returned
 N_EXACT_PARTIAL_DIAM = 18
 N_EXACT_SEPARATION = 14
 # random members of the observable-diameter witness family
@@ -65,7 +69,7 @@ def partial_diameter_1d(values, weights, alpha: float) -> float:
     STRUCTURAL_TOL``, so the result is the exact minimum of
     ``xs[k-1] - xs[i]`` over the achieved windows.  Values must be finite
     and weights finite and nonnegative, one per value; the first that is
-    not is named.
+    not is named.  A NaN alpha is rejected.
     """
     x = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -80,6 +84,8 @@ def partial_diameter_1d(values, weights, alpha: float) -> float:
     if bad.size:
         raise ValidationError(f"weights must be finite and nonnegative, "
                               f"weights[{bad[0]}] = {w[bad[0]]}")
+    if math.isnan(alpha):
+        raise ValidationError(f"alpha must be a number, got {alpha}")
     if alpha <= 0.0:
         return 0.0
     total = w.sum()
@@ -160,40 +166,6 @@ class Certified:
         return self.value
 
 
-def _clique_feasible(adj: list[int], weights: np.ndarray, target: float) -> bool:
-    """Is there a clique of weight >= target in the threshold graph?"""
-    n = weights.size
-    order = np.argsort(-weights, kind="stable")
-
-    def rec(pos: int, allowed: int, acc: float) -> bool:
-        if acc >= target:
-            return True
-        remaining = acc
-        for k in range(pos, n):
-            if allowed >> order[k] & 1:
-                remaining += weights[order[k]]
-        if remaining < target:
-            return False
-        for k in range(pos, n):
-            v = int(order[k])
-            if not (allowed >> v & 1):
-                continue
-            if rec(k + 1, allowed & adj[v], acc + weights[v]):
-                return True
-            allowed &= ~(1 << v)
-        return False
-
-    return rec(0, (1 << n) - 1, 0.0)
-
-
-def _space_weights(space: FiniteMmSpace, mu) -> np.ndarray:
-    """``prob_weights(mu)``, one weight per point of the space."""
-    mu = prob_weights(mu)
-    if mu.size != space.n:
-        raise ValidationError(f"{mu.size} weights for {space.n} points")
-    return mu
-
-
 def _support(space: FiniteMmSpace, mu: np.ndarray):
     """Distances, weights and line coordinates (or None) on the support of
     ``mu``.  A measure that charges every point gets the space's own matrix
@@ -209,12 +181,13 @@ def _support(space: FiniteMmSpace, mu: np.ndarray):
 def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> Certified:
     """Smallest diameter of a subset of mass at least alpha.
 
-    Exact on line-embeddable spaces (any size) and, by threshold search with
-    a clique feasibility check, on spaces with at most
-    ``N_EXACT_PARTIAL_DIAM`` points; otherwise a certified upper bound from
-    the metric-ball family is returned with ``exact=False``.
+    Exact on line-embeddable spaces (any size) and on supports of at most
+    ``N_EXACT_PARTIAL_DIAM`` points, where it is the smallest entry of the
+    subset-diameter table over the subsets of mass at least alpha within
+    ``STRUCTURAL_TOL``; otherwise a certified upper bound from the
+    metric-ball family is returned with ``exact=False``.
     """
-    mu = _space_weights(space, mu)
+    mu = _space_weights(mu, space.n)
     if not 0.0 <= alpha <= 1.0 + STRUCTURAL_TOL:
         raise ValidationError(f"alpha must lie in [0,1], got {alpha}")
     if alpha <= 0.0:
@@ -226,11 +199,11 @@ def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> Certified:
     n = w.size
     target = alpha - STRUCTURAL_TOL
     if n <= N_EXACT_PARTIAL_DIAM:
-        cands = np.unique(np.concatenate([[0.0], dist.ravel()]))
-        # the whole support is a clique at the largest distance
-        k = first_feasible(lambda k: _clique_feasible(
-            row_masks(dist <= cands[k]).tolist(), w, target), cands.size)
-        return Certified(float(cands[k]), True, "clique-threshold")
+        # the whole support counts, at the largest distance, when its mass
+        # falls short of the target by rounding only
+        val = subset_diameters(dist)[subset_sums(w) >= target].min(
+            initial=dist.max())
+        return Certified(float(val), True, "subset-table")
     # certified upper bound: best metric ball reaching the target mass
     best = float(dist.max())
     for c in range(n):
@@ -261,20 +234,7 @@ def _line_separation(x: np.ndarray, w: np.ndarray, k0: float, k1: float,
             return 0.0
         return max(xs[ib] - xs[ia], 0.0)
 
-    return max(candidate(k0, k1), candidate(k1, k0))
-
-
-def _subset_masses(w: np.ndarray) -> np.ndarray:
-    """Mass of every subset of the atoms, indexed by bitmask.  Filled from
-    the highest bit down: entry t + 2^i, for t a multiple of 2^(i+1), is
-    entry t plus w[i], one addition per entry, so a subset's mass adds its
-    atoms from the highest index to the lowest."""
-    n = w.size
-    mass = np.zeros(1 << n)
-    for i in range(n - 1, -1, -1):
-        v = mass.reshape(-1, 2 << i)
-        v[:, 1 << i] = v[:, 0] + w[i]
-    return mass
+    return float(max(candidate(k0, k1), candidate(k1, k0)))
 
 
 def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
@@ -288,7 +248,7 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
     """
     if not k0 > 0 or not k1 > 0:
         raise ValidationError("mass thresholds must be positive")
-    mu = _space_weights(space, mu)
+    mu = _space_weights(mu, space.n)
     tol = STRUCTURAL_TOL
     if k0 > 1.0 + tol or k1 > 1.0 + tol:
         return Certified(0.0, True, "no-admissible-set")
@@ -301,7 +261,7 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
         return Certified(float(dist.max()), False, "diam-upper-bound")
 
     full = (1 << n) - 1
-    mass = _subset_masses(w)
+    mass = subset_sums(w)
     bits = 1 << np.arange(n, dtype=np.int64)
     big = mass[1:] >= k0 - tol
 
@@ -346,7 +306,7 @@ def obsdiam_sandwich(space: FiniteMmSpace, mu, kappa: float, *,
         raise ValidationError(f"kappa must be positive, got {kappa}")
     if kappa >= 1.0:
         return ObsDiamSandwich(0.0, 0.0, "mass defect >= 1", True)
-    mu = _space_weights(space, mu)
+    mu = _space_weights(mu, space.n)
     alpha = 1.0 - kappa
     total = mu.sum()
     if alpha > total + STRUCTURAL_TOL:

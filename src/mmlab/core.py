@@ -28,6 +28,8 @@ __all__ = [
     "pushforward",
     "partition_average",
     "subset_diameter",
+    "subset_diameters",
+    "subset_sums",
     "as_index_array",
     "line_embedding",
     "first_feasible",
@@ -105,6 +107,14 @@ def prob_weights(values) -> np.ndarray:
     return w
 
 
+def _space_weights(mu, n: int) -> np.ndarray:
+    """``prob_weights(mu)``, one weight per point of an n-point space."""
+    mu = prob_weights(mu)
+    if mu.size != n:
+        raise ValidationError(f"{mu.size} weights for {n} points")
+    return mu
+
+
 def as_index_array(subset, n: int) -> np.ndarray:
     """Normalise a point subset (indices or boolean mask) to sorted indices."""
     a = np.asarray(subset)
@@ -169,6 +179,36 @@ def subset_transform(v: np.ndarray, k: int, op) -> np.ndarray:
         g = g.reshape(-1, 2, 1 << i)
         op(g[:, 1, :], g[:, 0, :], out=g[:, 1, :])
     return g.reshape(-1)
+
+
+def subset_sums(w: np.ndarray) -> np.ndarray:
+    """Mass of every subset of the atoms, indexed by bitmask.  Filled from
+    the highest bit down: entry t + 2^i, for t a multiple of 2^(i+1), is
+    entry t plus w[i], one addition per entry, so a subset's mass adds its
+    atoms from the highest index to the lowest."""
+    n = w.size
+    mass = np.zeros(1 << n)
+    for i in range(n - 1, -1, -1):
+        v = mass.reshape(-1, 2 << i)
+        v[:, 1 << i] = v[:, 0] + w[i]
+    return mass
+
+
+def subset_diameters(dist: np.ndarray) -> np.ndarray:
+    """Diameter of every subset of the points, indexed by bitmask: the
+    largest distance, in either direction, between two of its points (the
+    diagonal is taken as zero).  Filled point by point: entry 2^i + s, for
+    s < 2^i, is the larger of entry s and far[s], the largest distance from
+    point i to a point of s, which is built the same way over j < i."""
+    dist = np.maximum(dist, dist.T)
+    n = dist.shape[0]
+    diam = np.zeros(1 << n)
+    for i in range(n):
+        far = np.zeros(1 << i)
+        for j in range(i):
+            np.maximum(far[:1 << j], dist[i, j], out=far[1 << j:2 << j])
+        np.maximum(diam[:1 << i], far, out=diam[1 << i:2 << i])
+    return diam
 
 
 def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray | None:
@@ -248,9 +288,7 @@ class FiniteMmSpace:
             raise ValidationError(
                 f"{len(self.point_ids)} point ids for {n}x{n} distance matrix"
             )
-        w = prob_weights(self.weights)
-        if w.size != n:
-            raise ValidationError(f"{w.size} weights for {n} points")
+        w = _space_weights(self.weights, n)
         dist.flags.writeable = False
         if coords is not None:
             coords.flags.writeable = False

@@ -33,6 +33,7 @@ from .config import (
 from .core import (
     Coupling,
     FiniteMmSpace,
+    _space_weights,
     first_feasible,
     float_array,
     json_count,
@@ -41,6 +42,7 @@ from .core import (
     json_real,
     prob_weights,
     row_masks,
+    subset_sums,
     subset_transform,
 )
 from .errors import (
@@ -582,10 +584,8 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     scale, or when ``Coupling`` rejects the rounded plan, ``SolverFailure``
     is raised.  ``value`` is the square root of the LP's optimal cost.
     """
-    mu = prob_weights(mu)
-    nu = prob_weights(nu)
-    if mu.size != space.n or nu.size != space.n:
-        raise ValidationError("weights do not match the space")
+    mu = _space_weights(mu, space.n)
+    nu = _space_weights(nu, space.n)
     sa = np.flatnonzero(mu > 0)
     sb = np.flatnonzero(nu > 0)
     wa, wb = mu[sa], nu[sb]
@@ -714,16 +714,15 @@ def _hall_close_mass(allowed: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> flo
     minimum over U ⊆ S of w(U) + w(atoms of the larger side with an allowed
     partner outside U).  Each larger-side atom is bucketed by the bitmask of
     its allowed partners, so one zeta transform gives the weight of atoms
-    whose partners all lie in U, for every U at once: O(n k + k 2^k).
+    whose partners all lie in U, for every U at once, and ``subset_sums``
+    gives w(U): O(n k + k 2^k).
     """
     if allowed.shape[0] <= allowed.shape[1]:
         allowed, wa, wb = allowed.T, wb, wa
     k = allowed.shape[1]
-    size = 1 << k
     inside = subset_transform(
-        np.bincount(row_masks(allowed), weights=wa, minlength=size), k, np.add)
-    small = subset_transform(
-        np.bincount(1 << np.arange(k), weights=wb, minlength=size), k, np.add)
+        np.bincount(row_masks(allowed), weights=wa, minlength=1 << k), k, np.add)
+    small = subset_sums(wb)
     return float(np.min(small + (inside[-1] - inside)))
 
 
@@ -918,10 +917,8 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
 
 def prokhorov(space: FiniteMmSpace, mu, nu) -> float:
     """Prokhorov distance between two weight vectors on a common space."""
-    mu = prob_weights(mu)
-    nu = prob_weights(nu)
-    if mu.size != space.n or nu.size != space.n:
-        raise ValidationError("weights do not match the space")
+    mu = _space_weights(mu, space.n)
+    nu = _space_weights(nu, space.n)
     sa = np.flatnonzero(mu > 0)
     sb = np.flatnonzero(nu > 0)
     return prokhorov_from_distances(space.dist[np.ix_(sa, sb)], mu[sa], nu[sb])

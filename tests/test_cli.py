@@ -279,6 +279,10 @@ MALFORMED = {
                       "--space: space document must be a JSON object"),
     "w2-mu-text": ("w2", {"mu": {"weights": "ab"}},
                    "--mu: document field 'weights': could not convert"),
+    "w2-nu-length": ("w2", {"w": {"weights": [0.25] * 4}},
+                     "4 weights for 2 points"),
+    "prokhorov-nu-length": ("prokhorov", {"w": {"weights": [0.25] * 4}},
+                            "4 weights for 2 points"),
     "prokhorov-dist-ragged": ("prokhorov", {"space": RAGGED_SPACE},
                               "--space: space document field 'dist'"),
     "prokhorov-dist-text": ("prokhorov", {"space": TEXT_SPACE},

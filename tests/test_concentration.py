@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from mmlab import concentration
 from mmlab.concentration import (
+    N_EXACT_PARTIAL_DIAM,
     OBSDIAM_WITNESS_POTENTIALS,
     OBSDIAM_WITNESS_SUBSETS,
+    Certified,
     ObsDiamSandwich,
     _partial_diameters,
-    _subset_masses,
     cd_obsdiam_bound,
     cd_separation_bound,
     cdstar_obsdiam_bound,
@@ -27,9 +29,17 @@ from mmlab.concentration import (
     separation,
 )
 from mmlab.config import STRUCTURAL_TOL, default_config
-from mmlab.core import FiniteMmSpace, prob_weights, subset_diameter
+from mmlab.core import (
+    FiniteMmSpace,
+    first_feasible,
+    prob_weights,
+    row_masks,
+    subset_diameter,
+    subset_diameters,
+    subset_sums,
+)
 from mmlab.errors import SolverFailure, ValidationError
-from mmlab.transport import WeightedOneDimSpace, discretize
+from mmlab.transport import WeightedOneDimSpace, discretize, prokhorov, w2_exact
 
 
 def two_point_space(D=2.0, w=(0.5, 0.5)):
@@ -139,6 +149,16 @@ def test_partial_diameter_1d_rejects_bad_input(values, weights, where):
         partial_diameter_1d(values, weights, 0.5)
 
 
+def test_partial_diameter_1d_alpha_nan_is_named():
+    # NaN passed every comparison and ended in a ValueError in the kernel
+    x, w = [0.0, 1.0, 2.0], [0.25, 0.25, 0.5]
+    with pytest.raises(ValidationError, match="^alpha must be a number, got nan$"):
+        partial_diameter_1d(x, w, math.nan)
+    assert partial_diameter_1d(x, w, -math.inf) == 0.0
+    with pytest.raises(ValidationError, match="^no set reaches mass inf"):
+        partial_diameter_1d(x, w, math.inf)
+
+
 def test_obsdiam_sandwich_small_uniform_planar_spaces():
     # witnesses of these spaces hit the full-window rounding above
     for seed in range(12):
@@ -218,6 +238,174 @@ def test_near_line_metric_takes_no_line_window():
 
 
 # ---------------------------------------------------------------------------
+# the subset table against the clique search it replaced
+
+
+def clique_feasible(adj, weights, target):
+    """Is there a clique of weight >= target in the threshold graph?"""
+    n = weights.size
+    order = np.argsort(-weights, kind="stable")
+
+    def rec(pos, allowed, acc):
+        if acc >= target:
+            return True
+        remaining = acc
+        for k in range(pos, n):
+            if allowed >> order[k] & 1:
+                remaining += weights[order[k]]
+        if remaining < target:
+            return False
+        for k in range(pos, n):
+            v = int(order[k])
+            if not (allowed >> v & 1):
+                continue
+            if rec(k + 1, allowed & adj[v], acc + weights[v]):
+                return True
+            allowed &= ~(1 << v)
+        return False
+
+    return rec(0, (1 << n) - 1, 0.0)
+
+
+def clique_partial_diameter(dist, w, alpha):
+    """``partial_diameter`` on a small support as it was computed before the
+    subset table: bisection over the distances, each step a clique search
+    in the graph of the pairs within that distance."""
+    target = alpha - STRUCTURAL_TOL
+    cands = np.unique(np.concatenate([[0.0], dist.ravel()]))
+    # the whole support is a clique at the largest distance
+    k = first_feasible(lambda k: clique_feasible(
+        row_masks(dist <= cands[k]).tolist(), w, target), cands.size)
+    return float(cands[k])
+
+
+# alpha = 0.5 + STRUCTURAL_TOL gives a target of exactly 0.5, which dyadic
+# masses reach exactly
+TABLE_ALPHAS = (1e-13, 0.1, 0.5, 0.5 + STRUCTURAL_TOL, 0.77, 0.999, 1.0,
+                1.0 + 5e-13)
+
+
+def table_dist(rng, kind, n):
+    """Distances of n points: a random cube, an integer grid (many ties),
+    points repeated from a few (zero distances), or a circle."""
+    if kind == "circle":
+        length = float(rng.uniform(1.0, 8.0))
+        x = np.floor(rng.uniform(0.0, length, size=n) * 2.0) / 2.0
+        gap = np.abs(x[:, None] - x[None, :])
+        return np.minimum(gap, length - gap)
+    if kind == "cube":
+        pts = rng.random((n, int(rng.choice([2, 3, 10]))))
+    elif kind == "grid":
+        pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+    else:
+        base = rng.random((max(1, n // 3), 3))
+        pts = base[rng.integers(0, base.shape[0], size=n)]
+    return FiniteMmSpace.from_points(pts, np.full(n, 1.0 / n)).dist
+
+
+def table_weights(rng, n, dyadic, partial):
+    """Dirichlet weights or exact multiples of 1/64, on every point or on a
+    random part of them."""
+    live = np.ones(n, dtype=bool)
+    if partial:
+        live = rng.random(n) < 0.6
+        live[rng.integers(n)] = True
+    m = int(live.sum())
+    w = np.zeros(n)
+    if dyadic:
+        w[live] = (1 + rng.multinomial(64 - m, np.full(m, 1.0 / m))) / 64.0
+    else:
+        w[live] = rng.dirichlet(np.ones(m))
+    return w
+
+
+def support_without_line(space, mu):
+    """The support, never taken as a line: every support reaches the table."""
+    sup = np.flatnonzero(mu > 0)
+    return space.dist[np.ix_(sup, sup)], mu[sup], None
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["cube", "grid", "duplicates", "circle"]),
+       n=st.integers(1, 18), dyadic=st.booleans(), partial=st.booleans(),
+       excess=st.sampled_from([0.0, 8e-13, -8e-13]))
+def test_partial_diameter_table_matches_clique_search(seed, kind, n, dyadic,
+                                                      partial, excess):
+    # excess moves the total mass within STRUCTURAL_TOL of 1, so that at
+    # alpha = 1 + 5e-13 no subset reaches the target and the whole support,
+    # at the largest distance, answers
+    rng = np.random.default_rng(seed)
+    space = FiniteMmSpace(tuple(range(n)), table_dist(rng, kind, n),
+                          np.full(n, 1.0 / n))
+    mu = prob_weights(table_weights(rng, n, dyadic, partial) * (1.0 + excess))
+    sup = np.flatnonzero(mu > 0)
+    dist, w = space.dist[np.ix_(sup, sup)], mu[sup]
+    with mock.patch.object(concentration, "_support", support_without_line):
+        for alpha in TABLE_ALPHAS:
+            assert partial_diameter(space, mu, alpha) == Certified(
+                clique_partial_diameter(dist, w, alpha), True, "subset-table")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subset_diameters_match_subset_diameter(n):
+    # a metric with ties, and a nonnegative matrix that is not symmetric:
+    # a subset's diameter is its largest entry in either direction
+    rng = np.random.default_rng(n)
+    asym = rng.random((n, n))
+    np.fill_diagonal(asym, 0.0)
+    for dist in (table_dist(rng, "grid", n), asym):
+        diam = subset_diameters(dist)
+        assert diam.shape == (1 << n,)
+        assert all(diam[mask] == subset_diameter(
+            dist, [i for i in range(n) if mask >> i & 1])
+            for mask in range(1 << n))
+
+
+def test_small_support_partial_diameter_runs_no_search(monkeypatch):
+    # the table replaces the bisection and the clique search: within
+    # partial_diameter neither first_feasible nor the threshold graphs'
+    # row_masks is called; separation still searches its thresholds
+    calls = collections.Counter()
+    for name in ("first_feasible", "row_masks"):
+        def counted(*args, _name=name, _fn=getattr(concentration, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(concentration, name, counted)
+    rng = np.random.default_rng(15)
+    for n in (3, 10, N_EXACT_PARTIAL_DIAM):
+        space = random_space(rng, n)
+        for alpha in TABLE_ALPHAS:
+            res = partial_diameter(space, space.weights, alpha)
+            assert res.method == "subset-table"
+            assert res.value == clique_partial_diameter(
+                space.dist, space.weights, alpha)
+    assert not calls
+    space = random_space(rng, 10)
+    assert separation(space, space.weights, 0.3, 0.3).method == "subset-threshold"
+    assert calls["first_feasible"] == 1 and calls["row_masks"] > 0
+
+
+def test_results_are_python_floats():
+    # every method of partial_diameter and separation, and both sides of
+    # the sandwich, give a float, never a numpy scalar
+    rng = np.random.default_rng(16)
+    line, _ = line_space(rng, 7)
+    spaces = (line, random_space(rng, 6), random_space(rng, 25))
+    results = [f(s, s.weights, *args) for s in spaces for f, args in (
+        (partial_diameter, (0.0,)), (partial_diameter, (0.6,)),
+        (separation, (0.3, 0.3)), (separation, (1.5, 0.3)))]
+    assert {r.method for r in results} == {
+        "empty", "line-window", "subset-table", "ball-upper-bound",
+        "no-admissible-set", "subset-threshold", "diam-upper-bound"}
+    assert all(type(r.value) is float for r in results)
+    for s in spaces:
+        for kappa in (0.3, 1.0):
+            sw = obsdiam_sandwich(s, s.weights, kappa)
+            assert type(sw.lower) is float and type(sw.upper) is float
+
+
+# ---------------------------------------------------------------------------
 # separation
 
 
@@ -285,7 +473,7 @@ def test_subset_masses_match_loop():
     for _ in range(300):
         n = int(rng.integers(1, 15))
         w = rng.dirichlet(np.full(n, rng.uniform(0.2, 3.0)))
-        assert np.array_equal(_subset_masses(w), loop_subset_masses(w))
+        assert np.array_equal(subset_sums(w), loop_subset_masses(w))
 
 
 def test_separation_too_large_masses():
@@ -515,12 +703,16 @@ def test_support_results_match_fresh_sub_block(seed, kind, n, ties, measure, kap
 def test_measure_of_another_length_is_rejected(mu):
     # two weights gave partial diameter and separation over the first two
     # points, and obsdiam_sandwich an IndexError; a trailing zero weight was
-    # read as a sixth point
+    # read as a sixth point.  Transport checks the length the same way
     space = FiniteMmSpace.from_points(np.arange(5.0), np.full(5, 0.2))
     message = f"^{len(mu)} weights for 5 points$"
     for call in (lambda: partial_diameter(space, mu, 0.5),
                  lambda: separation(space, mu, 0.3, 0.3),
-                 lambda: obsdiam_sandwich(space, mu, 0.2)):
+                 lambda: obsdiam_sandwich(space, mu, 0.2),
+                 lambda: w2_exact(space, mu, space.weights),
+                 lambda: w2_exact(space, space.weights, mu),
+                 lambda: prokhorov(space, mu, space.weights),
+                 lambda: prokhorov(space, space.weights, mu)):
         with pytest.raises(ValidationError, match=message):
             call()
 

@@ -226,3 +226,15 @@ def test_verify_separation_bounds_small():
     seps = {(r[0], r[1]): r[2] for r in rep.rows}
     # exact 1/sqrt(K) scaling between the instances
     assert seps[(1.0, 0.1)] / seps[(4.0, 0.1)] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_verify_separation_bounds_csv_spells_python_scalars():
+    rep = verify_separation_bounds(K_list=(1.0, 4.0), kappas=(0.1, 0.3), m=128)
+    # line-window separations are Python floats, so the CSV spells every
+    # number by repr and every flag as true/false: the cells read
+    # np.float64(...) and True while separation returned numpy scalars
+    assert all(type(v) in (float, bool) for row in rep.rows for v in row)
+    for line in rep.csv_text().splitlines()[1:]:
+        cells = line.split(",")
+        assert all(c in ("true", "false") for c in (cells[4], cells[8]))
+        assert [float(c) for i, c in enumerate(cells) if i not in (4, 8)]

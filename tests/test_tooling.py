@@ -233,3 +233,25 @@ def test_transport_lps_share_one_solver_per_thread(monkeypatch):
     solve_one()
     solve_one()
     assert len(built) == 2
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a private function that only tests reach is a replaced path kept as
+    # an oracle; the oracle belongs in tests/.  A reference by name (a call,
+    # or a callback passed on) outside the function's own body counts
+    defs, refs = [], defaultdict(int)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = set()
+        for fn in ast.walk(tree):
+            if (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                    and not fn.name.endswith("__")):
+                defs.append(f"{path.stem}.{fn.name}")
+                own |= {(id(n), fn.name) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and (id(node), name) not in own):
+                refs[name] += 1
+    unused = [d for d in defs if not refs[d.rpartition(".")[2]]]
+    assert not unused, f"private functions with no caller in src/mmlab: {unused}"
