@@ -200,17 +200,15 @@ def _cmd_entropy(args, cfg):
 def _cmd_sep(args, cfg):
     space = _load_space(FiniteMmSpace, args.space)
     res = separation(space, space.weights, args.k0, args.k1)
-    return ("sep", {"value": res.value, "exact": res.exact,
-                    "method": res.method}, True,
+    return ("sep", dataclasses.asdict(res), True,
             f"sep: {res.value!r} ({res.method})")
 
 
 def _cmd_obsdiam(args, cfg):
     space = _load_space(FiniteMmSpace, args.space)
     sw = obsdiam_sandwich(space, space.weights, args.kappa, config=cfg)
-    return ("obsdiam", {"lower": sw.lower, "upper": sw.upper,
-                        "witness": sw.witness, "upper_exact": sw.upper_exact},
-            True, f"obsdiam: [{sw.lower!r}, {sw.upper!r}]")
+    return ("obsdiam", dataclasses.asdict(sw), True,
+            f"obsdiam: [{sw.lower!r}, {sw.upper!r}]")
 
 
 def _cmd_cd_check(args, cfg):
@@ -265,7 +263,7 @@ def _cmd_counterexample(args, cfg):
         K=args.K, N=args.N, D=D,
         n_list=tuple(_csv_ints(args.n_list, "--n-list")),
         m=args.M, eps=args.eps)
-    rep = experiments.counterexample_report(params, config=cfg)
+    rep = experiments.counterexample_report(params)
     return _experiment(rep, rep.metadata["all_convexity_pass"]
                        and rep.metadata["all_mass_bounded"])
 
@@ -285,7 +283,7 @@ def _cmd_sinh_example(args, cfg):
     rep = experiments.sinh_example_report(
         args.K, args.N,
         C_list=_csv_floats(args.C_list, "--C-list"),
-        R_list=_csv_floats(args.R_list, "--R-list"), config=cfg)
+        R_list=_csv_floats(args.R_list, "--R-list"))
     return _experiment(rep, rep.metadata["all_convexity_pass"]
                        and rep.metadata["order_ratios_ok"]
                        and rep.metadata["all_divergent"])
@@ -295,7 +293,7 @@ def _cmd_bm_collapse(args, cfg):
     space = _load_space(WeightedOneDimSpace, args.space)
     rep = experiments.bm_collapse_sweep(
         space, _csv_floats(args.a0, "--a0"), _csv_floats(args.a1, "--a1"),
-        args.t, _csv_floats(args.K_list, "--K-list"), args.N, config=cfg)
+        args.t, _csv_floats(args.K_list, "--K-list"), args.N)
     return _experiment(rep, rep.metadata["rhs_strictly_decreasing"])
 
 
@@ -316,13 +314,12 @@ def _cmd_lemma_suite(args, cfg):
         rng = np.random.default_rng(cfg.seed)
         pts = rng.random((args.n, 3))
         space = FiniteMmSpace.from_points(pts, rng.dirichlet(np.ones(args.n)))
-    suite = entropy_inequality_suite(
-        space, args.trials, _csv_floats(args.nprimes, "--nprimes"), seed=cfg.seed)
+    nprimes = _csv_floats(args.nprimes, "--nprimes")
+    suite = entropy_inequality_suite(space, args.trials, nprimes, seed=cfg.seed)
     rep = ExperimentReport(
         name="lemma-suite",
         columns=["check", "passes", "trials"],
-        metadata={"params": {"trials": args.trials, "nprimes": args.nprimes,
-                             "seed": cfg.seed},
+        metadata={"params": {"nprimes": nprimes},
                   "failures": list(suite.failures)},
     )
     for check, count in sorted(suite.passes.items()):
@@ -434,7 +431,8 @@ def main(argv=None) -> int:
         name, rep, ok, line = args.func(args, cfg)
         params = _flags_of(args)
         if isinstance(rep, ExperimentReport):
-            rep.metadata.setdefault("params", {}).update(params)
+            # the experiment's resolved values win over the flag strings
+            rep.metadata["params"] = {**params, **rep.metadata["params"]}
             _, out = rep.write(args.out, cfg)
         else:
             out = write_report(args.out, name, rep, params, cfg)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .core import _reject_entries
 from .errors import InvalidDimension, ValidationError
 
 __all__ = [
@@ -70,11 +71,7 @@ def _check_t(t):
             raise ValidationError(f"t must lie in [0,1], got {t}")
         return t
     t = np.asarray(t, dtype=float)
-    bad = np.argwhere(~((t >= 0.0) & (t <= 1.0)))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        where = ", ".join(map(str, idx))
-        raise ValidationError(f"t must lie in [0,1], t[{where}] = {t[idx]}")
+    _reject_entries((t >= 0.0) & (t <= 1.0), "t must lie in [0,1]", "t", t)
     return t
 
 
@@ -98,8 +95,7 @@ def sigma_vals(kappa: float, t, thetas) -> np.ndarray:
     _check_finite(kappa, "kappa")
     t = _check_t(t)
     th = np.asarray(thetas, dtype=float)
-    if np.any(th < 0):
-        raise ValidationError("theta must be nonnegative")
+    _reject_entries(~(th < 0), "theta must be nonnegative", "thetas", th)
     shape = np.broadcast_shapes(np.shape(t), th.shape)
     if kappa == 0:
         return np.full(shape, t, dtype=float)

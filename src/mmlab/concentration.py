@@ -19,6 +19,7 @@ from .coefficients import _check_finite
 from .config import STRUCTURAL_TOL, RunConfig, default_config
 from .core import (
     FiniteMmSpace,
+    _reject_entries,
     _space_weights,
     first_feasible,
     line_embedding,
@@ -76,14 +77,9 @@ def partial_diameter_1d(values, weights, alpha: float) -> float:
     if x.ndim != 1 or w.shape != x.shape:
         raise ValidationError(f"values and weights must be vectors of one "
                               f"length, got shapes {x.shape} and {w.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValidationError(
-            f"values must be finite, values[{bad[0]}] = {x[bad[0]]}")
-    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
-    if bad.size:
-        raise ValidationError(f"weights must be finite and nonnegative, "
-                              f"weights[{bad[0]}] = {w[bad[0]]}")
+    _reject_entries(np.isfinite(x), "values must be finite", "values", x)
+    _reject_entries(np.isfinite(w) & (w >= 0.0),
+                    "weights must be finite and nonnegative", "weights", w)
     if math.isnan(alpha):
         raise ValidationError(f"alpha must be a number, got {alpha}")
     if alpha <= 0.0:
@@ -426,10 +422,8 @@ def levy_bound_sequence(K_list, N_list, kappa: float, mode: str):
     N = np.asarray(N_list, dtype=float)
     if K.shape != N.shape:
         raise ValidationError("K and N sequences must have equal length")
-    if not np.all(N < 0):
-        raise ValidationError("dimension parameters must be negative")
-    if not np.all(np.isfinite(K)):
-        raise ValidationError("every K must be finite")
+    _reject_entries(N < 0, "dimension parameters must be negative", "N_list", N)
+    _reject_entries(np.isfinite(K), "every K must be finite", "K_list", K)
     vals = np.full(K.shape, math.inf)
     pos = K > 0
     if mode == "CD":

@@ -82,6 +82,17 @@ def json_count(value) -> int:
     return n
 
 
+def _reject_entries(ok: np.ndarray, rule: str, name: str, values) -> None:
+    """Raise ``ValidationError(f"{rule}, {name}[i] = {value}")`` at the first
+    entry, in C order, where ``ok`` is False; return at once when every
+    entry is ok.  A matrix entry is named ``name[i, j]``."""
+    if ok.all():
+        return
+    idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
+    where = ", ".join(str(int(i)) for i in idx)
+    raise ValidationError(f"{rule}, {name}[{where}] = {values[idx]}")
+
+
 def prob_weights(values) -> np.ndarray:
     """Validate a probability weight vector and return a read-only copy.
 
@@ -92,13 +103,8 @@ def prob_weights(values) -> np.ndarray:
         raise ValidationError(f"weights must be a vector, got shape {w.shape}")
     if w.size == 0:
         raise ValidationError("weights must be nonempty")
-    finite = np.isfinite(w)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValidationError(f"weights must be finite, weights[{i}] = {w[i]}")
-    if np.any(w < 0):
-        i = int(np.argmin(w))
-        raise ValidationError(f"weights must be nonnegative, weights[{i}] = {w[i]}")
+    _reject_entries(np.isfinite(w), "weights must be finite", "weights", w)
+    _reject_entries(w >= 0, "weights must be nonnegative", "weights", w)
     s = float(w.sum())
     if abs(s - 1.0) > STRUCTURAL_TOL:
         raise ValidationError(

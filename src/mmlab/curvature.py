@@ -19,6 +19,7 @@ from .coefficients import _check_finite, omega, sigma_range_sup, sigma_vals, tau
 from .config import ENTROPY_TOL, RunConfig, default_config
 from .core import (
     FiniteMmSpace,
+    _reject_entries,
     condition_measure,
     partition_average,
     pushforward,
@@ -103,10 +104,8 @@ def renyi_entropy(mu, nu, nprime: float) -> float:
     if mu.shape != nu.shape:
         raise ValidationError("mass vectors must have equal length")
     for name, v in (("mu", mu), ("nu", nu)):
-        bad = np.flatnonzero(~(np.isfinite(v) & (v >= 0)))
-        if bad.size:
-            raise ValidationError(f"masses must be finite and nonnegative, "
-                                  f"{name}[{bad[0]}] = {v[bad[0]]}")
+        _reject_entries(np.isfinite(v) & (v >= 0),
+                        "masses must be finite and nonnegative", name, v)
     if np.any((nu > 0) & (mu == 0)):
         return math.inf
     pos = mu > 0
@@ -475,8 +474,7 @@ def kn_convexity_check(f_samples, K: float, N: float, h: float, *,
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 1 or f.size < 5:
         raise ValidationError("need at least five samples")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("f samples must be finite")
+    _reject_entries(np.isfinite(f), "f samples must be finite", "f_samples", f)
     g = np.exp(-f / N)
     if periodic:
         # two wrapped samples on each side make every sample interior

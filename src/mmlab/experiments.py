@@ -159,8 +159,7 @@ def _mass_outside_poles(space: WeightedOneDimSpace, D: float, eps: float) -> flo
             + interval_mass(space, D + eps, 2.0 * D - eps))
 
 
-def counterexample_report(params: CounterexampleParams, *,
-                          config: RunConfig | None = None) -> ExperimentReport:
+def counterexample_report(params: CounterexampleParams) -> ExperimentReport:
     """Per-index diagnostics of the collapsing family.
 
     Columns: convexity certification of the density exponent at modulus
@@ -174,7 +173,6 @@ def counterexample_report(params: CounterexampleParams, *,
     at most 4 r^2 / (a_n^2 eps), which bounds the continuum fixed point by
     2r / a_n with r = D / pi; the distance therefore decays like 1/a_n.
     """
-    cfg = config or default_config()
     rep = ExperimentReport(
         name="counterexample",
         columns=["n", "a_n", "conv_min_residual", "conv_tol", "conv_pass",
@@ -182,7 +180,7 @@ def counterexample_report(params: CounterexampleParams, *,
                  "prokhorov", "box_upper"],
         metadata={"params": {"K": params.K, "N": params.N, "D": params.D,
                              "n_list": list(params.n_list), "m": params.m,
-                             "eps": params.eps, "seed": cfg.seed}},
+                             "eps": params.eps}},
     )
     D, eps, npr = params.D, params.eps, params.nprime
     poles = np.array([0.0, D])
@@ -357,8 +355,7 @@ def calibrate_cd_budget(K: float = 1.0, N: float = -1.0, lam: float = 1.0,
 
 
 def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
-                        R_list=(1.0, 2.0, 4.0, 8.0), *,
-                        config: RunConfig | None = None) -> ExperimentReport:
+                        R_list=(1.0, 2.0, 4.0, 8.0)) -> ExperimentReport:
     """Convexity and volume-growth diagnostics of the double-exponential
     line density built from sinh.
 
@@ -366,7 +363,6 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
     certifies as (K, N-1)-convex on truncations while the Gaussian-damped
     mass diverges for every damping constant probed.
     """
-    cfg = config or default_config()
     _check_finite(K)
     if K <= 0 or not N < 0:
         raise ValidationError("requires K > 0 and N < 0")
@@ -377,8 +373,7 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
         name="sinh-example",
         columns=["section", "key", "x", "value", "extra", "ok"],
         metadata={"params": {"K": K, "N": N, "a": a,
-                             "C_list": list(C_list), "R_list": list(R_list),
-                             "seed": cfg.seed}},
+                             "C_list": list(C_list), "R_list": list(R_list)}},
     )
     for h in (1e-2, 1e-3):
         xs = np.arange(-5.0, 5.0 + h / 2.0, h)
@@ -413,8 +408,7 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
 
 
 def bm_collapse_sweep(space: WeightedOneDimSpace, a0, a1, t: float,
-                      K_list, N: float, *,
-                      config: RunConfig | None = None) -> ExperimentReport:
+                      K_list, N: float) -> ExperimentReport:
     """Right-hand side of the interval Brunn-Minkowski inequality across a
     curvature sweep.
 
@@ -422,14 +416,13 @@ def bm_collapse_sweep(space: WeightedOneDimSpace, a0, a1, t: float,
     right side decreases monotonically and eventually drops below the left
     side; the report records the onset of that violation.
     """
-    cfg = config or default_config()
     rep = ExperimentReport(
         name="bm-collapse",
         columns=["K", "lhs", "rhs", "rhs_over_lhs", "violation"],
         metadata={"params": {"a0": list(map(float, a0)),
                              "a1": list(map(float, a1)), "t": float(t),
                              "K_list": [float(k) for k in K_list],
-                             "N": float(N), "seed": cfg.seed}},
+                             "N": float(N)}},
     )
     first_violation = None
     for K in K_list:
@@ -473,7 +466,7 @@ def verify_separation_bounds(K_list=(1.0, 4.0, 16.0),
         metadata={"params": {"K_list": [float(k) for k in K_list],
                              "kappas": [float(k) for k in kappas],
                              "N": float(N), "lam0": lam0, "L0": L0, "m": m,
-                             "slack": slack, "seed": cfg.seed}},
+                             "slack": slack}},
     )
     base_scaled: dict[float, float] = {}
     all_pass = True

@@ -21,9 +21,11 @@ from .config import RunConfig
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
+    """One CSV cell; a numpy float or bool is spelled as the Python one."""
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, float):
+    if isinstance(v, (float, np.floating)):
+        v = float(v)
         if math.isnan(v):
             return "nan"
         if math.isinf(v):

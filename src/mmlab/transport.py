@@ -33,6 +33,7 @@ from .config import (
 from .core import (
     Coupling,
     FiniteMmSpace,
+    _reject_entries,
     _space_weights,
     first_feasible,
     float_array,
@@ -96,9 +97,9 @@ class WeightedOneDimSpace:
         ld = np.asarray(self.log_density, dtype=float).copy()
         if ld.ndim != 1 or ld.size < 1:
             raise ValidationError("log_density must be a nonempty vector")
-        if np.any(np.isnan(ld)) or np.any(ld == np.inf):
-            raise ValidationError("log_density must not contain NaN or +inf "
-                                  "(-inf marks empty cells)")
+        _reject_entries(~(np.isnan(ld) | (ld == np.inf)),
+                        "log_density must not contain NaN or +inf "
+                        "(-inf marks empty cells)", "log_density", ld)
         L = float(self.total_length)
         if not (L > 0 and math.isfinite(L)):
             raise ValidationError(f"total_length must be positive, got {L}")
@@ -143,8 +144,9 @@ class WeightedOneDimSpace:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != self.grid.shape:
             raise ValidationError("density samples must match the space grid")
-        if np.any(rho < 0) or not np.all(np.isfinite(rho)):
-            raise ValidationError("density samples must be finite and nonnegative")
+        _reject_entries(np.isfinite(rho) & (rho >= 0),
+                        "density samples must be finite and nonnegative",
+                        "rho", rho)
         mass = float(rho.sum() * self.h)
         if abs(mass - 1.0) > DENSITY_MASS_TOL:
             raise ValidationError(
@@ -160,9 +162,9 @@ class WeightedOneDimSpace:
         rho = np.asarray(density(grid) if callable(density) else density, dtype=float)
         if rho.shape != grid.shape:
             raise ValidationError("density samples must match the grid")
-        if np.any(rho <= 0):
-            raise ValidationError("density samples must be positive; use masses 0 "
-                                  "through measures on a sub-grid instead")
+        _reject_entries(~(rho <= 0), "density samples must be positive; use "
+                        "masses 0 through measures on a sub-grid instead",
+                        "density", rho)
         return cls(kind, float(total_length), np.log(rho))
 
     def to_json(self) -> str:
@@ -413,19 +415,26 @@ class MonotonePlan:
 class TransportPlanReport:
     """Outcome of a transport computation.
 
-    ``lower`` and ``upper`` bracket the squared cost ``value**2``: the dual
-    and primal bounds of ``w2_exact``, or both the closed-form value of a
-    quantile transport.
+    ``lower`` <= ``upper`` bracket the squared optimal cost: the dual and
+    primal bounds of ``w2_exact``, or both the closed-form value of a
+    quantile transport.  ``upper`` is the squared cost of the coupling
+    returned (for a quantile transport, the monotone one), so ``value`` =
+    sqrt(``upper``) is that coupling's cost.
     """
 
-    value: float
     coupling: Coupling | None
-    dual_gap: float
     lower: float
     upper: float
     iterations: int
     method: str
-    map_description: str | None = None
+
+    @property
+    def value(self) -> float:
+        return math.sqrt(max(self.upper, 0.0))
+
+    @property
+    def dual_gap(self) -> float:
+        return self.upper - self.lower
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +589,11 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
     * ``upper`` = the cost of the LP plan rounded onto the exact marginals
       (``_round_to_marginals``), a coupling that ``Coupling`` accepts.
 
-    ``dual_gap`` is ``|upper - lower|``; above ``SOLVER_TOL`` times the cost
-    scale, or when ``Coupling`` rejects the rounded plan, ``SolverFailure``
-    is raised.  ``value`` is the square root of the LP's optimal cost.
+    When ``|upper - lower|`` exceeds ``SOLVER_TOL`` times the cost scale,
+    or ``Coupling`` rejects the rounded plan, ``SolverFailure`` is raised.
+    A float dual bound can pass the primal cost by rounding; ``lower`` is
+    then reported as ``upper``, so the bracket never inverts.  ``value`` is
+    sqrt(``upper``), the cost of the coupling returned.
     """
     mu = _space_weights(mu, space.n)
     nu = _space_weights(nu, space.n)
@@ -617,10 +628,9 @@ def w2_exact(space: FiniteMmSpace, mu, nu) -> TransportPlanReport:
         coupling = Coupling(plan, mu, nu, marginal_tol=SOLVER_TOL * 10)
     except ValidationError as e:  # the solver's plan, not the input, is at fault
         raise SolverFailure(f"transport plan fails its certificate: {e}") from e
-    value = math.sqrt(max(float(res.fun), 0.0))
-    return TransportPlanReport(value=value, coupling=coupling, dual_gap=gap,
-                               iterations=int(res.nit), method="lp-highs-ds",
-                               lower=lower, upper=upper)
+    return TransportPlanReport(coupling=coupling, lower=min(lower, upper),
+                               upper=upper, iterations=int(res.nit),
+                               method="lp-highs-ds")
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +650,8 @@ def w2_quantile_1d(space: WeightedOneDimSpace, rho0, rho1, *,
         raise NonSegment("quantile transport requires a segment space")
     plan = MonotonePlan.build(space, rho0, rho1, model=model)
     sq = plan.sq_distance()
-    value = math.sqrt(max(sq, 0.0))
-    return TransportPlanReport(value=value, coupling=None, dual_gap=0.0,
-                               lower=sq, upper=sq,
-                               iterations=0, method=f"quantile-{model}",
-                               map_description="monotone (quantile) coupling")
+    return TransportPlanReport(coupling=None, lower=sq, upper=sq,
+                               iterations=0, method=f"quantile-{model}")
 
 
 def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
@@ -886,11 +893,8 @@ def prokhorov_from_distances(dist: np.ndarray, wa, wb) -> float:
     if dist.shape != (wa.size, wb.size):
         raise ValidationError(f"distance block of shape {dist.shape} does not "
                               f"match {wa.size} x {wb.size} weights")
-    bad = ~np.isfinite(dist) | (dist < 0.0)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValidationError("distances must be finite and nonnegative, "
-                              f"dist[{i}, {j}] = {dist[i, j]}")
+    _reject_entries(np.isfinite(dist) & (dist >= 0.0),
+                    "distances must be finite and nonnegative", "dist", dist)
     if dist.shape[0] > dist.shape[1]:  # the smaller support on the rows
         dist, wa, wb = np.ascontiguousarray(dist.T), wb, wa
     cands = np.unique(np.concatenate([[0.0], dist.ravel()]))
@@ -941,10 +945,8 @@ def ky_fan(weights, f, g) -> float:
     if f.shape != w.shape or g.shape != w.shape:
         raise ValidationError("function samples must match the weights")
     for name, v in (("f", f), ("g", g)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise ValidationError(f"function samples must be finite, "
-                                  f"{name}[{bad[0]}] = {v[bad[0]]}")
+        _reject_entries(np.isfinite(v), "function samples must be finite",
+                        name, v)
     gaps = np.abs(f - g)
     order = np.argsort(gaps, kind="stable")
     gs = gaps[order]

@@ -457,6 +457,20 @@ def test_counterexample_pipeline_and_determinism(tmp_path):
     assert header.startswith("n,a_n,conv_min_residual")
 
 
+def test_experiment_params_record_resolved_values(tmp_path):
+    # the experiment's own params win over the flag strings, and the seed
+    # is recorded once, under metadata.config
+    argv = ["counterexample", "--K", "-1", "--N", "-1", "--n-list", "1,2",
+            "--M", "256", "--out", str(tmp_path)]
+    assert mmlab.cli.main(argv) == 0
+    doc = json.loads(next(tmp_path.glob("counterexample-*.json")).read_text())
+    params = doc["metadata"]["params"]
+    assert isinstance(params["D"], float) and params["D"] > 0
+    assert params["n_list"] == [1, 2]
+    assert params["m"] == 256
+    assert "seed" not in params and doc["metadata"]["config"]["seed"] == 0
+
+
 def test_cosh_family_and_bm_collapse_chain(tmp_path):
     out = tmp_path / "r"
     space_file = tmp_path / "cosh.json"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmlab import concentration
+from mmlab import coefficients, concentration, curvature, transport
 from mmlab.config import STRUCTURAL_TOL
 from mmlab.core import (
     FiniteMmSpace,
@@ -44,6 +44,90 @@ def test_prob_weights_validation():
         prob_weights([0.6, 0.6])
     with pytest.raises(ValidationError):
         prob_weights([1.2, -0.2])
+
+
+NAN, INF = math.nan, math.inf
+# every array-entry check, each with its bad entry after a good one, and the
+# message it gives: "<rule>, <argument>[<index>] = <value>"
+ENTRY_CHECKS = {
+    "prob_weights-finite": (
+        lambda: prob_weights([0.5, NAN, 0.5]),
+        "weights must be finite, weights[1] = nan"),
+    "prob_weights-nonnegative": (
+        lambda: prob_weights([0.75, -0.25, 0.5]),
+        "weights must be nonnegative, weights[1] = -0.25"),
+    "check_t": (
+        lambda: coefficients.sigma_vals(1.0, np.array([[0.5, 0.2], [0.3, 1.5]]),
+                                        0.1),
+        "t must lie in [0,1], t[1, 1] = 1.5"),
+    "sigma_vals-thetas": (
+        lambda: coefficients.sigma_vals(1.0, 0.5, [0.1, -0.2]),
+        "theta must be nonnegative, thetas[1] = -0.2"),
+    "partial_diameter_1d-values": (
+        lambda: concentration.partial_diameter_1d([0.0, INF], [0.5, 0.5], 0.5),
+        "values must be finite, values[1] = inf"),
+    "partial_diameter_1d-weights": (
+        lambda: concentration.partial_diameter_1d([0.0, 1.0], [0.5, -0.5], 0.5),
+        "weights must be finite and nonnegative, weights[1] = -0.5"),
+    "levy_bound_sequence-N": (
+        lambda: concentration.levy_bound_sequence([1.0, 2.0], [-1.0, 0.5],
+                                                  0.1, "CD"),
+        "dimension parameters must be negative, N_list[1] = 0.5"),
+    "levy_bound_sequence-K": (
+        lambda: concentration.levy_bound_sequence([1.0, INF], [-1.0, -1.0],
+                                                  0.1, "CD"),
+        "every K must be finite, K_list[1] = inf"),
+    "renyi_entropy-mu": (
+        lambda: curvature.renyi_entropy([0.5, -0.5, 1.0], [0.5, 0.5, 0.0], -1.0),
+        "masses must be finite and nonnegative, mu[1] = -0.5"),
+    "renyi_entropy-nu": (
+        lambda: curvature.renyi_entropy([0.5, 0.5], [0.5, NAN], -1.0),
+        "masses must be finite and nonnegative, nu[1] = nan"),
+    "kn_convexity_check": (
+        lambda: curvature.kn_convexity_check([0.0, NAN, 0.0, 0.0, 0.0],
+                                             1.0, -1.0, 0.1),
+        "f samples must be finite, f_samples[1] = nan"),
+    "WeightedOneDimSpace-log_density": (
+        lambda: WeightedOneDimSpace("segment", 1.0, [0.0, INF]),
+        "log_density must not contain NaN or +inf (-inf marks empty cells), "
+        "log_density[1] = inf"),
+    "validate_density": (
+        lambda: WeightedOneDimSpace("segment", 1.0, np.zeros(4))
+        .validate_density([1.0, -1.0, 2.0, 2.0]),
+        "density samples must be finite and nonnegative, rho[1] = -1.0"),
+    "from_density": (
+        lambda: WeightedOneDimSpace.from_density("segment", 1.0, 2, [1.0, 0.0]),
+        "density samples must be positive; use masses 0 through measures on "
+        "a sub-grid instead, density[1] = 0.0"),
+    "prokhorov_from_distances": (
+        lambda: transport.prokhorov_from_distances(
+            np.array([[0.0, 1.0, -1.0], [NAN, 0.0, 1.0]]), [0.5, 0.5],
+            [0.25, 0.25, 0.5]),
+        "distances must be finite and nonnegative, dist[0, 2] = -1.0"),
+    "ky_fan": (
+        lambda: transport.ky_fan([0.5, 0.5], [0.0, 1.0], [0.0, -INF]),
+        "function samples must be finite, g[1] = -inf"),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_CHECKS)
+def test_bad_entry_is_named(name):
+    call, message = ENTRY_CHECKS[name]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_prob_weights_names_the_first_negative_weight():
+    # the first in index order, not the most negative
+    with pytest.raises(ValidationError) as err:
+        prob_weights([0.75, -0.25, 1.0, -0.5])
+    assert str(err.value) == "weights must be nonnegative, weights[1] = -0.25"
+
+
+def test_sigma_vals_lets_a_nan_theta_through():
+    # the rule rejects negative thetas only, so a NaN theta raises nothing
+    assert coefficients.sigma_vals(1.0, 0.5, [0.1, NAN]).shape == (2,)
 
 
 def test_condition_uniform_two_points():

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from mmlab.coefficients import f_softabs
 from mmlab.errors import ConvexityViolation, ValidationError
+from mmlab.reporting import ExperimentReport, format_value
 from mmlab.experiments import (
     CounterexampleParams,
     bm_collapse_sweep,
@@ -238,3 +239,16 @@ def test_verify_separation_bounds_csv_spells_python_scalars():
         cells = line.split(",")
         assert all(c in ("true", "false") for c in (cells[4], cells[8]))
         assert [float(c) for i, c in enumerate(cells) if i not in (4, 8)]
+
+
+def test_format_value_spells_numpy_scalars_like_python_ones():
+    # np.float64 is a float whose repr reads np.float64(...), and np.bool_
+    # is no bool; a CSV cell spells either as its Python value
+    for v, cell in ((np.float64(2.5), "2.5"), (np.float32(0.5), "0.5"),
+                    (np.float64(-math.inf), "-inf"),
+                    (np.float64(math.nan), "nan"),
+                    (np.True_, "true"), (np.False_, "false")):
+        assert format_value(v) == cell
+    rep = ExperimentReport("x", ["a", "b"])
+    rep.add(a=np.float64(0.1), b=np.bool_(False))
+    assert rep.csv_text() == "a,b\n0.1,false\n"

@@ -255,3 +255,21 @@ def test_every_private_function_has_a_caller_in_src():
                 refs[name] += 1
     unused = [d for d in defs if not refs[d.rpartition(".")[2]]]
     assert not unused, f"private functions with no caller in src/mmlab: {unused}"
+
+
+def test_array_entry_checks_go_through_reject_entries():
+    # an array check rejects its first bad entry, and names it, through
+    # core._reject_entries; a hand-built argwhere or flatnonzero(~...)
+    # search elsewhere is a second path to the same message
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    helper = next(fn for fn in core.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_reject_entries")
+    inside = range(helper.lineno, helper.end_lineno + 1)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for k, line in enumerate(lines, 1):
+            if (re.search(r"np\.argwhere\(|np\.flatnonzero\(~", line)
+                    and not (path.name == "core.py" and k in inside)):
+                found.append(f"{path.name}:{k}: {line.strip()}")
+    assert not found, f"array checks built by hand: {found}"

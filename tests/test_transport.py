@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -288,6 +289,40 @@ def head_lp_w2_squared(space, mu, nu):
     except ValidationError:
         return None
     return float(res.fun)
+
+
+def _bench_inputs():
+    # the benchmark's input generator imports numpy alone, so it loads by path
+    path = Path(__file__).resolve().parents[1] / "mmbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("mmbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_w2_value_is_the_cost_of_its_coupling():
+    # every w2_exact result of the finite-lp benchmark inputs, seeds 0-39:
+    # value is the cost of the coupling returned, sqrt(upper), and the
+    # reported bracket never inverts (the float dual bound can pass the
+    # primal cost by rounding)
+    inputs = _bench_inputs()
+    count = 0
+    for seed in range(40):
+        for bundle in inputs.finite_lp(seed)["bundles"]:
+            for s in bundle:
+                space = FiniteMmSpace(tuple(range(s["n"])), s["dist"],
+                                      s["weights"])
+                sq = space.dist ** 2
+                mu, nu, lam = s["mu"], s["nu"], s["lam"]
+                for a, b in ((mu, nu), (nu, mu), (mu, lam), (nu, lam)):
+                    rep = w2_exact(space, a, b)
+                    assert rep.value == math.sqrt(rep.upper)
+                    assert rep.lower <= rep.upper
+                    assert rep.dual_gap == rep.upper - rep.lower
+                    cost = float(np.sum(rep.coupling.matrix * sq))
+                    assert abs(cost - rep.upper) <= 1e-14 * rep.upper
+                    count += 1
+    assert count == 6400
 
 
 def assert_certified(space, mu, nu):
@@ -715,7 +750,7 @@ def test_quantile_translates():
     shifted /= shifted.sum() * sp.h
     rep = w2_quantile_1d(sp, base, shifted)
     assert rep.value == pytest.approx(2.0, abs=2e-3)
-    assert rep.map_description == "monotone (quantile) coupling"
+    assert rep.method == "quantile-cells"
 
 
 def test_quantile_disjoint_blocks_translate():
