@@ -21,6 +21,7 @@ from .concentration import obsdiam_sandwich, separation
 from .config import RunConfig, default_config
 from .core import (
     FiniteMmSpace,
+    _require,
     float_array,
     json_field,
     json_object,
@@ -220,8 +221,8 @@ def _cmd_cd_check(args, cfg):
         raise ValidationError("--rho0 and --rho1 must be given together")
     else:
         rho0, rho1 = _default_density_pair(space)
-    if args.t_points is not None and args.t_points < 1:
-        raise ValidationError(f"--t-points must be at least 1, got {args.t_points}")
+    _require(args.t_points is None or args.t_points >= 1, "--t-points",
+             "must be at least 1", args.t_points)
     t_grid = (None if args.t_points is None
               else np.linspace(0.0, 1.0, args.t_points))
     nprimes = _csv_floats(args.nprimes, "--nprimes") if args.nprimes else None
@@ -262,7 +263,7 @@ def _cmd_counterexample(args, cfg):
     params = experiments.CounterexampleParams(
         K=args.K, N=args.N, D=D,
         n_list=tuple(_csv_ints(args.n_list, "--n-list")),
-        m=args.M, eps=args.eps)
+        m=args.m, eps=args.eps)
     rep = experiments.counterexample_report(params)
     return _experiment(rep, rep.metadata["all_convexity_pass"]
                        and rep.metadata["all_mass_bounded"])
@@ -301,7 +302,7 @@ def _cmd_verify_bounds(args, cfg):
     rep = experiments.verify_separation_bounds(
         K_list=_csv_floats(args.K_list, "--K-list"),
         kappas=_csv_floats(args.kappas, "--kappas"),
-        N=args.N, lam0=args.lam0, L0=args.L0, m=args.M, slack=args.slack,
+        N=args.N, lam0=args.lam0, L0=args.L0, m=args.m, slack=args.slack,
         config=cfg)
     return _experiment(rep, rep.metadata["all_sep_bounded"]
                        and rep.metadata["scaling_within_10pct"])
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
            "--N": dict(required=True, type=float),
            "--D": dict(default="auto"),
            "--n-list": dict(default="1,2,4,8,16,32,64", dest="n_list"),
-           "--M": dict(default=2048, type=int),
+           "--M": dict(default=2048, type=int, dest="m"),
            "--eps": dict(default=0.2, type=float)})
     add("cosh-family", _cmd_cosh_family, "certified positive-control space",
         **{"--K": dict(required=True, type=float),
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
            "--N": dict(default=-1.0, type=float),
            "--lam0": dict(default=1.0, type=float),
            "--L0": dict(default=3.0, type=float),
-           "--M": dict(default=512, type=int),
+           "--M": dict(default=512, type=int, dest="m"),
            "--slack": dict(default=0.02, type=float)})
     add("lemma-suite", _cmd_lemma_suite, "randomized entropy inequality suite",
         **{"--space": dict(), "--n": dict(default=8, type=int),

@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .core import _reject_entries
-from .errors import InvalidDimension, ValidationError
+from .core import _check_dimension, _check_finite, _reject_entries, _require
 
 __all__ = [
     "omega",
@@ -42,8 +41,8 @@ def s_kappa(kappa: float, theta: float) -> float:
 
     Continuous in theta with value 1 at theta = 0.
     """
-    if theta < 0:
-        raise ValidationError(f"theta must be nonnegative, got {theta}")
+    _check_finite(kappa, "kappa")
+    _require(theta >= 0, "theta", "must be nonnegative", theta)
     if kappa == 0 or theta == 0.0:
         return 1.0
     z = math.sqrt(abs(kappa)) * theta
@@ -56,19 +55,12 @@ def s_kappa(kappa: float, theta: float) -> float:
     return math.sinh(z) / z
 
 
-def _check_finite(value: float, name: str = "K") -> None:
-    # a NaN curvature fails every branch test below and reads as 0
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-
-
 def _check_t(t):
     """t as a float, or as a float array when given an array; every entry
     must lie in [0, 1]."""
     if np.ndim(t) == 0:
         t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise ValidationError(f"t must lie in [0,1], got {t}")
+        _require(0.0 <= t <= 1.0, "t", "must lie in [0,1]", t)
         return t
     t = np.asarray(t, dtype=float)
     _reject_entries((t >= 0.0) & (t <= 1.0), "t must lie in [0,1]", "t", t)
@@ -95,7 +87,7 @@ def sigma_vals(kappa: float, t, thetas) -> np.ndarray:
     _check_finite(kappa, "kappa")
     t = _check_t(t)
     th = np.asarray(thetas, dtype=float)
-    _reject_entries(~(th < 0), "theta must be nonnegative", "thetas", th)
+    _reject_entries(th >= 0, "theta must be nonnegative", "thetas", th)
     shape = np.broadcast_shapes(np.shape(t), th.shape)
     if kappa == 0:
         return np.full(shape, t, dtype=float)
@@ -125,8 +117,10 @@ def sigma_range_sup(kappa: float, t: float, theta_lo: float, theta_hi: float) ->
     nondecreasing for kappa > 0), so the supremum sits at an endpoint.
     """
     _check_finite(kappa, "kappa")
-    if theta_hi < theta_lo:
-        raise ValidationError("empty theta range")
+    t = _check_t(t)
+    _require(theta_lo >= 0, "theta_lo", "must be nonnegative", theta_lo)
+    _require(theta_hi >= theta_lo, "theta_hi", "must be at least theta_lo",
+             theta_hi)
     if kappa > 0 and theta_hi >= omega(kappa):
         return math.inf
     return sigma(kappa, t, theta_lo if kappa <= 0 else theta_hi)
@@ -136,8 +130,7 @@ def tau_vals(K: float, N: float, t, thetas) -> np.ndarray:
     """Vectorised tau coefficient for dimension parameter N < 0; ``t`` as
     in ``sigma_vals``."""
     _check_finite(K)
-    if not N < 0:
-        raise InvalidDimension(f"N must be negative, got {N}")
+    _check_dimension(N)
     t = _check_t(t)
     sig = sigma_vals(K / (N - 1.0), t, thetas)
     closed = np.isinf(sig)
@@ -165,11 +158,9 @@ def tau_sup(K: float, N: float, t: float, theta_max: float) -> float:
     (1 - t^2) s(t z) s(z) in the derivative of the ratio.
     """
     _check_finite(K)
-    if not N < 0:
-        raise InvalidDimension(f"N must be negative, got {N}")
+    _check_dimension(N)
     t = _check_t(t)
-    if theta_max < 0:
-        raise ValidationError("theta_max must be nonnegative")
+    _require(theta_max >= 0, "theta_max", "must be nonnegative", theta_max)
     if K >= 0:
         return t
     kappa = K / (N - 1.0)  # positive here
@@ -184,8 +175,7 @@ def f_softabs(a: float, x):
     Overflow-safe: evaluated as |x| + a^{-1} log(1 + e^{-2a|x|}).  Satisfies
     |x| < value <= |x| + a^{-1} log 2, is even and smooth.
     """
-    if a <= 0:
-        raise ValidationError(f"softness parameter must be positive, got {a}")
+    _require(a > 0, "softness parameter", "must be positive", a)
     ax = np.abs(np.asarray(x, dtype=float))
     out = ax + np.log1p(np.exp(-2.0 * a * ax)) / a
     if np.isscalar(x) or np.ndim(x) == 0:

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _check_finite
 from .config import STRUCTURAL_TOL, RunConfig, default_config
 from .core import (
     FiniteMmSpace,
+    _check_dimension,
+    _check_finite,
     _reject_entries,
+    _require,
     _space_weights,
     first_feasible,
     line_embedding,
@@ -28,7 +30,7 @@ from .core import (
     subset_sums,
     subset_transform,
 )
-from .errors import DomainError, SolverFailure, ValidationError
+from .errors import DomainError, InvalidDimension, SolverFailure, ValidationError
 
 __all__ = [
     "line_embedding",
@@ -80,13 +82,11 @@ def partial_diameter_1d(values, weights, alpha: float) -> float:
     _reject_entries(np.isfinite(x), "values must be finite", "values", x)
     _reject_entries(np.isfinite(w) & (w >= 0.0),
                     "weights must be finite and nonnegative", "weights", w)
-    if math.isnan(alpha):
-        raise ValidationError(f"alpha must be a number, got {alpha}")
+    _require(not math.isnan(alpha), "alpha", "must be a number", alpha)
     if alpha <= 0.0:
         return 0.0
     total = w.sum()
-    if not np.isfinite(total):
-        raise ValidationError(f"weights must have a finite sum, got {total}")
+    _require(np.isfinite(total), "weights", "must have a finite sum", total)
     if alpha > total + STRUCTURAL_TOL:
         raise ValidationError(f"no set reaches mass {alpha} (total {total})")
     target = alpha - STRUCTURAL_TOL
@@ -184,8 +184,8 @@ def partial_diameter(space: FiniteMmSpace, mu, alpha: float) -> Certified:
     metric-ball family is returned with ``exact=False``.
     """
     mu = _space_weights(mu, space.n)
-    if not 0.0 <= alpha <= 1.0 + STRUCTURAL_TOL:
-        raise ValidationError(f"alpha must lie in [0,1], got {alpha}")
+    _require(0.0 <= alpha <= 1.0 + STRUCTURAL_TOL, "alpha", "must lie in [0,1]",
+             alpha)
     if alpha <= 0.0:
         return Certified(0.0, True, "empty")
     dist, w, coords = _support(space, mu)
@@ -242,8 +242,8 @@ def separation(space: FiniteMmSpace, mu, k0: float, k1: float) -> Certified:
     thresholds); otherwise the support diameter is returned as a certified
     upper bound with ``exact=False``.
     """
-    if not k0 > 0 or not k1 > 0:
-        raise ValidationError("mass thresholds must be positive")
+    _require(k0 > 0, "k0", "must be positive", k0)
+    _require(k1 > 0, "k1", "must be positive", k1)
     mu = _space_weights(mu, space.n)
     tol = STRUCTURAL_TOL
     if k0 > 1.0 + tol or k1 > 1.0 + tol:
@@ -298,8 +298,7 @@ def obsdiam_sandwich(space: FiniteMmSpace, mu, kappa: float, *,
     explicit 1-Lipschitz witness family and the separation bound at
     (kappa/2, kappa/2).  For kappa >= 1 both sides are 0."""
     cfg = config or default_config()
-    if not kappa > 0:
-        raise ValidationError(f"kappa must be positive, got {kappa}")
+    _require(kappa > 0, "kappa", "must be positive", kappa)
     if kappa >= 1.0:
         return ObsDiamSandwich(0.0, 0.0, "mass defect >= 1", True)
     mu = _space_weights(mu, space.n)
@@ -360,17 +359,20 @@ def _acosh(x: float) -> float:
 
 def _check_bound_params(K: float, N: float) -> None:
     _check_finite(K)
-    if K <= 0:
-        raise ValidationError(f"K must be positive, got {K}")
-    if not N < 0:
-        raise ValidationError(f"N must be negative, got {N}")
+    _require(K > 0, "K", "must be positive", K)
+    _check_dimension(N)
+
+
+def _check_mass_fractions(k0: float, k1: float) -> None:
+    _require(0 < k0 < 1, "k0", "must lie in (0,1)", k0)
+    _require(0 < k1 < 1, "k1", "must lie in (0,1)", k1)
+    _require(k0 + k1 < 1, "k0 + k1", "must be below 1", k0 + k1)
 
 
 def cd_separation_bound(K: float, N: float, k0: float, k1: float) -> float:
     """Separation bound for CD(K, N) spaces with K > 0, N < 0."""
     _check_bound_params(K, N)
-    if not (0 < k0 < 1 and 0 < k1 < 1 and k0 + k1 < 1):
-        raise ValidationError("mass fractions must be positive with sum < 1")
+    _check_mass_fractions(k0, k1)
     mean = 0.5 * (k0 ** (1.0 / N) + k1 ** (1.0 / N))
     arg = mean ** (-N / (1.0 - N))
     return 2.0 * math.sqrt((1.0 - N) / K) * _acosh(arg)
@@ -379,8 +381,7 @@ def cd_separation_bound(K: float, N: float, k0: float, k1: float) -> float:
 def cd_obsdiam_bound(K: float, N: float, kappa: float) -> float:
     """Observable-diameter bound for CD(K, N) spaces with K > 0, N < 0."""
     _check_bound_params(K, N)
-    if not 0 < kappa <= 1:
-        raise ValidationError(f"kappa must lie in (0,1], got {kappa}")
+    _require(0 < kappa <= 1, "kappa", "must lie in (0,1]", kappa)
     arg = (2.0 / kappa) ** (1.0 / (1.0 - N))
     return 2.0 * math.sqrt((1.0 - N) / K) * _acosh(arg)
 
@@ -388,8 +389,7 @@ def cd_obsdiam_bound(K: float, N: float, kappa: float) -> float:
 def cdstar_separation_bound(K: float, N: float, k0: float, k1: float) -> float:
     """Separation bound under the reduced condition CD*(K, N)."""
     _check_bound_params(K, N)
-    if not (0 < k0 < 1 and 0 < k1 < 1 and k0 + k1 < 1):
-        raise ValidationError("mass fractions must be positive with sum < 1")
+    _check_mass_fractions(k0, k1)
     arg = 0.5 * (k0 ** (1.0 / N) + k1 ** (1.0 / N))
     return 2.0 * math.sqrt(-N / K) * _acosh(arg)
 
@@ -397,8 +397,7 @@ def cdstar_separation_bound(K: float, N: float, k0: float, k1: float) -> float:
 def cdstar_obsdiam_bound(K: float, N: float, kappa: float) -> float:
     """Observable-diameter bound under the reduced condition CD*(K, N)."""
     _check_bound_params(K, N)
-    if not 0 < kappa <= 1:
-        raise ValidationError(f"kappa must lie in (0,1], got {kappa}")
+    _require(0 < kappa <= 1, "kappa", "must lie in (0,1]", kappa)
     arg = (2.0 / kappa) ** (-1.0 / N)
     return 2.0 * math.sqrt(-N / K) * _acosh(arg)
 
@@ -416,23 +415,22 @@ def levy_bound_sequence(K_list, N_list, kappa: float, mode: str):
     set when the finite tail is strictly decreasing and decays below
     ``LEVY_DECAY`` times its first value.
     """
-    if not 0 < kappa < 1:
-        raise ValidationError(f"kappa must lie in (0,1), got {kappa}")
+    _require(0 < kappa < 1, "kappa", "must lie in (0,1)", kappa)
     K = np.asarray(K_list, dtype=float)
     N = np.asarray(N_list, dtype=float)
     if K.shape != N.shape:
         raise ValidationError("K and N sequences must have equal length")
-    _reject_entries(N < 0, "dimension parameters must be negative", "N_list", N)
+    _reject_entries(N < 0, "dimension parameters must be negative", "N_list", N,
+                    InvalidDimension)
     _reject_entries(np.isfinite(K), "every K must be finite", "K_list", K)
+    _require(mode in ("CD", "CDstar"), "mode", "must be CD or CDstar", repr(mode))
     vals = np.full(K.shape, math.inf)
     pos = K > 0
     if mode == "CD":
         vals[pos] = 2.0 * math.sqrt(2.0) / np.sqrt(K[pos]) * math.sqrt(2.0 / kappa - 1.0)
-    elif mode == "CDstar":
+    else:
         vals[pos] = (2.0 * math.log(2.0 / kappa) / np.sqrt(-K[pos] * N[pos])
                      + 2.0 * math.log(2.0) / np.sqrt(K[pos]))
-    else:
-        raise ValidationError(f"mode must be CD or CDstar, got {mode!r}")
     finite = vals[np.isfinite(vals)]
     flag = (finite.size >= 2 and bool(np.all(np.diff(finite) < 0))
             and finite[-1] <= LEVY_DECAY * finite[0])

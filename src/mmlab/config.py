@@ -68,14 +68,14 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 def _check_config_value(key: str, value) -> None:
     """``seed`` is a nonnegative int, the budget coefficients finite reals;
     JSON booleans are neither."""
+    from .core import _require  # core imports this module, so not at the top
     if key == "seed":
         ok = type(value) is int and value >= 0
         want = "a nonnegative integer"
     else:
         ok = type(value) is int or (type(value) is float and math.isfinite(value))
         want = "a finite number"
-    if not ok:
-        raise ValidationError(f"config key {key} must be {want}, got {value!r}")
+    _require(ok, f"config key {key}", f"must be {want}", repr(value))
 
 
 def default_config() -> RunConfig:

@@ -7,13 +7,14 @@ values can be shared freely between threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .config import STRUCTURAL_TOL
-from .errors import ValidationError, ZeroMassSet
+from .errors import InvalidDimension, ValidationError, ZeroMassSet
 
 __all__ = [
     "json_object",
@@ -42,9 +43,8 @@ def json_object(text: str, what: str) -> dict:
     """Decode ``text``, which must hold a JSON object; ``what`` names the
     document in the error."""
     doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} must be a JSON object, "
-                              f"got {type(doc).__name__}")
+    _require(isinstance(doc, dict), what, "must be a JSON object",
+             type(doc).__name__)
     return doc
 
 
@@ -82,15 +82,34 @@ def json_count(value) -> int:
     return n
 
 
-def _reject_entries(ok: np.ndarray, rule: str, name: str, values) -> None:
-    """Raise ``ValidationError(f"{rule}, {name}[i] = {value}")`` at the first
-    entry, in C order, where ``ok`` is False; return at once when every
-    entry is ok.  A matrix entry is named ``name[i, j]``."""
+def _require(ok, name: str, rule: str, value, error=ValidationError) -> None:
+    """Raise ``error(f"{name} {rule}, got {value}")`` unless ``ok``.  Write
+    ``ok`` as the set of allowed values (``theta >= 0``, not
+    ``not theta < 0``), so that NaN fails it."""
+    if not ok:
+        raise error(f"{name} {rule}, got {value}")
+
+
+def _check_finite(value: float, name: str = "K") -> None:
+    # a NaN curvature fails every branch test and reads as 0
+    _require(math.isfinite(value), name, "must be finite", value)
+
+
+def _check_dimension(N: float, name: str = "N") -> None:
+    """The negative-dimension rule N < 0, as ``InvalidDimension``."""
+    _require(N < 0, name, "must be negative", N, InvalidDimension)
+
+
+def _reject_entries(ok: np.ndarray, rule: str, name: str, values,
+                    error=ValidationError) -> None:
+    """Raise ``error(f"{rule}, {name}[i] = {value}")`` at the first entry, in
+    C order, where ``ok`` is False; return at once when every entry is ok.
+    A matrix entry is named ``name[i, j]``."""
     if ok.all():
         return
     idx = np.unravel_index(int(np.argmin(ok)), ok.shape)
     where = ", ".join(str(int(i)) for i in idx)
-    raise ValidationError(f"{rule}, {name}[{where}] = {values[idx]}")
+    raise error(f"{rule}, {name}[{where}] = {values[idx]}")
 
 
 def prob_weights(values) -> np.ndarray:
@@ -232,8 +251,8 @@ def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray | None:
     scan over every intermediate point decides, and names the first
     violated triple.
     """
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise ValidationError(f"distance matrix must be square, got {dist.shape}")
+    _require(dist.ndim == 2 and dist.shape[0] == dist.shape[1],
+             "distance matrix", "must be square", dist.shape)
     if not np.all(np.isfinite(dist)):
         raise ValidationError("distance matrix must be finite")
     if np.any(dist < 0):

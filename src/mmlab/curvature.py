@@ -15,21 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import _check_finite, omega, sigma_range_sup, sigma_vals, tau_vals
+from .coefficients import omega, sigma_range_sup, sigma_vals, tau_vals
 from .config import ENTROPY_TOL, RunConfig, default_config
 from .core import (
     FiniteMmSpace,
+    _check_dimension,
+    _check_finite,
     _reject_entries,
+    _require,
     condition_measure,
     partition_average,
     pushforward,
     subset_diameter,
 )
-from .errors import (
-    DomainError,
-    InvalidDimension,
-    ValidationError,
-)
+from .errors import DomainError, InvalidDimension, ValidationError
 from .transport import (
     MonotonePlan,
     WeightedOneDimSpace,
@@ -97,8 +96,7 @@ def renyi_entropy(mu, nu, nprime: float) -> float:
     Takes mass vectors; the value is sum (nu_i/mu_i)^{1-1/N'} mu_i over the
     support of mu, which is always >= 1 with equality only at nu = mu.
     """
-    if not nprime < 0:
-        raise InvalidDimension(f"N' must be negative, got {nprime}")
+    _check_dimension(nprime, "N'")
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if mu.shape != nu.shape:
@@ -153,13 +151,11 @@ def _rhs_grid(plan: MonotonePlan, K: float, nprimes, ts, variant: str) -> list:
     """
     _check_finite(K)
     for nprime in nprimes:
-        if not nprime < 0:
-            raise InvalidDimension(f"N' must be negative, got {nprime}")
+        _check_dimension(nprime, "N'")
     for t in ts:
-        if not 0.0 <= t <= 1.0:
-            raise ValidationError(f"t must lie in [0,1], got {t}")
-    if variant not in ("CD", "CDstar"):
-        raise ValidationError(f"variant must be CD or CDstar, got {variant!r}")
+        _require(0.0 <= t <= 1.0, "t", "must lie in [0,1]", t)
+    _require(variant in ("CD", "CDstar"), "variant", "must be CD or CDstar",
+             repr(variant))
     space = plan.space
     d_a = plan.x0_lo - plan.x1_lo
     d_b = plan.x0_hi - plan.x1_hi
@@ -314,8 +310,7 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
     """
     cfg = config or default_config()
     _check_finite(K)
-    if not N < 0:
-        raise InvalidDimension(f"N must be negative, got {N}")
+    _check_dimension(N)
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, T_GRID_SIZE)
     if nprime_grid is None:
@@ -323,9 +318,10 @@ def cd_check_1d(space: WeightedOneDimSpace, rho0, rho1, K: float, N: float,
         nprime_grid = sorted(set(nprime_grid))
     if len(t_grid) == 0 or len(nprime_grid) == 0:
         raise ValidationError("the t and N' grids must be nonempty")
-    for np_ in nprime_grid:
-        if not (N - 1e-12 <= np_ < 0):
-            raise ValidationError(f"N' = {np_} outside [N, 0)")
+    nprimes = np.asarray(nprime_grid, dtype=float)
+    _reject_entries((N - 1e-12 <= nprimes) & (nprimes < 0),
+                    "N' must lie in [N, 0)", "nprime_grid", nprimes,
+                    InvalidDimension)
     shift = None
     if space.kind == "circle":
         space, rho0, rho1, shift = _unroll_circle(space, rho0, rho1, cut)
@@ -400,10 +396,8 @@ def bm_check(space: WeightedOneDimSpace, a0, a1, t: float, K: float,
     segments and on circles whenever both sets sit inside a half-circle.
     """
     _check_finite(K)
-    if not N < 0:
-        raise InvalidDimension(f"N must be negative, got {N}")
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError(f"t must lie in [0,1], got {t}")
+    _check_dimension(N)
+    _require(0.0 <= t <= 1.0, "t", "must lie in [0,1]", t)
     (lo0, hi0), (lo1, hi1) = (map(float, a0), map(float, a1))
     if not (lo0 < hi0 and lo1 < hi1):
         raise ValidationError("intervals must be nondegenerate (lo < hi)")
@@ -467,10 +461,8 @@ def kn_convexity_check(f_samples, K: float, N: float, h: float, *,
     ``CONVEXITY_SAFETY``.
     """
     _check_finite(K)
-    if not N < 0:
-        raise InvalidDimension(f"N must be negative, got {N}")
-    if not (h > 0 and math.isfinite(h)):
-        raise ValidationError(f"h must be positive and finite, got {h}")
+    _check_dimension(N)
+    _require(h > 0 and math.isfinite(h), "h", "must be positive and finite", h)
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 1 or f.size < 5:
         raise ValidationError("need at least five samples")
@@ -503,6 +495,8 @@ def convexity_order_study(f, K: float, N: float, h_list, domain):
     ratios near 4 when h is halved; keeping the refinement moderate also
     keeps cancellation roundoff below the signal.  Returns (errors, ratios).
     """
+    _check_finite(K)
+    _check_dimension(N)
     lo, hi = map(float, domain)
     window = (lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0)
 
@@ -550,8 +544,7 @@ def entropy_inequality_suite(space: FiniteMmSpace, n_trials: int,
     absolutely continuous targets; failures are returned as data.  At least
     one trial is required, so that an empty run never reads as a pass.
     """
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be at least 1, got {n_trials}")
+    _require(n_trials >= 1, "n_trials", "must be at least 1", n_trials)
     rng = np.random.default_rng(seed)
     tol = ENTROPY_TOL
     n = space.n
@@ -658,8 +651,9 @@ def volume_growth_probe(log_density, C: float, x0: float,
     ``VOLUME_GROWTH_FACTOR``.  A radius whose grid would need more than
     ``VOLUME_MAX_POINTS`` points is rejected before anything is computed.
     """
-    if not C > 0:
-        raise ValidationError(f"C must be positive, got {C}")
+    _require(C > 0, "C", "must be positive", C)
+    _require(math.isfinite(C), "C", "must be finite", C)
+    _require(math.isfinite(x0), "x0", "must be finite", x0)
     radii = [float(r) for r in radii]
     if len(radii) < 2 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValidationError("radii must be an increasing list of length >= 2")

@@ -13,7 +13,7 @@ class ZeroMassSet(MmLabError, ValueError):
     """Conditioning or averaging on a set of zero reference mass."""
 
 
-class InvalidDimension(MmLabError, ValueError):
+class InvalidDimension(ValidationError):
     """A dimension parameter is outside the supported range (here: N < 0)."""
 
 

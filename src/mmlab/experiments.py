@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _check_finite, f_softabs
+from .coefficients import f_softabs
 from .concentration import (
     cd_separation_bound,
     levy_bound_sequence,
@@ -18,6 +18,7 @@ from .concentration import (
     separation,
 )
 from .config import MASS_1D_TOL, QUADRATURE_REL_TOL, RunConfig, default_config
+from .core import _check_dimension, _check_finite, _require
 from .curvature import (
     bm_check,
     cd_check_1d,
@@ -76,19 +77,16 @@ class CounterexampleParams:
         _check_finite(self.N, "N")
         if self.D is not None:
             _check_finite(self.D, "D")
-        if self.K >= 0 or not self.N < 0:
-            raise ValidationError("K and N must both be negative")
+        _require(self.K < 0, "K", "must be negative", self.K)
+        _check_dimension(self.N)
         d_min = math.pi * math.sqrt((self.N - 1.0) / self.K)
         if self.D is None:
             object.__setattr__(self, "D", d_min)
-        elif self.D < d_min - 1e-12:
-            raise ValidationError(
-                f"D = {self.D} below the admissible floor {d_min}"
-            )
-        if self.m < 256:
-            raise ValidationError("grid size must be at least 256")
-        if not 0.0 < self.eps < self.D / 2.0:
-            raise ValidationError("eps must lie in (0, D/2)")
+        _require(self.D >= d_min - 1e-12, "D",
+                 f"must be at least the admissible floor {d_min}", self.D)
+        _require(self.m >= 256, "m", "must be at least 256", self.m)
+        _require(0.0 < self.eps < self.D / 2.0, "eps", "must lie in (0, D/2)",
+                 self.eps)
 
     @property
     def nprime(self) -> float:
@@ -238,8 +236,7 @@ def two_point_midpoint_gap(D: float) -> TwoPointGap:
     |W2(delta_0, nu_q) - D/2| and |W2(nu_q, delta_1) - D/2| with
     nu_q = (q, 1-q); the transport distances have the closed forms
     sqrt(1-q) D and sqrt(q) D."""
-    if D < 0:
-        raise ValidationError("D must be nonnegative")
+    _require(D >= 0, "D", "must be nonnegative", D)
     q = np.linspace(0.0, 1.0, 4097)
     gap = np.maximum(np.abs(np.sqrt(1.0 - q) - 0.5),
                      np.abs(np.sqrt(q) - 0.5)) * D
@@ -262,14 +259,12 @@ def cosh_family(K: float, N: float, lam: float, L: float,
     finite and m at least 1 (``ValidationError``).
     """
     _check_finite(K)
-    if K <= 0 or not N < 0:
-        raise ValidationError("requires K > 0 and N < 0")
+    _require(K > 0, "K", "must be positive", K)
+    _check_dimension(N)
     for name, value in (("lam", lam), ("L", L)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValidationError(f"{name} must be positive and finite, "
-                                  f"got {value}")
-    if m < 1:
-        raise ValidationError(f"grid size m must be at least 1, got {m}")
+        _require(value > 0 and math.isfinite(value), name,
+                 "must be positive and finite", value)
+    _require(m >= 1, "grid size m", "must be at least 1", m)
     if lam * lam < K / (1.0 - N) - 1e-12:
         raise ConvexityViolation(
             f"lam^2 = {lam * lam} below the threshold {K / (1.0 - N)}"
@@ -364,8 +359,8 @@ def sinh_example_report(K: float, N: float, C_list=(0.1, 1.0, 10.0),
     mass diverges for every damping constant probed.
     """
     _check_finite(K)
-    if K <= 0 or not N < 0:
-        raise ValidationError("requires K > 0 and N < 0")
+    _require(K > 0, "K", "must be positive", K)
+    _check_dimension(N)
     a = math.sqrt(0.25 - K / (N - 1.0))
     f = lambda x: -(N - 1.0) * a * np.sinh(np.asarray(x, dtype=float))  # noqa: E731
     log_density = lambda x: (N - 1.0) * a * np.sinh(np.asarray(x, dtype=float))  # noqa: E731

@@ -34,6 +34,7 @@ from .core import (
     Coupling,
     FiniteMmSpace,
     _reject_entries,
+    _require,
     _space_weights,
     first_feasible,
     float_array,
@@ -92,8 +93,8 @@ class WeightedOneDimSpace:
     log_density: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("segment", "circle"):
-            raise ValidationError(f"kind must be segment or circle, got {self.kind!r}")
+        _require(self.kind in ("segment", "circle"), "kind",
+                 "must be segment or circle", repr(self.kind))
         ld = np.asarray(self.log_density, dtype=float).copy()
         if ld.ndim != 1 or ld.size < 1:
             raise ValidationError("log_density must be a nonempty vector")
@@ -101,8 +102,7 @@ class WeightedOneDimSpace:
                         "log_density must not contain NaN or +inf "
                         "(-inf marks empty cells)", "log_density", ld)
         L = float(self.total_length)
-        if not (L > 0 and math.isfinite(L)):
-            raise ValidationError(f"total_length must be positive, got {L}")
+        _require(L > 0 and math.isfinite(L), "total_length", "must be positive", L)
         mass = float(np.exp(ld).sum() * (L / ld.size))
         if abs(mass - 1.0) > MASS_1D_TOL:
             raise ValidationError(
@@ -194,6 +194,8 @@ class WeightedOneDimSpace:
 
 def interval_mass(space: WeightedOneDimSpace, lo: float, hi: float) -> float:
     """Mass of a coordinate interval under the piecewise-constant density."""
+    _require(not math.isnan(lo), "lo", "must be a number", lo)
+    _require(not math.isnan(hi), "hi", "must be a number", hi)
     edges = space.cell_edges
     overlap = np.clip(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo),
                       0.0, None)
@@ -363,8 +365,7 @@ class MonotonePlan:
         onto the grid by exact cell averaging; at t = 0 and t = 1 it is the
         endpoint density itself.
         """
-        if not 0.0 <= t <= 1.0:
-            raise ValidationError(f"t must lie in [0,1], got {t}")
+        _require(0.0 <= t <= 1.0, "t", "must lie in [0,1]", t)
         for rho in (self.rho0, self.rho1):
             if np.any(np.diff(np.flatnonzero(rho > 0)) > 1):
                 raise DegenerateDensity(

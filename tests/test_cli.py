@@ -153,7 +153,7 @@ BAD_SCALARS = {
     "counterexample-K": (["counterexample", "--K", "nan", "--N", "-1",
                           "--n-list", "1", "--M", "512"], "K must be finite"),
     "sep-k0": (["sep", "--space", "{space}", "--k0", "nan", "--k1", "0.3"],
-               "mass thresholds must be positive"),
+               "k0 must be positive, got nan"),
     "obsdiam-kappa": (["obsdiam", "--space", "{space}", "--kappa", "nan"],
                       "kappa must be positive"),
     "convexity-h-zero": (["convexity", "--f", "{f}", "--K", "1", "--N", "-2",
@@ -469,6 +469,18 @@ def test_experiment_params_record_resolved_values(tmp_path):
     assert params["n_list"] == [1, 2]
     assert params["m"] == 256
     assert "seed" not in params and doc["metadata"]["config"]["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--K", "-1", "--N", "-1", "--n-list", "1", "--M", "256"],
+    ["thm4-verify", "--K-list", "1", "--kappas", "0.2", "--M", "64"],
+], ids=["counterexample", "thm4-verify"])
+def test_grid_size_is_recorded_once(tmp_path, argv):
+    # --M reaches params as the experiment's m, and not a second time as M
+    assert mmlab.cli.main([*argv, "--out", str(tmp_path)]) == 0
+    doc = json.loads(next(tmp_path.glob(f"{argv[0]}-*.json")).read_text())
+    params = doc["metadata"]["params"]
+    assert params["m"] == int(argv[-1]) and "M" not in params
 
 
 def test_cosh_family_and_bm_collapse_chain(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmlab import coefficients, concentration, curvature, transport
+from mmlab import coefficients, concentration, curvature, experiments, transport
 from mmlab.config import STRUCTURAL_TOL
 from mmlab.core import (
     FiniteMmSpace,
@@ -24,7 +24,7 @@ from mmlab.core import (
     pushforward,
     subset_diameter,
 )
-from mmlab.errors import ValidationError, ZeroMassSet
+from mmlab.errors import InvalidDimension, ValidationError, ZeroMassSet
 from mmlab.transport import WeightedOneDimSpace, discretize
 
 
@@ -125,9 +125,288 @@ def test_prob_weights_names_the_first_negative_weight():
     assert str(err.value) == "weights must be nonnegative, weights[1] = -0.25"
 
 
-def test_sigma_vals_lets_a_nan_theta_through():
-    # the rule rejects negative thetas only, so a NaN theta raises nothing
-    assert coefficients.sigma_vals(1.0, 0.5, [0.1, NAN]).shape == (2,)
+def test_sigma_vals_rejects_a_nan_theta():
+    # the rule is written as the allowed set, theta >= 0, which NaN fails
+    with pytest.raises(ValidationError) as err:
+        coefficients.sigma_vals(1.0, 0.5, [0.1, NAN])
+    assert str(err.value) == "theta must be nonnegative, thetas[1] = nan"
+
+
+def _segment():
+    return WeightedOneDimSpace("segment", 4.0, np.full(16, math.log(0.25)))
+
+
+def _rho():
+    return np.full(16, 0.25)
+
+
+FLOOR = math.pi * math.sqrt(2.0)  # CounterexampleParams' D floor at K = N = -1
+VE = ValidationError
+DIM = InvalidDimension
+
+# every scalar rule of a public function, at NaN and at the edge of the
+# allowed set, with its error class and message "<name> <rule>, got <value>"
+SCALAR_CHECKS = {
+    "s_kappa-kappa-nan": (lambda: coefficients.s_kappa(NAN, 1.0), VE,
+                          "kappa must be finite, got nan"),
+    "s_kappa-theta-nan": (lambda: coefficients.s_kappa(1.0, NAN), VE,
+                          "theta must be nonnegative, got nan"),
+    "s_kappa-theta-edge": (lambda: coefficients.s_kappa(1.0, -0.5), VE,
+                           "theta must be nonnegative, got -0.5"),
+    "sigma-theta-nan": (lambda: coefficients.sigma(1.0, 0.5, NAN), VE,
+                        "theta must be nonnegative, thetas[0] = nan"),
+    "sigma-t-nan": (lambda: coefficients.sigma(1.0, NAN, 0.1), VE,
+                    "t must lie in [0,1], got nan"),
+    "sigma-t-edge": (lambda: coefficients.sigma(1.0, 1.5, 0.1), VE,
+                     "t must lie in [0,1], got 1.5"),
+    "sigma_range_sup-theta_lo-nan": (
+        lambda: coefficients.sigma_range_sup(1.0, 0.5, NAN, 1.0), VE,
+        "theta_lo must be nonnegative, got nan"),
+    "sigma_range_sup-theta_lo-edge": (
+        lambda: coefficients.sigma_range_sup(1.0, 0.5, -0.5, 1.0), VE,
+        "theta_lo must be nonnegative, got -0.5"),
+    "sigma_range_sup-theta_hi-nan": (
+        lambda: coefficients.sigma_range_sup(1.0, 0.5, 0.0, NAN), VE,
+        "theta_hi must be at least theta_lo, got nan"),
+    "sigma_range_sup-theta_hi-edge": (
+        lambda: coefficients.sigma_range_sup(1.0, 0.5, 1.0, 0.5), VE,
+        "theta_hi must be at least theta_lo, got 0.5"),
+    "sigma_range_sup-t-nan": (
+        lambda: coefficients.sigma_range_sup(1.0, NAN, 0.0, 10.0), VE,
+        "t must lie in [0,1], got nan"),
+    "tau-N-nan": (lambda: coefficients.tau(1.0, NAN, 0.5, 0.1), DIM,
+                  "N must be negative, got nan"),
+    "tau-N-edge": (lambda: coefficients.tau(1.0, 0.0, 0.5, 0.1), DIM,
+                   "N must be negative, got 0.0"),
+    "tau-theta-nan": (lambda: coefficients.tau(1.0, -1.0, 0.5, NAN), VE,
+                      "theta must be nonnegative, thetas[0] = nan"),
+    "tau_vals-t-nan": (lambda: coefficients.tau_vals(1.0, -1.0, NAN, [0.1]),
+                       VE, "t must lie in [0,1], got nan"),
+    "tau_sup-theta_max-nan": (
+        lambda: coefficients.tau_sup(-1.0, -1.0, 0.5, NAN), VE,
+        "theta_max must be nonnegative, got nan"),
+    "tau_sup-theta_max-edge": (
+        lambda: coefficients.tau_sup(-1.0, -1.0, 0.5, -0.5), VE,
+        "theta_max must be nonnegative, got -0.5"),
+    "tau_sup-N-edge": (lambda: coefficients.tau_sup(1.0, 0.0, 0.5, 1.0), DIM,
+                       "N must be negative, got 0.0"),
+    "tau_sup-t-nan": (lambda: coefficients.tau_sup(1.0, -1.0, NAN, 1.0), VE,
+                      "t must lie in [0,1], got nan"),
+    "f_softabs-a-nan": (lambda: coefficients.f_softabs(NAN, 1.0), VE,
+                        "softness parameter must be positive, got nan"),
+    "f_softabs-a-edge": (lambda: coefficients.f_softabs(0.0, 1.0), VE,
+                         "softness parameter must be positive, got 0.0"),
+    "partial_diameter_1d-alpha-nan": (
+        lambda: concentration.partial_diameter_1d([0.0, 1.0], [0.5, 0.5], NAN),
+        VE, "alpha must be a number, got nan"),
+    "partial_diameter-alpha-nan": (
+        lambda: concentration.partial_diameter(square_space(), [0.25] * 4, NAN),
+        VE, "alpha must lie in [0,1], got nan"),
+    "partial_diameter-alpha-edge": (
+        lambda: concentration.partial_diameter(square_space(), [0.25] * 4, 1.5),
+        VE, "alpha must lie in [0,1], got 1.5"),
+    "separation-k0-nan": (
+        lambda: concentration.separation(square_space(), [0.25] * 4, NAN, 0.3),
+        VE, "k0 must be positive, got nan"),
+    "separation-k1-edge": (
+        lambda: concentration.separation(square_space(), [0.25] * 4, 0.3, 0.0),
+        VE, "k1 must be positive, got 0.0"),
+    "obsdiam_sandwich-kappa-nan": (
+        lambda: concentration.obsdiam_sandwich(square_space(), [0.25] * 4, NAN),
+        VE, "kappa must be positive, got nan"),
+    "obsdiam_sandwich-kappa-edge": (
+        lambda: concentration.obsdiam_sandwich(square_space(), [0.25] * 4, 0.0),
+        VE, "kappa must be positive, got 0.0"),
+    "cd_separation_bound-K-edge": (
+        lambda: concentration.cd_separation_bound(0.0, -1.0, 0.1, 0.1), VE,
+        "K must be positive, got 0.0"),
+    "cd_separation_bound-N-nan": (
+        lambda: concentration.cd_separation_bound(1.0, NAN, 0.1, 0.1), DIM,
+        "N must be negative, got nan"),
+    "cd_separation_bound-N-edge": (
+        lambda: concentration.cd_separation_bound(1.0, 0.5, 0.1, 0.1), DIM,
+        "N must be negative, got 0.5"),
+    "cd_separation_bound-k0-nan": (
+        lambda: concentration.cd_separation_bound(1.0, -1.0, NAN, 0.1), VE,
+        "k0 must lie in (0,1), got nan"),
+    "cd_separation_bound-k1-edge": (
+        lambda: concentration.cd_separation_bound(1.0, -1.0, 0.1, 1.0), VE,
+        "k1 must lie in (0,1), got 1.0"),
+    "cd_separation_bound-sum-edge": (
+        lambda: concentration.cd_separation_bound(1.0, -1.0, 0.5, 0.5), VE,
+        "k0 + k1 must be below 1, got 1.0"),
+    "cdstar_separation_bound-N-nan": (
+        lambda: concentration.cdstar_separation_bound(1.0, NAN, 0.1, 0.1), DIM,
+        "N must be negative, got nan"),
+    "cdstar_separation_bound-k0-edge": (
+        lambda: concentration.cdstar_separation_bound(1.0, -1.0, 0.0, 0.1), VE,
+        "k0 must lie in (0,1), got 0.0"),
+    "cd_obsdiam_bound-kappa-nan": (
+        lambda: concentration.cd_obsdiam_bound(1.0, -1.0, NAN), VE,
+        "kappa must lie in (0,1], got nan"),
+    "cd_obsdiam_bound-kappa-edge": (
+        lambda: concentration.cd_obsdiam_bound(1.0, -1.0, 0.0), VE,
+        "kappa must lie in (0,1], got 0.0"),
+    "cdstar_obsdiam_bound-K-nan": (
+        lambda: concentration.cdstar_obsdiam_bound(NAN, -1.0, 0.5), VE,
+        "K must be finite, got nan"),
+    "cdstar_obsdiam_bound-kappa-edge": (
+        lambda: concentration.cdstar_obsdiam_bound(1.0, -1.0, 1.5), VE,
+        "kappa must lie in (0,1], got 1.5"),
+    "levy_bound_sequence-kappa-nan": (
+        lambda: concentration.levy_bound_sequence([1.0], [-1.0], NAN, "CD"),
+        VE, "kappa must lie in (0,1), got nan"),
+    "levy_bound_sequence-kappa-edge": (
+        lambda: concentration.levy_bound_sequence([1.0], [-1.0], 1.0, "CD"),
+        VE, "kappa must lie in (0,1), got 1.0"),
+    "levy_bound_sequence-mode": (
+        lambda: concentration.levy_bound_sequence([1.0], [-1.0], 0.1, "cd"),
+        VE, "mode must be CD or CDstar, got 'cd'"),
+    "levy_bound_sequence-N": (
+        lambda: concentration.levy_bound_sequence([1.0], [NAN], 0.1, "CD"),
+        DIM, "dimension parameters must be negative, N_list[0] = nan"),
+    "renyi_entropy-nprime-nan": (
+        lambda: curvature.renyi_entropy([0.5, 0.5], [0.5, 0.5], NAN), DIM,
+        "N' must be negative, got nan"),
+    "renyi_entropy-nprime-edge": (
+        lambda: curvature.renyi_entropy([0.5, 0.5], [0.5, 0.5], 0.0), DIM,
+        "N' must be negative, got 0.0"),
+    "cd_rhs-nprime-edge": (
+        lambda: curvature.cd_rhs(_segment(), _rho(), _rho(), 1.0, 0.0, 0.5),
+        DIM, "N' must be negative, got 0.0"),
+    "cd_rhs-t-nan": (
+        lambda: curvature.cd_rhs(_segment(), _rho(), _rho(), 1.0, -1.0, NAN),
+        VE, "t must lie in [0,1], got nan"),
+    "cd_rhs-variant": (
+        lambda: curvature.cd_rhs(_segment(), _rho(), _rho(), 1.0, -1.0, 0.5,
+                                 "cd"),
+        VE, "variant must be CD or CDstar, got 'cd'"),
+    "cd_check_1d-N-nan": (
+        lambda: curvature.cd_check_1d(_segment(), _rho(), _rho(), 1.0, NAN),
+        DIM, "N must be negative, got nan"),
+    "cd_check_1d-nprime_grid-nan": (
+        lambda: curvature.cd_check_1d(_segment(), _rho(), _rho(), 1.0, -1.0,
+                                      nprime_grid=[-0.5, NAN]),
+        DIM, "N' must lie in [N, 0), nprime_grid[1] = nan"),
+    "cd_check_1d-nprime_grid-edge": (
+        lambda: curvature.cd_check_1d(_segment(), _rho(), _rho(), 1.0, -1.0,
+                                      nprime_grid=[-0.5, 0.0]),
+        DIM, "N' must lie in [N, 0), nprime_grid[1] = 0.0"),
+    "bm_check-t-nan": (
+        lambda: curvature.bm_check(_segment(), (0.5, 1.0), (2.5, 3.0), NAN,
+                                   1.0, -1.0),
+        VE, "t must lie in [0,1], got nan"),
+    "bm_check-N-edge": (
+        lambda: curvature.bm_check(_segment(), (0.5, 1.0), (2.5, 3.0), 0.5,
+                                   1.0, 0.0),
+        DIM, "N must be negative, got 0.0"),
+    "kn_convexity_check-N-edge": (
+        lambda: curvature.kn_convexity_check(np.zeros(9), 1.0, 0.0, 0.1), DIM,
+        "N must be negative, got 0.0"),
+    "kn_convexity_check-h-nan": (
+        lambda: curvature.kn_convexity_check(np.zeros(9), 1.0, -1.0, NAN), VE,
+        "h must be positive and finite, got nan"),
+    "kn_convexity_check-h-edge": (
+        lambda: curvature.kn_convexity_check(np.zeros(9), 1.0, -1.0, 0.0), VE,
+        "h must be positive and finite, got 0.0"),
+    "convexity_order_study-N-nan": (
+        lambda: curvature.convexity_order_study(np.cosh, 1.0, NAN, [0.1],
+                                                (-1.0, 1.0)),
+        DIM, "N must be negative, got nan"),
+    "entropy_inequality_suite-n_trials-edge": (
+        lambda: curvature.entropy_inequality_suite(square_space(), 0), VE,
+        "n_trials must be at least 1, got 0"),
+    "volume_growth_probe-C-nan": (
+        lambda: curvature.volume_growth_probe(np.zeros_like, NAN, 0.0, [1, 2]),
+        VE, "C must be positive, got nan"),
+    "volume_growth_probe-C-edge": (
+        lambda: curvature.volume_growth_probe(np.zeros_like, 0.0, 0.0, [1, 2]),
+        VE, "C must be positive, got 0.0"),
+    "volume_growth_probe-C-inf": (
+        lambda: curvature.volume_growth_probe(np.zeros_like, INF, 0.0, [1, 2]),
+        VE, "C must be finite, got inf"),
+    "volume_growth_probe-x0-nan": (
+        lambda: curvature.volume_growth_probe(np.zeros_like, 1.0, NAN, [1, 2]),
+        VE, "x0 must be finite, got nan"),
+    "CounterexampleParams-K-edge": (
+        lambda: experiments.CounterexampleParams(K=0.0), VE,
+        "K must be negative, got 0.0"),
+    "CounterexampleParams-N-nan": (
+        lambda: experiments.CounterexampleParams(N=NAN), VE,
+        "N must be finite, got nan"),
+    "CounterexampleParams-N-edge": (
+        lambda: experiments.CounterexampleParams(N=0.0), DIM,
+        "N must be negative, got 0.0"),
+    "CounterexampleParams-D-nan": (
+        lambda: experiments.CounterexampleParams(D=NAN), VE,
+        "D must be finite, got nan"),
+    "CounterexampleParams-D-edge": (
+        lambda: experiments.CounterexampleParams(D=1.0), VE,
+        f"D must be at least the admissible floor {FLOOR}, got 1.0"),
+    "CounterexampleParams-m-edge": (
+        lambda: experiments.CounterexampleParams(m=255), VE,
+        "m must be at least 256, got 255"),
+    "CounterexampleParams-eps-nan": (
+        lambda: experiments.CounterexampleParams(eps=NAN), VE,
+        "eps must lie in (0, D/2), got nan"),
+    "CounterexampleParams-eps-edge": (
+        lambda: experiments.CounterexampleParams(eps=FLOOR / 2.0), VE,
+        f"eps must lie in (0, D/2), got {FLOOR / 2.0}"),
+    "two_point_midpoint_gap-D-nan": (
+        lambda: experiments.two_point_midpoint_gap(NAN), VE,
+        "D must be nonnegative, got nan"),
+    "two_point_midpoint_gap-D-edge": (
+        lambda: experiments.two_point_midpoint_gap(-0.5), VE,
+        "D must be nonnegative, got -0.5"),
+    "cosh_family-K-edge": (
+        lambda: experiments.cosh_family(0.0, -1.0, 1.0, 2.0, 64), VE,
+        "K must be positive, got 0.0"),
+    "cosh_family-N-nan": (
+        lambda: experiments.cosh_family(1.0, NAN, 1.0, 2.0, 64), DIM,
+        "N must be negative, got nan"),
+    "cosh_family-lam-nan": (
+        lambda: experiments.cosh_family(1.0, -1.0, NAN, 2.0, 64), VE,
+        "lam must be positive and finite, got nan"),
+    "cosh_family-L-edge": (
+        lambda: experiments.cosh_family(1.0, -1.0, 1.0, 0.0, 64), VE,
+        "L must be positive and finite, got 0.0"),
+    "cosh_family-m-edge": (
+        lambda: experiments.cosh_family(1.0, -1.0, 1.0, 2.0, 0), VE,
+        "grid size m must be at least 1, got 0"),
+    "sinh_example_report-K-edge": (
+        lambda: experiments.sinh_example_report(0.0, -1.0), VE,
+        "K must be positive, got 0.0"),
+    "sinh_example_report-N-nan": (
+        lambda: experiments.sinh_example_report(1.0, NAN), DIM,
+        "N must be negative, got nan"),
+    "WeightedOneDimSpace-kind": (
+        lambda: WeightedOneDimSpace("line", 1.0, [0.0]), VE,
+        "kind must be segment or circle, got 'line'"),
+    "WeightedOneDimSpace-total_length-nan": (
+        lambda: WeightedOneDimSpace("segment", NAN, [0.0]), VE,
+        "total_length must be positive, got nan"),
+    "WeightedOneDimSpace-total_length-edge": (
+        lambda: WeightedOneDimSpace("segment", 0.0, [0.0]), VE,
+        "total_length must be positive, got 0.0"),
+    "interval_mass-lo-nan": (
+        lambda: transport.interval_mass(_segment(), NAN, 1.0), VE,
+        "lo must be a number, got nan"),
+    "interval_mass-hi-nan": (
+        lambda: transport.interval_mass(_segment(), 0.0, NAN), VE,
+        "hi must be a number, got nan"),
+    "interpolate-t-nan": (
+        lambda: transport.MonotonePlan.build(_segment(), _rho(), _rho())
+        .interpolate(NAN), VE, "t must lie in [0,1], got nan"),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CHECKS)
+def test_bad_scalar_is_named(name):
+    call, error, message = SCALAR_CHECKS[name]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_condition_uniform_two_points():

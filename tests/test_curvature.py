@@ -524,8 +524,7 @@ def test_nan_dimension_is_rejected(name):
         "tau_vals": lambda: tau_vals(1.0, nan, 0.5, [0.0, 1.0]),
         "cd_obsdiam_bound": lambda: cd_obsdiam_bound(1.0, nan, 0.5),
     }
-    error = ValidationError if name == "cd_obsdiam_bound" else InvalidDimension
-    with pytest.raises(error):
+    with pytest.raises(InvalidDimension):
         calls[name]()
 
 

@@ -273,3 +273,35 @@ def test_array_entry_checks_go_through_reject_entries():
                     and not (path.name == "core.py" and k in inside)):
                 found.append(f"{path.name}:{k}: {line.strip()}")
     assert not found, f"array checks built by hand: {found}"
+
+
+def _template(node: ast.JoinedStr) -> str:
+    # an f-string's text with each formatted value as {}
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                   for part in node.values)
+
+
+def test_scalar_rule_checks_go_through_require():
+    # a scalar rule raises "<name> <rule>, got <value>" through
+    # core._require, and a negative-dimension rule passes InvalidDimension to
+    # it; a message or an InvalidDimension built by hand elsewhere is a
+    # second path to the same rejection
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    helper = next(fn for fn in core.body if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "_require")
+    inside = {id(n) for n in ast.walk(helper)}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if id(node) in inside:
+                continue
+            by_hand = (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "InvalidDimension"
+            ) or (
+                isinstance(node, ast.JoinedStr)
+                and re.search(r"\bmust\b.*, got \{\}$", _template(node))
+            )
+            if by_hand:
+                found.add(f"{path.name}:{node.lineno}")
+    assert not found, f"scalar checks built by hand: {sorted(found)}"
