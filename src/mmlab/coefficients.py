@@ -43,6 +43,7 @@ def s_kappa(kappa: float, theta: float) -> float:
     """
     _check_finite(kappa, "kappa")
     _require(theta >= 0, "theta", "must be nonnegative", theta)
+    _check_finite(theta, "theta")
     if kappa == 0 or theta == 0.0:
         return 1.0
     z = math.sqrt(abs(kappa)) * theta
@@ -176,6 +177,7 @@ def f_softabs(a: float, x):
     |x| < value <= |x| + a^{-1} log 2, is even and smooth.
     """
     _require(a > 0, "softness parameter", "must be positive", a)
+    _check_finite(a, "softness parameter")
     ax = np.abs(np.asarray(x, dtype=float))
     out = ax + np.log1p(np.exp(-2.0 * a * ax)) / a
     if np.isscalar(x) or np.ndim(x) == 0:

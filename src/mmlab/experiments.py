@@ -453,6 +453,8 @@ def verify_separation_bounds(K_list=(1.0, 4.0, 16.0),
     must scale like 1/sqrt(K); each separation value is checked against its
     closed-form bound with the given relative slack.
     """
+    _require(0 <= slack < math.inf, "slack", "must be finite and nonnegative",
+             slack)
     cfg = config or default_config()
     rep = ExperimentReport(
         name="thm4-verify",

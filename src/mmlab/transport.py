@@ -277,6 +277,29 @@ class PiecewiseQuantile:
 # the monotone transport plan between two densities
 
 
+def _merge(q0: PiecewiseQuantile, q1: PiecewiseQuantile):
+    """Mass intervals on which both quantiles are affine, as ``(ends, p0,
+    p1, x0, x1)``: rows of interval low and high ends, the piece of each
+    quantile that each interval lies in, and Q0 and Q1 at ``ends``."""
+    breaks = np.union1d(q0.breaks, q1.breaks)
+    a, b = breaks[:-1], breaks[1:]
+    keep = b > a
+    ends = np.stack((a[keep], b[keep]))
+    mid = 0.5 * (ends[0] + ends[1])
+    p0 = q0.piece_of(mid)
+    p1 = q1.piece_of(mid)
+    return ends, p0, p1, q0.affine_at(ends, p0), q1.affine_at(ends, p1)
+
+
+def _sq_cost(a, b, d_a, d_b) -> float:
+    """Integral of d^2 over the intervals [a, b], where d runs affinely from
+    d_a to d_b on each.  d^2 is quadratic there, whether or not d changes
+    sign, so Simpson's rule gives it exactly."""
+    d_mid = 0.5 * (d_a + d_b)
+    return float(np.sum((b - a) / 6.0
+                        * (d_a * d_a + 4.0 * d_mid * d_mid + d_b * d_b)))
+
+
 @dataclass(frozen=True)
 class MonotonePlan:
     """Monotone (quantile) coupling of two densities, built once per pair.
@@ -322,16 +345,8 @@ class MonotonePlan:
             q1 = PiecewiseQuantile.from_atoms(space.grid, rho1 * space.h)
         else:
             raise ValidationError(f"unknown quantile model {model!r}")
-        breaks = np.union1d(q0.breaks, q1.breaks)
-        a, b = breaks[:-1], breaks[1:]
-        keep = b > a
-        a, b = a[keep], b[keep]
-        mid = 0.5 * (a + b)
-        p0 = q0.piece_of(mid)
-        p1 = q1.piece_of(mid)
-        ends = np.stack((a, b))
-        x0 = q0.affine_at(ends, p0)
-        x1 = q1.affine_at(ends, p1)
+        ends, p0, p1, x0, x1 = _merge(q0, q1)
+        a, b = ends
         d_a, d_b = x0 - x1
         # an interval where the displacement changes sign becomes two
         # pieces, [a, root] followed by [root, b]
@@ -350,13 +365,19 @@ class MonotonePlan:
         crossing[second] = True
         return cls(space, rho0, rho1, *lo_hi, cell0, cell1, crossing)
 
+    def _unsplit(self):
+        """Masks of the first and the last piece of each merged interval,
+        whose outer ends the split at a root leaves as the merge gave them."""
+        starts = ~self.crossing
+        return starts, np.append(starts[1:], True)
+
     def sq_distance(self) -> float:
-        """Exact integral of (Q0 - Q1)^2 du; Simpson is exact per affine piece."""
-        d_lo = self.x0_lo - self.x1_lo
-        d_hi = self.x0_hi - self.x1_hi
-        d_mid = 0.5 * (d_lo + d_hi)
-        return float(np.sum((self.u_hi - self.u_lo) / 6.0
-                            * (d_lo * d_lo + 4.0 * d_mid * d_mid + d_hi * d_hi)))
+        """Exact integral of (Q0 - Q1)^2 du: ``_sq_cost`` over the merged
+        intervals, so the split at a zero crossing does not enter it."""
+        starts, ends = self._unsplit()
+        return _sq_cost(self.u_lo[starts], self.u_hi[ends],
+                        self.x0_lo[starts] - self.x1_lo[starts],
+                        self.x0_hi[ends] - self.x1_hi[ends])
 
     def interpolate(self, t: float) -> np.ndarray:
         """Cell densities of the monotone-map interpolant at fraction ``t``.
@@ -378,8 +399,7 @@ class MonotonePlan:
         edges, h, m = space.cell_edges, space.h, space.m
         # the interpolant stays affine across a zero crossing, so each split
         # interval is spread whole and no cell mass depends on the root
-        starts = ~self.crossing
-        ends = np.append(starts[1:], True)
+        starts, ends = self._unsplit()
         lo = (1.0 - t) * self.x0_lo[starts] + t * self.x1_lo[starts]
         hi = (1.0 - t) * self.x0_hi[ends] + t * self.x1_hi[ends]
         mass = self.u_hi[ends] - self.u_lo[starts]
@@ -666,13 +686,21 @@ def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
     Returns ``(value, cut_index)``; the cut is a cell boundary index, and
     among cuts within 1e-12 relative of the minimum (exact ties round apart
     by a few ulp) the smallest index is taken.
+
+    Each cut is priced by ``_sq_cost`` on the merge of the rolled cell
+    quantiles: the plan of the rolled densities reports the same value.
     """
     if space.kind != "circle":
         raise ValidationError("cut search applies to circle spaces")
-    vals = np.array([
-        MonotonePlan.build(space, np.roll(rho0, -cut),
-                           np.roll(rho1, -cut)).sq_distance()
-        for cut in range(space.m)])
+    edges = space.cell_edges
+    mass0 = space.validate_density(rho0) * space.h
+    mass1 = space.validate_density(rho1) * space.h
+    vals = np.empty(space.m)
+    for cut in range(space.m):
+        ends, _, _, x0, x1 = _merge(
+            PiecewiseQuantile.from_cells(edges, np.roll(mass0, -cut)),
+            PiecewiseQuantile.from_cells(edges, np.roll(mass1, -cut)))
+        vals[cut] = _sq_cost(*ends, *(x0 - x1))
     best = vals.min()
     cut = int(np.flatnonzero(vals <= best + 1e-12 * abs(best))[0])
     return math.sqrt(max(vals[cut], 0.0)), cut

@@ -164,6 +164,9 @@ BAD_SCALARS = {
                               "-2", "--h", "-0.01"], "h must be positive"),
     "sinh-example-C": (["sinh-example", "--K", "1", "--N", "-1",
                         "--C-list", "nan"], "C must be positive"),
+    "thm4-verify-slack": (["thm4-verify", "--K-list", "1", "--kappas", "0.2",
+                           "--M", "64", "--slack", "nan"],
+                          "slack must be finite and nonnegative, got nan"),
 }
 
 

@@ -153,6 +153,10 @@ SCALAR_CHECKS = {
                           "theta must be nonnegative, got nan"),
     "s_kappa-theta-edge": (lambda: coefficients.s_kappa(1.0, -0.5), VE,
                            "theta must be nonnegative, got -0.5"),
+    "s_kappa-theta-inf-sinh": (lambda: coefficients.s_kappa(-1.0, INF), VE,
+                               "theta must be finite, got inf"),
+    "s_kappa-theta-inf-sin": (lambda: coefficients.s_kappa(1.0, INF), VE,
+                              "theta must be finite, got inf"),
     "sigma-theta-nan": (lambda: coefficients.sigma(1.0, 0.5, NAN), VE,
                         "theta must be nonnegative, thetas[0] = nan"),
     "sigma-t-nan": (lambda: coefficients.sigma(1.0, NAN, 0.1), VE,
@@ -196,6 +200,8 @@ SCALAR_CHECKS = {
                         "softness parameter must be positive, got nan"),
     "f_softabs-a-edge": (lambda: coefficients.f_softabs(0.0, 1.0), VE,
                          "softness parameter must be positive, got 0.0"),
+    "f_softabs-a-inf": (lambda: coefficients.f_softabs(INF, [0.0, 1.0]), VE,
+                        "softness parameter must be finite, got inf"),
     "partial_diameter_1d-alpha-nan": (
         lambda: concentration.partial_diameter_1d([0.0, 1.0], [0.5, 0.5], NAN),
         VE, "alpha must be a number, got nan"),
@@ -379,6 +385,14 @@ SCALAR_CHECKS = {
     "sinh_example_report-N-nan": (
         lambda: experiments.sinh_example_report(1.0, NAN), DIM,
         "N must be negative, got nan"),
+    "verify_separation_bounds-slack-nan": (
+        lambda: experiments.verify_separation_bounds(
+            K_list=(1.0,), kappas=(0.2,), m=64, slack=NAN), VE,
+        "slack must be finite and nonnegative, got nan"),
+    "verify_separation_bounds-slack-edge": (
+        lambda: experiments.verify_separation_bounds(
+            K_list=(1.0,), kappas=(0.2,), m=64, slack=-0.01), VE,
+        "slack must be finite and nonnegative, got -0.01"),
     "WeightedOneDimSpace-kind": (
         lambda: WeightedOneDimSpace("line", 1.0, [0.0]), VE,
         "kind must be segment or circle, got 'line'"),

@@ -174,6 +174,38 @@ def test_cd_check_makes_one_coefficient_call_per_nprime(monkeypatch, variant,
             assert calls["tau_vals"] == 0
 
 
+def test_circle_cut_search_builds_no_plan(monkeypatch):
+    # each cut is priced from the merge of its rolled cell quantiles, after
+    # one validation per density; a plan per cut validated both rolled
+    # densities again, and was most of the benchmark's geodesic time
+    import numpy as np
+
+    from mmlab import transport
+
+    calls = defaultdict(int)
+    build = transport.MonotonePlan.build.__func__
+    validate = transport.WeightedOneDimSpace.validate_density
+
+    def counted_build(cls, *args, **kwargs):
+        calls["build"] += 1
+        return build(cls, *args, **kwargs)
+
+    def counted_validate(self, rho):
+        calls["validate"] += 1
+        return validate(self, rho)
+
+    monkeypatch.setattr(transport.MonotonePlan, "build",
+                        classmethod(counted_build))
+    monkeypatch.setattr(transport.WeightedOneDimSpace, "validate_density",
+                        counted_validate)
+    circle = transport.WeightedOneDimSpace.from_density(
+        "circle", 4.0, 64, lambda x: 0.25 + 0.125 * np.cos(np.pi * x / 2.0))
+    rho0 = circle.density
+    _, cut = transport.w2_circle_quantile(circle, rho0, np.roll(rho0, 7))
+    assert 0 <= cut < 64
+    assert calls == {"validate": 2}
+
+
 def test_obsdiam_sandwich_scores_witnesses_without_the_1d_entry(monkeypatch):
     # every witness goes through the row kernel in blocks; a per-witness
     # partial_diameter_1d call would bring back the loop, and the

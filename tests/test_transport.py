@@ -1044,6 +1044,60 @@ def test_circle_translate_of_compact_bump():
         assert val == pytest.approx(k * circle.h, rel=1e-9)
 
 
+def split_sq_distance(plan):
+    """Simpson over the plan's pieces, split where the displacement
+    changes sign."""
+    d_lo = plan.x0_lo - plan.x1_lo
+    d_hi = plan.x0_hi - plan.x1_hi
+    d_mid = 0.5 * (d_lo + d_hi)
+    return float(np.sum((plan.u_hi - plan.u_lo) / 6.0
+                        * (d_lo * d_lo + 4.0 * d_mid * d_mid + d_hi * d_hi)))
+
+
+def loop_circle_quantile(space, rho0, rho1):
+    """Reference cut search: one plan per cut, priced over its split pieces,
+    and the smallest cut within 1e-12 relative of the minimum."""
+    vals = np.array([
+        split_sq_distance(MonotonePlan.build(space, np.roll(rho0, -cut),
+                                             np.roll(rho1, -cut)))
+        for cut in range(space.m)])
+    best = vals.min()
+    cut = int(np.flatnonzero(vals <= best + 1e-12 * abs(best))[0])
+    return math.sqrt(max(vals[cut], 0.0)), cut
+
+
+def circle_pairs():
+    rng = np.random.default_rng(29)
+    for m in (8, 64, 256):
+        circle = WeightedOneDimSpace.from_density(
+            "circle", 5.0, m, lambda x: np.full_like(x, 0.2))
+        flat = circle.density
+        bump = np.where(np.arange(m) < max(m // 8, 1), 1.0, 0.0) + 0.01
+        bump /= bump.sum() * circle.h
+        sparse = []
+        for _ in range(2):
+            rho = rng.lognormal(size=m)
+            rho[rng.choice(m, m // 4, replace=False)] = 0.0
+            sparse.append(rho / (rho.sum() * circle.h))
+        yield circle, flat, flat  # every cut ties at 0
+        yield circle, flat, random_density(circle, rng)
+        yield circle, bump, np.roll(bump, 3 * m // 8 + 1)
+        yield circle, sparse[0], sparse[1]
+        yield circle, *(random_density(circle, rng, bumps=3) for _ in "01")
+
+
+def test_circle_cut_search_matches_plan_per_cut_loop():
+    for circle, rho0, rho1 in circle_pairs():
+        val, cut = w2_circle_quantile(circle, rho0, rho1)
+        ref_val, ref_cut = loop_circle_quantile(circle, rho0, rho1)
+        assert cut == ref_cut, circle.m
+        assert abs(val - ref_val) <= 4.0 * np.spacing(ref_val), circle.m
+        # one cost formula: the plan at the returned cut reports this value
+        plan = MonotonePlan.build(circle, np.roll(rho0, -cut),
+                                  np.roll(rho1, -cut))
+        assert math.sqrt(plan.sq_distance()) == val
+
+
 # ---------------------------------------------------------------------------
 # Prokhorov distance
 
