@@ -39,7 +39,9 @@ def omega(kappa: float) -> float:
 def s_kappa(kappa: float, theta: float) -> float:
     """sin(sqrt(kappa) theta)/(sqrt(kappa) theta) with the kappa <= 0 branches.
 
-    Continuous in theta with value 1 at theta = 0.
+    Continuous in theta with value 1 at theta = 0.  For kappa < 0 it stays
+    finite past the overflow of sinh itself, and is ``inf`` only once
+    sinh(z)/z leaves the float range (z = sqrt(-kappa) theta above ~717.6).
     """
     _check_finite(kappa, "kappa")
     _require(theta >= 0, "theta", "must be nonnegative", theta)
@@ -53,7 +55,16 @@ def s_kappa(kappa: float, theta: float) -> float:
         return 1.0 - corr if kappa > 0 else 1.0 + z2 / 6.0 + z2 * z2 / 120.0
     if kappa > 0:
         return math.sin(z) / z
-    return math.sinh(z) / z
+    if z > 1418.0:  # e^z/(2z) is far past the float range; z may be inf
+        return math.inf
+    try:
+        return math.sinh(z) / z
+    except OverflowError:
+        # past sinh's range sinh(z)/z is e^z/(2z), formed from two halves of
+        # e^z so that no factor overflows before the quotient does; inf once
+        # the quotient leaves the float range
+        half = math.exp(0.5 * z)
+        return half / (2.0 * z) * half
 
 
 def _check_t(t):

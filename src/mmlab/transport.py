@@ -236,16 +236,22 @@ class PiecewiseQuantile:
 
     @classmethod
     def from_cells(cls, edges: np.ndarray, masses: np.ndarray) -> "PiecewiseQuantile":
+        """Quantile of the cell masses, uniform on each cell between its
+        ``edges``; cells of mass 0 give no piece.  With every mass positive
+        the pieces are the cells themselves: nothing is compressed, and
+        ``x_lo`` and ``x_hi`` are views of ``edges``."""
         pos = masses > 0
-        w = masses[pos]
+        keep = slice(None) if pos.all() else pos
+        w = masses[keep]
         total = w.sum()
         if total <= 0:
             raise ValidationError("measure has zero total mass")
-        cum = np.concatenate([[0.0], np.cumsum(w)]) / total
+        cum = np.empty(w.size + 1)
+        cum[0] = 0.0
+        np.cumsum(w, out=cum[1:])
+        cum /= total
         cum[-1] = 1.0
-        lo = edges[:-1][pos]
-        hi = edges[1:][pos]
-        return cls(cum, lo, hi, np.flatnonzero(pos))
+        return cls(cum, edges[:-1][keep], edges[1:][keep], np.flatnonzero(pos))
 
     @classmethod
     def from_atoms(cls, xs: np.ndarray, ws: np.ndarray) -> "PiecewiseQuantile":
@@ -263,14 +269,18 @@ class PiecewiseQuantile:
         return cls(cum, xs, xs, idx)
 
     def piece_of(self, u: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breaks, u, side="right") - 1
-        return np.clip(idx, 0, self.breaks.size - 2)
+        idx = np.searchsorted(self.breaks, u, side="right")
+        idx -= 1
+        return np.clip(idx, 0, self.breaks.size - 2, out=idx)
 
     def affine_at(self, u: np.ndarray, piece: np.ndarray) -> np.ndarray:
         b0 = self.breaks[piece]
-        b1 = self.breaks[piece + 1]
-        frac = np.where(b1 > b0, (u - b0) / np.where(b1 > b0, b1 - b0, 1.0), 0.0)
-        return self.x_lo[piece] + frac * (self.x_hi[piece] - self.x_lo[piece])
+        span = self.breaks[piece + 1] - b0
+        # a piece of zero mass width sits at its low end
+        frac = np.divide(u - b0, span, out=np.zeros(np.broadcast(u, span).shape),
+                         where=span > 0)
+        x_lo = self.x_lo[piece]
+        return x_lo + frac * (self.x_hi[piece] - x_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +290,12 @@ class PiecewiseQuantile:
 def _merge(q0: PiecewiseQuantile, q1: PiecewiseQuantile):
     """Mass intervals on which both quantiles are affine, as ``(ends, p0,
     p1, x0, x1)``: rows of interval low and high ends, the piece of each
-    quantile that each interval lies in, and Q0 and Q1 at ``ends``."""
-    breaks = np.union1d(q0.breaks, q1.breaks)
+    quantile that each interval lies in, and Q0 and Q1 at ``ends``.
+
+    The breaks of both quantiles are sorted together; a break they share
+    gives an interval of zero width, which ``b > a`` drops as it drops the
+    zero-width pieces of either quantile."""
+    breaks = np.sort(np.concatenate((q0.breaks, q1.breaks)))
     a, b = breaks[:-1], breaks[1:]
     keep = b > a
     ends = np.stack((a[keep], b[keep]))
@@ -687,19 +701,23 @@ def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
     among cuts within 1e-12 relative of the minimum (exact ties round apart
     by a few ulp) the smallest index is taken.
 
-    Each cut is priced by ``_sq_cost`` on the merge of the rolled cell
-    quantiles: the plan of the rolled densities reports the same value.
+    Each cut is priced by ``_sq_cost`` on the merge of the cell quantiles
+    cut open there, the chain ``MonotonePlan.build`` runs: the plan of the
+    rotated densities reports the same value.  Cut c reads the window
+    ``[c, c + m)`` of the cell masses laid out twice, which is the masses
+    rotated by c cells, without a copy per cut.
     """
     if space.kind != "circle":
         raise ValidationError("cut search applies to circle spaces")
     edges = space.cell_edges
-    mass0 = space.validate_density(rho0) * space.h
-    mass1 = space.validate_density(rho1) * space.h
-    vals = np.empty(space.m)
-    for cut in range(space.m):
+    m = space.m
+    twice0 = np.tile(space.validate_density(rho0) * space.h, 2)
+    twice1 = np.tile(space.validate_density(rho1) * space.h, 2)
+    vals = np.empty(m)
+    for cut in range(m):
         ends, _, _, x0, x1 = _merge(
-            PiecewiseQuantile.from_cells(edges, np.roll(mass0, -cut)),
-            PiecewiseQuantile.from_cells(edges, np.roll(mass1, -cut)))
+            PiecewiseQuantile.from_cells(edges, twice0[cut:cut + m]),
+            PiecewiseQuantile.from_cells(edges, twice1[cut:cut + m]))
         vals[cut] = _sq_cost(*ends, *(x0 - x1))
     best = vals.min()
     cut = int(np.flatnonzero(vals <= best + 1e-12 * abs(best))[0])

@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -42,6 +44,43 @@ def test_s_kappa_series_matches_direct():
             z = math.sqrt(abs(kappa)) * theta
             direct = (math.sin(z) if kappa > 0 else math.sinh(z)) / z
             assert s_kappa(kappa, theta) == pytest.approx(direct, abs=1e-15)
+
+
+SINH_MAX_Z = math.asinh(sys.float_info.max)  # sinh overflows past about 710.48
+
+
+def test_s_kappa_keeps_sinh_bits_below_its_overflow():
+    for theta in (1.0, 50.0, 700.0, 710.0, math.nextafter(SINH_MAX_Z, 0.0)):
+        assert s_kappa(-1.0, theta) == math.sinh(theta) / theta
+    assert s_kappa(-4.0, 350.0) == math.sinh(700.0) / 700.0
+
+
+@pytest.mark.parametrize("kappa, theta", [
+    (-1.0, 710.5), (-1.0, 712.0), (-4.0, 356.0), (-1.0, 715.0),
+    (-1.0, 716.0), (-1.0, 717.0), (-2.25, 478.0),
+])
+def test_s_kappa_past_sinh_overflow_matches_mpmath(kappa, theta):
+    # sinh(z) leaves the float range while sinh(z)/z = e^z/(2z) does not
+    z = math.sqrt(-kappa) * theta
+    with pytest.raises(OverflowError):
+        math.sinh(z)
+    with mpmath.workprec(200):
+        ref = float(mpmath.sinh(mpmath.mpf(z)) / mpmath.mpf(z))
+    got = s_kappa(kappa, theta)
+    assert math.isfinite(got)
+    assert abs(got - ref) <= 4.0 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("kappa, theta", [
+    (-1.0, 718.0), (-1.0, 1000.0), (-4.0, 400.0), (-1.0, 1420.0),
+    (-1.0, 1e6), (-1.0, 1e300), (-1e300, 1e300),
+])
+def test_s_kappa_is_inf_past_the_float_range(kappa, theta):
+    # the last case has sqrt(-kappa) theta = inf in floats
+    with mpmath.workprec(200):
+        z = mpmath.sqrt(-mpmath.mpf(kappa)) * theta
+        assert mpmath.sinh(z) / z > sys.float_info.max
+    assert s_kappa(kappa, theta) == math.inf
 
 
 def test_sigma_endpoints():

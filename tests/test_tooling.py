@@ -175,8 +175,8 @@ def test_cd_check_makes_one_coefficient_call_per_nprime(monkeypatch, variant,
 
 
 def test_circle_cut_search_builds_no_plan(monkeypatch):
-    # each cut is priced from the merge of its rolled cell quantiles, after
-    # one validation per density; a plan per cut validated both rolled
+    # each cut is priced from the merge of its cell quantiles, after one
+    # validation per density; a plan per cut validated both rolled
     # densities again, and was most of the benchmark's geodesic time
     import numpy as np
 
@@ -204,6 +204,35 @@ def test_circle_cut_search_builds_no_plan(monkeypatch):
     _, cut = transport.w2_circle_quantile(circle, rho0, np.roll(rho0, 7))
     assert 0 <= cut < 64
     assert calls == {"validate": 2}
+
+
+def test_circle_cut_search_neither_rolls_nor_unions(monkeypatch):
+    # each cut reads a window of the doubled cell masses and the merge sorts
+    # the two break arrays together; two rolled copies and a deduplicating
+    # union per cut were a seventh of the search
+    import numpy as np
+
+    from mmlab import transport
+
+    calls = defaultdict(int)
+    for name in ("roll", "union1d"):
+        def counted(*args, _name=name, _func=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    np.union1d(np.roll(np.arange(3), 1), [4])
+    assert calls == {"roll": 1, "union1d": 1}
+    calls.clear()
+    circle = transport.WeightedOneDimSpace.from_density(
+        "circle", 4.0, 64, lambda x: 0.25 + 0.125 * np.cos(np.pi * x / 2.0))
+    rho0 = circle.density.copy()
+    rho0[5:9] = 0.0
+    rho0 /= rho0.sum() * circle.h
+    rho1 = rho0[np.arange(64) - 7]
+    _, cut = transport.w2_circle_quantile(circle, rho0, rho1)
+    assert 0 <= cut < 64
+    assert calls == {}
 
 
 def test_obsdiam_sandwich_scores_witnesses_without_the_1d_entry(monkeypatch):

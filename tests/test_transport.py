@@ -1098,6 +1098,147 @@ def test_circle_cut_search_matches_plan_per_cut_loop():
         assert math.sqrt(plan.sq_distance()) == val
 
 
+def where_affine(q, u, piece):
+    """Q at masses ``u`` on the given pieces, with the zero-width test and
+    the span formed inside ``np.where``."""
+    b0 = q.breaks[piece]
+    b1 = q.breaks[piece + 1]
+    frac = np.where(b1 > b0, (u - b0) / np.where(b1 > b0, b1 - b0, 1.0), 0.0)
+    return q.x_lo[piece] + frac * (q.x_hi[piece] - q.x_lo[piece])
+
+
+def union_merge(q0, q1):
+    """Reference for ``transport._merge``: ``np.union1d`` of the breaks,
+    so no shared break reaches the zero-width filter."""
+    a, b, _, p0, p1 = merged_intervals(q0, q1)
+    ends = np.stack((a, b))
+    return ends, p0, p1, where_affine(q0, ends, p0), where_affine(q1, ends, p1)
+
+
+def compressed_quantile(edges, masses):
+    """Reference for ``PiecewiseQuantile.from_cells``: the cells of positive
+    mass compressed out, and a leading 0 concatenated to their cumulative
+    sum."""
+    pos = masses > 0
+    w = masses[pos]
+    cum = np.concatenate([[0.0], np.cumsum(w)]) / w.sum()
+    cum[-1] = 1.0
+    return PiecewiseQuantile(cum, edges[:-1][pos], edges[1:][pos],
+                             np.flatnonzero(pos))
+
+
+def roll_circle_quantile(space, rho0, rho1):
+    """Reference cut search: the cell masses rolled to each cut, the
+    compressed quantiles, a ``np.union1d`` merge and ``_sq_cost``; the
+    smallest cut within 1e-12 relative of the minimum."""
+    edges = space.cell_edges
+    mass0, mass1 = rho0 * space.h, rho1 * space.h
+    vals = np.empty(space.m)
+    for cut in range(space.m):
+        ends, _, _, x0, x1 = union_merge(
+            compressed_quantile(edges, np.roll(mass0, -cut)),
+            compressed_quantile(edges, np.roll(mass1, -cut)))
+        vals[cut] = transport._sq_cost(*ends, *(x0 - x1))
+    best = vals.min()
+    cut = int(np.flatnonzero(vals <= best + 1e-12 * abs(best))[0])
+    return math.sqrt(max(vals[cut], 0.0)), cut
+
+
+def seeded_circles():
+    """Circles with m from 2 to 256: flat against flat (every cut ties),
+    cells of mass 0, rotated copies and a block against its rotation."""
+    rng = np.random.default_rng(31)
+    for m in (2, 3, 5, 64, 256):
+        L = float(rng.uniform(2.0, 6.0))
+        circle = WeightedOneDimSpace.from_density(
+            "circle", L, m, lambda x: np.full_like(x, 1.0 / L))
+
+        def density(zeros):
+            rho = rng.lognormal(size=m)
+            rho[rng.choice(m, zeros, replace=False)] = 0.0
+            return rho / (rho.sum() * circle.h)
+
+        flat = circle.density
+        some = max(m // 3, 1)
+        block = np.where(np.arange(m) < max(m // 8, 1), 1.0, 0.0)
+        block /= block.sum() * circle.h
+        yield circle, flat, flat
+        yield circle, flat, density(some)
+        yield circle, density(0), density(0)
+        yield circle, density(some), density(some)
+        for zeros in (0, some):
+            rho = density(zeros)
+            yield circle, rho, np.roll(rho, int(rng.integers(1, m)))
+        yield circle, block, np.roll(block, int(rng.integers(1, m)))
+
+
+def test_cell_quantile_matches_compressed_quantile():
+    rng = np.random.default_rng(5)
+    edges = np.linspace(0.0, 3.0, 65)
+    for zeros in (0, 1, 20, 63):
+        masses = rng.lognormal(size=64)
+        masses[rng.choice(64, zeros, replace=False)] = 0.0
+        got = PiecewiseQuantile.from_cells(edges, masses)
+        ref = compressed_quantile(edges, masses)
+        for field in ("breaks", "x_lo", "x_hi", "cells"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("pairs", [circle_pairs, seeded_circles])
+def test_circle_cut_search_matches_rolled_union_loop(pairs):
+    # the windows of the doubled masses and the sorted merge change no bit
+    for circle, rho0, rho1 in pairs():
+        got = w2_circle_quantile(circle, rho0, rho1)
+        assert got == roll_circle_quantile(circle, rho0, rho1), circle.m
+
+
+PLAN_FIELDS = ("u_lo", "u_hi", "x0_lo", "x0_hi", "x1_lo", "x1_hi",
+               "cell0", "cell1", "crossing")
+
+
+def merge_pairs():
+    """Segment pairs with cells of mass 0: scattered ones, and runs at the
+    ends that leave the support without a gap."""
+    rng = np.random.default_rng(37)
+    for m, L in ((7, 2.0), (64, 4.0), (256, 5.0)):
+        sp = segment(m, L=L)
+        for _ in range(3):
+            rho0 = random_density(sp, rng, bumps=3)
+            rho1 = random_density(sp, rng)
+            yield sp, rho0, rho1, True
+            gaps = [rho.copy() for rho in (rho0, rho1)]
+            for rho in gaps:
+                rho[rng.choice(m, m // 3, replace=False)] = 0.0
+            yield sp, *(rho / (rho.sum() * sp.h) for rho in gaps), False
+            ends = [rho.copy() for rho in (rho0, rho1)]
+            for rho in ends:
+                rho[:int(rng.integers(1, m // 3 + 1))] = 0.0
+                rho[m - int(rng.integers(0, m // 3 + 1)):] = 0.0
+            yield sp, *(rho / (rho.sum() * sp.h) for rho in ends), True
+
+
+def test_plan_matches_union1d_merge(monkeypatch):
+    def outputs():
+        for sp, rho0, rho1, spread in merge_pairs():
+            for model in ("cells", "atoms"):
+                plan = MonotonePlan.build(sp, rho0, rho1, model=model)
+                out = [getattr(plan, f) for f in PLAN_FIELDS]
+                out.append(np.float64(plan.sq_distance()))
+                if spread:
+                    out += [plan.interpolate(t) for t in (0.1, 0.5, 0.85)]
+                yield out
+
+    got = list(outputs())
+    monkeypatch.setattr(transport, "_merge", union_merge)
+    ref = list(outputs())
+    assert len(got) == len(ref) == 54
+    for a_out, b_out in zip(got, ref):
+        assert len(a_out) == len(b_out)
+        for a, b in zip(a_out, b_out):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Prokhorov distance
 
