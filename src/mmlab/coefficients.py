@@ -31,6 +31,7 @@ _SERIES_Z = 1e-4  # below this |sqrt(|kappa|)*theta| a Taylor series is used
 
 def omega(kappa: float) -> float:
     """Endpoint of the finite branch: pi/sqrt(kappa) for kappa > 0, else inf."""
+    _check_finite(kappa, "kappa")
     if kappa > 0:
         return math.pi / math.sqrt(kappa)
     return math.inf
@@ -54,7 +55,8 @@ def s_kappa(kappa: float, theta: float) -> float:
         corr = z2 / 6.0 - z2 * z2 / 120.0
         return 1.0 - corr if kappa > 0 else 1.0 + z2 / 6.0 + z2 * z2 / 120.0
     if kappa > 0:
-        return math.sin(z) / z
+        # z may overflow to inf, where |sin(z)/z| < 1/z is below the float range
+        return math.sin(z) / z if z < math.inf else 0.0
     if z > 1418.0:  # e^z/(2z) is far past the float range; z may be inf
         return math.inf
     try:

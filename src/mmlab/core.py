@@ -393,12 +393,20 @@ class Coupling:
         object.__setattr__(self, "nu", np.array(nu, copy=True))
 
 
+def _masses(values, name: str) -> np.ndarray:
+    """``values`` as a float array of masses: each finite and nonnegative."""
+    values = np.asarray(values, dtype=float)
+    _reject_entries(np.isfinite(values) & (values >= 0),
+                    "masses must be finite and nonnegative", name, values)
+    return values
+
+
 def condition_measure(mu, subset) -> np.ndarray:
     """Restrict ``mu`` to ``subset`` and renormalise.
 
     Raises ``ZeroMassSet`` when the subset carries no mass.
     """
-    mu = np.asarray(mu, dtype=float)
+    mu = _masses(mu, "mu")
     idx = as_index_array(subset, mu.size)
     mass = float(mu[idx].sum())
     if mass <= 0.0:
@@ -414,7 +422,7 @@ def pushforward(mu, point_map, n_target: int | None = None) -> np.ndarray:
     The map must be defined (a valid target index) on the support of ``mu``;
     entries outside the support may be negative placeholders.
     """
-    mu = np.asarray(mu, dtype=float)
+    mu = _masses(mu, "mu")
     f = np.asarray(point_map, dtype=int)
     if f.shape != mu.shape:
         raise ValidationError("point map must assign a target to every point")
@@ -435,8 +443,8 @@ def partition_average(nu, partition: Iterable, mu) -> np.ndarray:
     disjoint, ``nu`` must vanish outside their union, and every block that
     carries ``nu``-mass must carry ``mu``-mass.
     """
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    nu = _masses(nu, "nu")
+    mu = _masses(mu, "mu")
     n = nu.size
     blocks = [as_index_array(b, n) for b in partition]
     covered = np.zeros(n, dtype=bool)

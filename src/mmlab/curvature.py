@@ -21,6 +21,7 @@ from .core import (
     FiniteMmSpace,
     _check_dimension,
     _check_finite,
+    _masses,
     _reject_entries,
     _require,
     condition_measure,
@@ -97,13 +98,9 @@ def renyi_entropy(mu, nu, nprime: float) -> float:
     support of mu, which is always >= 1 with equality only at nu = mu.
     """
     _check_dimension(nprime, "N'")
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    mu, nu = _masses(mu, "mu"), _masses(nu, "nu")
     if mu.shape != nu.shape:
         raise ValidationError("mass vectors must have equal length")
-    for name, v in (("mu", mu), ("nu", nu)):
-        _reject_entries(np.isfinite(v) & (v >= 0),
-                        "masses must be finite and nonnegative", name, v)
     if np.any((nu > 0) & (mu == 0)):
         return math.inf
     pos = mu > 0
@@ -127,7 +124,7 @@ def cd_rhs(space: WeightedOneDimSpace, rho0, rho1, K: float, nprime: float,
     """Distortion-weighted endpoint-entropy integral along the monotone
     coupling of the two densities.
 
-    Integration runs over the pieces of the ``MonotonePlan``: on each both
+    Integration runs over the plan's ``signed_pieces``: on each both
     quantiles are affine, the relative densities constant and the signed
     displacement of one sign, so only the distortion coefficient needs
     quadrature (the 12-point Gauss-Legendre rule ``CD_GAUSS_NODES``).
@@ -142,12 +139,14 @@ def _rhs_grid(plan: MonotonePlan, K: float, nprimes, ts, variant: str) -> list:
     """``cd_rhs`` along one plan for each N' of ``nprimes`` (outer list) and
     each t of ``ts`` (inner list of floats).
 
-    The nodes' displacements are computed once per plan.  Per N' the
-    coefficients are computed once for each distinct fraction among the
-    1 - t and the t of the interior grid points, so a mirrored grid shares
-    them, in blocks of at most ``CD_BLOCK_ELEMENTS`` entries.  Each value is
-    reduced as a lone t would be: over the nodes, then over the pieces in
-    piece order, then 0.0 + the (1 - t) side + the t side.
+    The Gauss rule needs |Q0 - Q1| smooth, so it runs over the plan's
+    ``signed_pieces()``, whose nodes' displacements are computed once per
+    plan.  Per N' the coefficients are computed once for each distinct
+    fraction among the 1 - t and the t of the interior grid points, so a
+    mirrored grid shares them, in blocks of at most ``CD_BLOCK_ELEMENTS``
+    entries.  Each value is reduced as a lone t would be: over the nodes,
+    then over the pieces in piece order, then 0.0 + the (1 - t) side + the
+    t side.
     """
     _check_finite(K)
     for nprime in nprimes:
@@ -157,15 +156,13 @@ def _rhs_grid(plan: MonotonePlan, K: float, nprimes, ts, variant: str) -> list:
     _require(variant in ("CD", "CDstar"), "variant", "must be CD or CDstar",
              repr(variant))
     space = plan.space
-    d_a = plan.x0_lo - plan.x1_lo
-    d_b = plan.x0_hi - plan.x1_hi
+    lengths, d_a, d_b, *cells = plan.signed_pieces()
     theta_max = float(np.max(np.maximum(np.abs(d_a), np.abs(d_b)), initial=0.0))
     # displacement magnitude at quadrature nodes, affine per piece
     th = np.abs(d_a[:, None] + (d_b - d_a)[:, None] * CD_GAUSS_NODES[None, :])
-    lengths = plan.u_hi - plan.u_lo
     mu_rho = space.density
-    rels = [rho[cells] / mu_rho[cells] for cells, rho in
-            ((plan.cell0, plan.rho0), (plan.cell1, plan.rho1))]
+    rels = [rho[c] / mu_rho[c]
+            for c, rho in zip(cells, (plan.rho0, plan.rho1))]
     ts = np.asarray(ts, dtype=float)
     inner = ts[(ts > 0.0) & (ts < 1.0)]
     fracs = np.unique(np.concatenate((1.0 - inner, inner)))

@@ -157,6 +157,7 @@ class WeightedOneDimSpace:
     def from_density(cls, kind: str, total_length: float, m: int,
                      density) -> "WeightedOneDimSpace":
         """Sample a density callable (or array) on the cell centers."""
+        _require(m >= 1, "m", "must be at least 1", m)
         h = float(total_length) / m
         grid = (np.arange(m) + 0.5) * h
         rho = np.asarray(density(grid) if callable(density) else density, dtype=float)
@@ -232,14 +233,15 @@ class PiecewiseQuantile:
     breaks: np.ndarray
     x_lo: np.ndarray
     x_hi: np.ndarray
-    cells: np.ndarray | None = None
+    cells: np.ndarray
 
     @classmethod
-    def from_cells(cls, edges: np.ndarray, masses: np.ndarray) -> "PiecewiseQuantile":
-        """Quantile of the cell masses, uniform on each cell between its
-        ``edges``; cells of mass 0 give no piece.  With every mass positive
-        the pieces are the cells themselves: nothing is compressed, and
-        ``x_lo`` and ``x_hi`` are views of ``edges``."""
+    def from_cells(cls, lo: np.ndarray, hi: np.ndarray,
+                   masses: np.ndarray) -> "PiecewiseQuantile":
+        """Quantile of the masses of cells sorted along the line, uniform on
+        cell i from ``lo[i]`` to ``hi[i]`` (an atom when they are equal);
+        cells of mass 0 give no piece.  With every mass positive nothing is
+        compressed, and ``x_lo`` and ``x_hi`` are views of ``lo`` and ``hi``."""
         pos = masses > 0
         keep = slice(None) if pos.all() else pos
         w = masses[keep]
@@ -251,22 +253,7 @@ class PiecewiseQuantile:
         np.cumsum(w, out=cum[1:])
         cum /= total
         cum[-1] = 1.0
-        return cls(cum, edges[:-1][keep], edges[1:][keep], np.flatnonzero(pos))
-
-    @classmethod
-    def from_atoms(cls, xs: np.ndarray, ws: np.ndarray) -> "PiecewiseQuantile":
-        order = np.argsort(xs, kind="stable")
-        xs = np.asarray(xs, dtype=float)[order]
-        ws = np.asarray(ws, dtype=float)[order]
-        pos = ws > 0
-        idx = order[pos]
-        xs, ws = xs[pos], ws[pos]
-        total = ws.sum()
-        if total <= 0:
-            raise ValidationError("measure has zero total mass")
-        cum = np.concatenate([[0.0], np.cumsum(ws)]) / total
-        cum[-1] = 1.0
-        return cls(cum, xs, xs, idx)
+        return cls(cum, lo[keep], hi[keep], np.flatnonzero(pos))
 
     def piece_of(self, u: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breaks, u, side="right")
@@ -318,27 +305,29 @@ def _sq_cost(a, b, d_a, d_b) -> float:
 class MonotonePlan:
     """Monotone (quantile) coupling of two densities, built once per pair.
 
-    The mass axis [0, 1] is cut into pieces on which both quantiles are
-    affine and the displacement Q0 - Q1 keeps one sign: the merged quantile
-    breaks, split where the displacement crosses zero (``crossing`` marks
-    each second half).  Piece j spans masses [u_lo[j], u_hi[j]]; over it Q0
-    runs from x0_lo[j] to x0_hi[j] and Q1 from x1_lo[j] to x1_hi[j], and
-    cell0[j], cell1[j] are the cells (or atoms) it comes from.  A circle is
-    cut open at its grid origin; callers rotate the densities to move the cut.
+    The quantiles ``q0`` and ``q1`` of the two densities are merged
+    (``_merge``): the mass axis [0, 1] is cut into intervals on which both
+    are affine.  Interval j spans masses [u_lo[j], u_hi[j]] and lies in
+    piece p0[j] of ``q0`` and p1[j] of ``q1``; over it Q0 runs from x0_lo[j]
+    to x0_hi[j] and Q1 from x1_lo[j] to x1_hi[j].  The displacement Q0 - Q1
+    may change sign inside an interval; ``signed_pieces`` splits it there
+    for the quadrature that needs one sign.  A circle is cut open at its
+    grid origin; callers rotate the densities to move the cut.
     """
 
     space: WeightedOneDimSpace
     rho0: np.ndarray
     rho1: np.ndarray
+    q0: PiecewiseQuantile
+    q1: PiecewiseQuantile
     u_lo: np.ndarray
     u_hi: np.ndarray
     x0_lo: np.ndarray
     x0_hi: np.ndarray
     x1_lo: np.ndarray
     x1_hi: np.ndarray
-    cell0: np.ndarray
-    cell1: np.ndarray
-    crossing: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
 
     @classmethod
     def build(cls, space: WeightedOneDimSpace, rho0, rho1, *,
@@ -352,51 +341,47 @@ class MonotonePlan:
         rho1 = space.validate_density(rho1)
         if model == "cells":
             edges = space.cell_edges
-            q0 = PiecewiseQuantile.from_cells(edges, rho0 * space.h)
-            q1 = PiecewiseQuantile.from_cells(edges, rho1 * space.h)
+            lo, hi = edges[:-1], edges[1:]
         elif model == "atoms":
-            q0 = PiecewiseQuantile.from_atoms(space.grid, rho0 * space.h)
-            q1 = PiecewiseQuantile.from_atoms(space.grid, rho1 * space.h)
+            lo = hi = space.grid
         else:
             raise ValidationError(f"unknown quantile model {model!r}")
-        ends, p0, p1, x0, x1 = _merge(q0, q1)
-        a, b = ends
-        d_a, d_b = x0 - x1
-        # an interval where the displacement changes sign becomes two
-        # pieces, [a, root] followed by [root, b]
-        cross = d_a * d_b < 0
-        root = a[cross] + (b[cross] - a[cross]) * d_a[cross] / (d_a[cross] - d_b[cross])
-        reps = 1 + cross
-        second = (np.cumsum(reps) - 1)[cross]
-        # rows: u, Q0 and Q1, each at the low and then the high piece end
-        lo_hi = np.repeat(np.concatenate((ends, x0, x1)), reps, axis=1)
-        at_root = np.stack((root, q0.affine_at(root, p0[cross]),
-                            q1.affine_at(root, p1[cross])))
-        lo_hi[0::2, second] = at_root
-        lo_hi[1::2, second - 1] = at_root
-        cell0, cell1 = np.repeat(np.stack((q0.cells[p0], q1.cells[p1])), reps, axis=1)
-        crossing = np.zeros(cell0.size, dtype=bool)
-        crossing[second] = True
-        return cls(space, rho0, rho1, *lo_hi, cell0, cell1, crossing)
+        q0 = PiecewiseQuantile.from_cells(lo, hi, rho0 * space.h)
+        q1 = PiecewiseQuantile.from_cells(lo, hi, rho1 * space.h)
+        (u_lo, u_hi), p0, p1, (x0_lo, x0_hi), (x1_lo, x1_hi) = _merge(q0, q1)
+        return cls(space, rho0, rho1, q0, q1, u_lo, u_hi, x0_lo, x0_hi,
+                   x1_lo, x1_hi, p0, p1)
 
-    def _unsplit(self):
-        """Masks of the first and the last piece of each merged interval,
-        whose outer ends the split at a root leaves as the merge gave them."""
-        starts = ~self.crossing
-        return starts, np.append(starts[1:], True)
+    def signed_pieces(self):
+        """The intervals split where the displacement Q0 - Q1 changes sign,
+        so that it keeps one sign on each piece.  Returns five arrays: the
+        mass width of each piece, the displacement at its low and at its
+        high end, and the cells (or atoms) of ``q0`` and of ``q1`` it comes
+        from."""
+        a, b = self.u_lo, self.u_hi
+        d_a = self.x0_lo - self.x1_lo
+        d_b = self.x0_hi - self.x1_hi
+        cross = d_a * d_b < 0
+        at = np.flatnonzero(cross)
+        root = a[at] + (b[at] - a[at]) * d_a[at] / (d_a[at] - d_b[at])
+        d_root = (self.q0.affine_at(root, self.p0[at])
+                  - self.q1.affine_at(root, self.p1[at]))
+        # interval i with a root becomes [a, root] followed by [root, b]
+        cells = np.stack((self.q0.cells[self.p0], self.q1.cells[self.p1]))
+        return (np.insert(b, at, root) - np.insert(a, at + 1, root),
+                np.insert(d_a, at + 1, d_root), np.insert(d_b, at, d_root),
+                *np.repeat(cells, 1 + cross, axis=1))
 
     def sq_distance(self) -> float:
-        """Exact integral of (Q0 - Q1)^2 du: ``_sq_cost`` over the merged
-        intervals, so the split at a zero crossing does not enter it."""
-        starts, ends = self._unsplit()
-        return _sq_cost(self.u_lo[starts], self.u_hi[ends],
-                        self.x0_lo[starts] - self.x1_lo[starts],
-                        self.x0_hi[ends] - self.x1_hi[ends])
+        """Exact integral of (Q0 - Q1)^2 du: ``_sq_cost`` over the
+        intervals."""
+        return _sq_cost(self.u_lo, self.u_hi, self.x0_lo - self.x1_lo,
+                        self.x0_hi - self.x1_hi)
 
     def interpolate(self, t: float) -> np.ndarray:
         """Cell densities of the monotone-map interpolant at fraction ``t``.
 
-        The exact interpolant is piecewise constant on the pieces, resampled
+        The exact interpolant is piecewise constant on the intervals, resampled
         onto the grid by exact cell averaging; at t = 0 and t = 1 it is the
         endpoint density itself.
         """
@@ -411,19 +396,16 @@ class MonotonePlan:
             return self.rho1.copy()
         space = self.space
         edges, h, m = space.cell_edges, space.h, space.m
-        # the interpolant stays affine across a zero crossing, so each split
-        # interval is spread whole and no cell mass depends on the root
-        starts, ends = self._unsplit()
-        lo = (1.0 - t) * self.x0_lo[starts] + t * self.x1_lo[starts]
-        hi = (1.0 - t) * self.x0_hi[ends] + t * self.x1_hi[ends]
-        mass = self.u_hi[ends] - self.u_lo[starts]
-        # a piece narrower than `tiny` is a point mass at its middle
+        lo = (1.0 - t) * self.x0_lo + t * self.x1_lo
+        hi = (1.0 - t) * self.x0_hi + t * self.x1_hi
+        mass = self.u_hi - self.u_lo
+        # an interval narrower than `tiny` is a point mass at its middle
         tiny = 1e-15 * max(space.total_length, 1.0)
         point = hi - lo <= tiny
         cell_of = lambda x: np.clip((x - edges[0]) // h, 0, m - 1)  # noqa: E731
         c_lo = np.where(point, cell_of(0.5 * (lo + hi)), cell_of(lo)).astype(np.intp)
         c_hi = np.where(point, cell_of(0.5 * (lo + hi)), cell_of(hi)).astype(np.intp)
-        # piece j adds to cells c_lo[j]..c_hi[j]: its whole mass when that is
+        # interval j adds to cells c_lo[j]..c_hi[j]: its whole mass when that is
         # one cell, else the two partial overlaps and dens * h in between
         wide = c_hi > c_lo
         dens = mass / np.where(wide, hi - lo, 1.0)
@@ -434,7 +416,7 @@ class MonotonePlan:
         vals[first[~wide]] = mass[~wide]
         vals[first[wide]] = dens[wide] * (edges[c_lo[wide] + 1] - lo[wide])
         vals[(first + counts - 1)[wide]] = dens[wide] * (hi[wide] - edges[c_hi[wide]])
-        # bincount adds in piece order, as a loop over the pieces would
+        # bincount adds in interval order, as a loop over them would
         out = np.bincount(cells, weights=vals, minlength=m)
         total = out.sum()
         if abs(total - 1.0) > INTERP_MASS_TOL:
@@ -710,14 +692,15 @@ def w2_circle_quantile(space: WeightedOneDimSpace, rho0, rho1):
     if space.kind != "circle":
         raise ValidationError("cut search applies to circle spaces")
     edges = space.cell_edges
+    lo, hi = edges[:-1], edges[1:]
     m = space.m
     twice0 = np.tile(space.validate_density(rho0) * space.h, 2)
     twice1 = np.tile(space.validate_density(rho1) * space.h, 2)
     vals = np.empty(m)
     for cut in range(m):
         ends, _, _, x0, x1 = _merge(
-            PiecewiseQuantile.from_cells(edges, twice0[cut:cut + m]),
-            PiecewiseQuantile.from_cells(edges, twice1[cut:cut + m]))
+            PiecewiseQuantile.from_cells(lo, hi, twice0[cut:cut + m]),
+            PiecewiseQuantile.from_cells(lo, hi, twice1[cut:cut + m]))
         vals[cut] = _sq_cost(*ends, *(x0 - x1))
     best = vals.min()
     cut = int(np.flatnonzero(vals <= best + 1e-12 * abs(best))[0])

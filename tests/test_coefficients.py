@@ -83,6 +83,16 @@ def test_s_kappa_is_inf_past_the_float_range(kappa, theta):
     assert s_kappa(kappa, theta) == math.inf
 
 
+@pytest.mark.parametrize("kappa, theta", [
+    (1e300, 1e300), (1e200, 1e300), (4.0, 1e308),
+])
+def test_s_kappa_is_zero_once_z_overflows(kappa, theta):
+    # sqrt(kappa) theta = inf in floats, where |sin z / z| < 1/z is below
+    # the float range
+    assert math.sqrt(kappa) * theta == math.inf
+    assert s_kappa(kappa, theta) == 0.0
+
+
 def test_sigma_endpoints():
     for kappa in (-1.0, 0.0, 2.0):
         theta = 1.0 if omega(kappa) > 1.0 else 0.5 * omega(kappa)

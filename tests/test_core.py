@@ -83,6 +83,22 @@ ENTRY_CHECKS = {
     "renyi_entropy-nu": (
         lambda: curvature.renyi_entropy([0.5, 0.5], [0.5, NAN], -1.0),
         "masses must be finite and nonnegative, nu[1] = nan"),
+    "condition_measure-nan": (
+        lambda: condition_measure([0.5, NAN], [0, 1]),
+        "masses must be finite and nonnegative, mu[1] = nan"),
+    "condition_measure-negative": (
+        lambda: condition_measure([1.5, -0.5], [0, 1]),
+        "masses must be finite and nonnegative, mu[1] = -0.5"),
+    "pushforward": (
+        lambda: pushforward([NAN, 1.0], [0, 0]),
+        "masses must be finite and nonnegative, mu[0] = nan"),
+    "partition_average-nu": (
+        lambda: partition_average([0.5, -0.5, 1.0], [[0, 1], [2]],
+                                  [0.25, 0.25, 0.5]),
+        "masses must be finite and nonnegative, nu[1] = -0.5"),
+    "partition_average-mu": (
+        lambda: partition_average([0.5, 0.5], [[0], [1]], [0.5, INF]),
+        "masses must be finite and nonnegative, mu[1] = inf"),
     "kn_convexity_check": (
         lambda: curvature.kn_convexity_check([0.0, NAN, 0.0, 0.0, 0.0],
                                              1.0, -1.0, 0.1),
@@ -149,6 +165,9 @@ DIM = InvalidDimension
 SCALAR_CHECKS = {
     "s_kappa-kappa-nan": (lambda: coefficients.s_kappa(NAN, 1.0), VE,
                           "kappa must be finite, got nan"),
+    # a NaN kappa fails kappa > 0 and would read as a branch without end
+    "omega-kappa-nan": (lambda: coefficients.omega(NAN), VE,
+                        "kappa must be finite, got nan"),
     "s_kappa-theta-nan": (lambda: coefficients.s_kappa(1.0, NAN), VE,
                           "theta must be nonnegative, got nan"),
     "s_kappa-theta-edge": (lambda: coefficients.s_kappa(1.0, -0.5), VE,
@@ -399,6 +418,9 @@ SCALAR_CHECKS = {
     "WeightedOneDimSpace-total_length-nan": (
         lambda: WeightedOneDimSpace("segment", NAN, [0.0]), VE,
         "total_length must be positive, got nan"),
+    "from_density-m-edge": (
+        lambda: WeightedOneDimSpace.from_density("segment", 1.0, 0, [1.0]), VE,
+        "m must be at least 1, got 0"),
     "WeightedOneDimSpace-total_length-edge": (
         lambda: WeightedOneDimSpace("segment", 0.0, [0.0]), VE,
         "total_length must be positive, got 0.0"),

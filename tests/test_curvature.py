@@ -194,11 +194,34 @@ def test_gauss_rule_is_leggauss_on_unit_interval():
 # oracle: the right-hand side one (t, N') cell at a time
 
 
-def plan_rhs_oracle(plan, K, nprime, t, variant):
-    """The per-cell evaluation the grid evaluator replaced: Gauss nodes from
-    leggauss, two scalar-t coefficient calls, early +inf returns."""
+def oracle_pieces(plan):
+    """The plan's intervals split at each zero of the displacement, with Q0
+    and Q1 at the root: ``(widths, d_lo, d_hi, cell0, cell1)``."""
+    a, b = plan.u_lo, plan.u_hi
     d_a = plan.x0_lo - plan.x1_lo
     d_b = plan.x0_hi - plan.x1_hi
+    cross = d_a * d_b < 0
+    root = a[cross] + (b[cross] - a[cross]) * d_a[cross] / (d_a[cross] - d_b[cross])
+    reps = 1 + cross
+    second = (np.cumsum(reps) - 1)[cross]
+    # rows: u, Q0 and Q1, each at the low and then the high piece end
+    rows = np.repeat(np.stack((a, b, plan.x0_lo, plan.x0_hi, plan.x1_lo,
+                               plan.x1_hi)), reps, axis=1)
+    at_root = np.stack((root, plan.q0.affine_at(root, plan.p0[cross]),
+                        plan.q1.affine_at(root, plan.p1[cross])))
+    rows[0::2, second] = at_root
+    rows[1::2, second - 1] = at_root
+    u_lo, u_hi, x0_lo, x0_hi, x1_lo, x1_hi = rows
+    cells = np.stack((plan.q0.cells[plan.p0], plan.q1.cells[plan.p1]))
+    return (u_hi - u_lo, x0_lo - x1_lo, x0_hi - x1_hi,
+            *np.repeat(cells, reps, axis=1))
+
+
+def plan_rhs_oracle(plan, K, nprime, t, variant):
+    """The per-cell evaluation the grid evaluator replaced: the plan split
+    by ``oracle_pieces``, Gauss nodes from leggauss, two scalar-t
+    coefficient calls, early +inf returns."""
+    lengths, d_a, d_b, cell0, cell1 = oracle_pieces(plan)
     theta_max = float(np.max(np.maximum(np.abs(d_a), np.abs(d_b)), initial=0.0))
     kappa = K / (nprime - 1.0) if variant == "CD" else K / nprime
     if kappa > 0 and theta_max >= math.pi / math.sqrt(kappa):
@@ -210,10 +233,9 @@ def plan_rhs_oracle(plan, K, nprime, t, variant):
     x, w = np.polynomial.legendre.leggauss(12)
     gx, gw = 0.5 * (x + 1.0), 0.5 * w
     th = np.abs(d_a[:, None] + (d_b - d_a)[:, None] * gx[None, :])
-    lengths = plan.u_hi - plan.u_lo
     total = 0.0
-    for frac, cells, rho in ((1.0 - t, plan.cell0, plan.rho0),
-                             (t, plan.cell1, plan.rho1)):
+    for frac, cells, rho in ((1.0 - t, cell0, plan.rho0),
+                             (t, cell1, plan.rho1)):
         rel = rho[cells] / space.density[cells]
         coef = (tau_vals(K, nprime, frac, th) if variant == "CD"
                 else sigma_vals(K / nprime, frac, th))
@@ -373,9 +395,9 @@ def test_cd_check_builds_one_plan(monkeypatch):
     calls = []
     from_cells = PiecewiseQuantile.from_cells.__func__
 
-    def counted(cls, edges, masses):
+    def counted(cls, lo, hi, masses):
         calls.append(masses.size)
-        return from_cells(cls, edges, masses)
+        return from_cells(cls, lo, hi, masses)
 
     monkeypatch.setattr(PiecewiseQuantile, "from_cells", classmethod(counted))
     space = cosh_family(1.0, -1.0, 1.0, 3.0, 96)

@@ -235,6 +235,40 @@ def test_circle_cut_search_neither_rolls_nor_unions(monkeypatch):
     assert calls == {}
 
 
+@pytest.mark.parametrize("model", ["cells", "atoms"])
+def test_plan_is_one_merge_of_two_cell_quantiles(monkeypatch, model):
+    # both models build their quantiles through from_cells, an atom being a
+    # cell of zero length, and the plan keeps one merge of them that its
+    # cost, its interpolant and its signed pieces all read
+    import numpy as np
+
+    from mmlab import transport
+
+    calls = defaultdict(int)
+    merge = transport._merge
+    from_cells = transport.PiecewiseQuantile.from_cells.__func__
+
+    def counted_merge(q0, q1):
+        calls["merge"] += 1
+        return merge(q0, q1)
+
+    def counted_from_cells(cls, *args):
+        calls["from_cells"] += 1
+        return from_cells(cls, *args)
+
+    monkeypatch.setattr(transport, "_merge", counted_merge)
+    monkeypatch.setattr(transport.PiecewiseQuantile, "from_cells",
+                        classmethod(counted_from_cells))
+    space = transport.WeightedOneDimSpace.from_density(
+        "segment", 4.0, 32, lambda x: 0.25 + 0.125 * np.cos(np.pi * x / 2.0))
+    rho0 = space.density
+    plan = transport.MonotonePlan.build(space, rho0, rho0[::-1], model=model)
+    plan.sq_distance()
+    plan.interpolate(0.5)
+    plan.signed_pieces()
+    assert calls == {"merge": 1, "from_cells": 2}
+
+
 def test_obsdiam_sandwich_scores_witnesses_without_the_1d_entry(monkeypatch):
     # every witness goes through the row kernel in blocks; a per-witness
     # partial_diameter_1d call would bring back the loop, and the

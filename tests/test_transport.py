@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -864,8 +865,8 @@ def merged_intervals(q0, q1):
 
 def cell_quantiles(space, rho0, rho1):
     edges = space.cell_edges
-    return (PiecewiseQuantile.from_cells(edges, rho0 * space.h),
-            PiecewiseQuantile.from_cells(edges, rho1 * space.h))
+    return (PiecewiseQuantile.from_cells(edges[:-1], edges[1:], rho0 * space.h),
+            PiecewiseQuantile.from_cells(edges[:-1], edges[1:], rho1 * space.h))
 
 
 def loop_interpolate(space, rho0, rho1, t):
@@ -960,8 +961,8 @@ def test_interpolation_spreads_wide_pieces_like_the_loop():
     x1 = np.array([0.3, 1.0, 1.7, 3.1])
     rho = np.full(16, 0.25)
     none = np.zeros(3, dtype=int)
-    plan = MonotonePlan(sp, rho, rho, u[:-1], u[1:], x0[:-1], x0[1:],
-                        x1[:-1], x1[1:], none, none, none.astype(bool))
+    plan = MonotonePlan(sp, rho, rho, None, None, u[:-1], u[1:], x0[:-1],
+                        x0[1:], x1[:-1], x1[1:], none, none)
     for t in (0.2, 0.5, 0.8):
         x = (1.0 - t) * x0 + t * x1
         ref = loop_spread(sp, x[:-1], x[1:], np.diff(u))
@@ -973,14 +974,14 @@ def test_plan_splits_at_displacement_sign_changes():
     splits = 0
     for sp, rho0, rho1 in oracle_pairs():
         plan = MonotonePlan.build(sp, rho0, rho1)
-        d_lo = plan.x0_lo - plan.x1_lo
-        d_hi = plan.x0_hi - plan.x1_hi
+        widths, d_lo, d_hi, _, _ = plan.signed_pieces()
         # one sign per piece, up to the rounding of positions at a root
         flips = d_lo * d_hi < 0
         ulps = 4.0 * np.finfo(float).eps * sp.total_length
         assert np.all(np.minimum(np.abs(d_lo), np.abs(d_hi))[flips] <= ulps)
+        assert np.all(widths >= 0)
         assert np.array_equal(plan.u_lo[1:], plan.u_hi[:-1])
-        splits += int(plan.crossing.sum())
+        splits += widths.size - plan.u_lo.size
         q0, q1 = cell_quantiles(sp, rho0, rho1)
         assert plan.sq_distance() == pytest.approx(simpson_sq_distance(q0, q1),
                                                    rel=1e-12)
@@ -1047,10 +1048,9 @@ def test_circle_translate_of_compact_bump():
 def split_sq_distance(plan):
     """Simpson over the plan's pieces, split where the displacement
     changes sign."""
-    d_lo = plan.x0_lo - plan.x1_lo
-    d_hi = plan.x0_hi - plan.x1_hi
+    widths, d_lo, d_hi, _, _ = plan.signed_pieces()
     d_mid = 0.5 * (d_lo + d_hi)
-    return float(np.sum((plan.u_hi - plan.u_lo) / 6.0
+    return float(np.sum(widths / 6.0
                         * (d_lo * d_lo + 4.0 * d_mid * d_mid + d_hi * d_hi)))
 
 
@@ -1178,7 +1178,7 @@ def test_cell_quantile_matches_compressed_quantile():
     for zeros in (0, 1, 20, 63):
         masses = rng.lognormal(size=64)
         masses[rng.choice(64, zeros, replace=False)] = 0.0
-        got = PiecewiseQuantile.from_cells(edges, masses)
+        got = PiecewiseQuantile.from_cells(edges[:-1], edges[1:], masses)
         ref = compressed_quantile(edges, masses)
         for field in ("breaks", "x_lo", "x_hi", "cells"):
             a, b = getattr(got, field), getattr(ref, field)
@@ -1193,8 +1193,7 @@ def test_circle_cut_search_matches_rolled_union_loop(pairs):
         assert got == roll_circle_quantile(circle, rho0, rho1), circle.m
 
 
-PLAN_FIELDS = ("u_lo", "u_hi", "x0_lo", "x0_hi", "x1_lo", "x1_hi",
-               "cell0", "cell1", "crossing")
+PLAN_FIELDS = ("u_lo", "u_hi", "x0_lo", "x0_hi", "x1_lo", "x1_hi", "p0", "p1")
 
 
 def merge_pairs():
@@ -1224,6 +1223,7 @@ def test_plan_matches_union1d_merge(monkeypatch):
             for model in ("cells", "atoms"):
                 plan = MonotonePlan.build(sp, rho0, rho1, model=model)
                 out = [getattr(plan, f) for f in PLAN_FIELDS]
+                out += plan.signed_pieces()
                 out.append(np.float64(plan.sq_distance()))
                 if spread:
                     out += [plan.interpolate(t) for t in (0.1, 0.5, 0.85)]
@@ -1237,6 +1237,113 @@ def test_plan_matches_union1d_merge(monkeypatch):
         assert len(a_out) == len(b_out)
         for a, b in zip(a_out, b_out):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def atom_quantile(xs, ws):
+    """``PiecewiseQuantile.from_atoms`` as it was before an atom became a
+    cell of zero length: the atoms in stable sorted order, those of mass 0
+    dropped."""
+    order = np.argsort(xs, kind="stable")
+    xs = np.asarray(xs, dtype=float)[order]
+    ws = np.asarray(ws, dtype=float)[order]
+    pos = ws > 0
+    idx = order[pos]
+    xs, ws = xs[pos], ws[pos]
+    cum = np.concatenate([[0.0], np.cumsum(ws)]) / ws.sum()
+    cum[-1] = 1.0
+    return PiecewiseQuantile(cum, xs, xs, idx)
+
+
+def split_plan(space, rho0, rho1, model):
+    """The plan as ``MonotonePlan.build`` stored it before only the
+    quadrature split it: the merged intervals split at each zero of the
+    displacement into pieces with their cells, ``crossing`` marking each
+    second half."""
+    if model == "cells":
+        q0, q1 = (compressed_quantile(space.cell_edges, rho * space.h)
+                  for rho in (rho0, rho1))
+    else:
+        q0, q1 = (atom_quantile(space.grid, rho * space.h)
+                  for rho in (rho0, rho1))
+    ends, p0, p1, x0, x1 = transport._merge(q0, q1)
+    a, b = ends
+    d_a, d_b = x0 - x1
+    cross = d_a * d_b < 0
+    root = a[cross] + (b[cross] - a[cross]) * d_a[cross] / (d_a[cross] - d_b[cross])
+    reps = 1 + cross
+    second = (np.cumsum(reps) - 1)[cross]
+    lo_hi = np.repeat(np.concatenate((ends, x0, x1)), reps, axis=1)
+    at_root = np.stack((root, q0.affine_at(root, p0[cross]),
+                        q1.affine_at(root, p1[cross])))
+    lo_hi[0::2, second] = at_root
+    lo_hi[1::2, second - 1] = at_root
+    cell0, cell1 = np.repeat(np.stack((q0.cells[p0], q1.cells[p1])), reps, axis=1)
+    crossing = np.zeros(cell0.size, dtype=bool)
+    crossing[second] = True
+    return SimpleNamespace(**dict(zip(PLAN_FIELDS, lo_hi)), cell0=cell0,
+                           cell1=cell1, crossing=crossing)
+
+
+def unsplit(old):
+    """The merged intervals of a split plan, ``PLAN_FIELDS`` less the
+    pieces: low ends from the first piece of each, high ends from the
+    last."""
+    starts = ~old.crossing
+    ends = np.append(starts[1:], True)
+    return [getattr(old, f)[starts if f.endswith("_lo") else ends]
+            for f in PLAN_FIELDS[:6]]
+
+
+def plan_pairs():
+    """``merge_pairs`` and ``oracle_pairs``, with whether the densities
+    have a support without a gap, so that they interpolate."""
+    yield from merge_pairs()
+    for sp, rho0, rho1 in oracle_pairs():
+        yield sp, rho0, rho1, True
+
+
+def assert_same(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", ["cells", "atoms"])
+def test_plan_matches_split_plan(model):
+    # the plan keeps the merged intervals and only signed_pieces splits
+    # them: every piece, cost and interpolant is the split plan's, bit for
+    # bit, with the interpolant spread by the reference loop
+    crossings = 0
+    for sp, rho0, rho1, spread in plan_pairs():
+        plan = MonotonePlan.build(sp, rho0, rho1, model=model)
+        old = split_plan(sp, rho0, rho1, model)
+        merged = unsplit(old)
+        for field, ref in zip(PLAN_FIELDS, merged):
+            assert_same(getattr(plan, field), ref)
+        pieces = (old.u_hi - old.u_lo, old.x0_lo - old.x1_lo,
+                  old.x0_hi - old.x1_hi, old.cell0, old.cell1)
+        for got, ref in zip(plan.signed_pieces(), pieces, strict=True):
+            assert_same(got, ref)
+        u_lo, u_hi, x0_lo, x0_hi, x1_lo, x1_hi = merged
+        assert plan.sq_distance() == transport._sq_cost(
+            u_lo, u_hi, x0_lo - x1_lo, x0_hi - x1_hi)
+        if spread:
+            for t in (0.1, 0.5, 0.85):
+                ref = loop_spread(sp, (1.0 - t) * x0_lo + t * x1_lo,
+                                  (1.0 - t) * x0_hi + t * x1_hi, u_hi - u_lo)
+                assert_same(plan.interpolate(t), ref)
+        crossings += int(old.crossing.sum())
+    # atom quantiles are steps: no interval has a zero of the displacement
+    assert (crossings > 0) == (model == "cells")
+
+
+def test_atoms_are_cells_of_zero_length():
+    for sp, rho0, rho1, _ in plan_pairs():
+        for rho in (rho0, rho1):
+            w = rho * sp.h
+            got = PiecewiseQuantile.from_cells(sp.grid, sp.grid, w)
+            ref = atom_quantile(sp.grid, w)
+            for field in ("breaks", "x_lo", "x_hi", "cells"):
+                assert_same(getattr(got, field), getattr(ref, field))
 
 
 # ---------------------------------------------------------------------------
