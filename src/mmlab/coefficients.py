@@ -147,14 +147,14 @@ def tau_vals(K: float, N: float, t, thetas) -> np.ndarray:
     _check_dimension(N)
     t = _check_t(t)
     sig = sigma_vals(K / (N - 1.0), t, thetas)
-    closed = np.isinf(sig)
-    out = np.where(closed, math.inf, 0.0)
-    # tau = t * (s(t theta)/s(theta))^{1-1/N} = t * (sigma/t)^{1-1/N}; an
-    # entry at t = 0 keeps its 0 (0/0 here), the closed branch its inf
+    # tau = t * (s(t theta)/s(theta))^{1-1/N} = t * (sigma/t)^{1-1/N}, which
+    # is inf on the closed branch (sigma = inf, 1 - 1/N > 1) by itself
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = t * (sig / t) ** (1.0 - 1.0 / N)
-    np.copyto(out, vals, where=~closed & (t > 0.0))
-    return out
+    if np.all(t > 0.0):
+        return np.asarray(vals)
+    # at t = 0 the formula reads 0/0: tau is 0 there, inf on the closed branch
+    return np.where(t > 0.0, vals, np.where(np.isinf(sig), math.inf, 0.0))
 
 
 def tau(K: float, N: float, t: float, theta: float) -> float:

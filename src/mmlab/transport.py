@@ -224,8 +224,9 @@ def discretize(space: WeightedOneDimSpace) -> FiniteMmSpace:
 class PiecewiseQuantile:
     """Left-continuous quantile function, affine on mass intervals.
 
-    ``breaks`` are cumulative masses (0 = b_0 < ... < b_k = 1); on
+    ``breaks`` are cumulative masses (0 = b_0 <= ... <= b_k = 1); on
     (b_{j-1}, b_j] the quantile moves affinely from x_lo[j-1] to x_hi[j-1].
+    A mass below the rounding of the running sum gives a piece of width 0.
     Atomic measures use x_lo == x_hi.  ``cells`` maps each piece back to the
     originating grid cell (or atom) index.
     """
@@ -241,7 +242,9 @@ class PiecewiseQuantile:
         """Quantile of the masses of cells sorted along the line, uniform on
         cell i from ``lo[i]`` to ``hi[i]`` (an atom when they are equal);
         cells of mass 0 give no piece.  With every mass positive nothing is
-        compressed, and ``x_lo`` and ``x_hi`` are views of ``lo`` and ``hi``."""
+        compressed, and ``x_lo`` and ``x_hi`` are views of ``lo`` and ``hi``.
+        The sequential sum may round past the pairwise total, so the breaks
+        are clipped at 1 and never decrease."""
         pos = masses > 0
         keep = slice(None) if pos.all() else pos
         w = masses[keep]
@@ -252,20 +255,15 @@ class PiecewiseQuantile:
         cum[0] = 0.0
         np.cumsum(w, out=cum[1:])
         cum /= total
+        np.minimum(cum, 1.0, out=cum)
         cum[-1] = 1.0
         return cls(cum, lo[keep], hi[keep], np.flatnonzero(pos))
 
-    def piece_of(self, u: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breaks, u, side="right")
-        idx -= 1
-        return np.clip(idx, 0, self.breaks.size - 2, out=idx)
-
     def affine_at(self, u: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        """Q at masses ``u`` on pieces of positive width, as ``_merge``
+        labels them."""
         b0 = self.breaks[piece]
-        span = self.breaks[piece + 1] - b0
-        # a piece of zero mass width sits at its low end
-        frac = np.divide(u - b0, span, out=np.zeros(np.broadcast(u, span).shape),
-                         where=span > 0)
+        frac = (u - b0) / (self.breaks[piece + 1] - b0)
         x_lo = self.x_lo[piece]
         return x_lo + frac * (self.x_hi[piece] - x_lo)
 
@@ -279,16 +277,24 @@ def _merge(q0: PiecewiseQuantile, q1: PiecewiseQuantile):
     p1, x0, x1)``: rows of interval low and high ends, the piece of each
     quantile that each interval lies in, and Q0 and Q1 at ``ends``.
 
-    The breaks of both quantiles are sorted together; a break they share
-    gives an interval of zero width, which ``b > a`` drops as it drops the
-    zero-width pieces of either quantile."""
-    breaks = np.sort(np.concatenate((q0.breaks, q1.breaks)))
+    One stable argsort of both break arrays (two sorted runs, merged in one
+    pass) labels each sorted break with the quantile it came from.  A break
+    they share gives an interval of zero width, which ``b > a`` drops as it
+    drops the zero-width pieces of either quantile.  The breaks of ``q0`` up
+    to an interval's low end a, less one, index the last piece of ``q0``
+    starting at or below a; no break lies inside (a, b), so that piece holds
+    the interval, b0[p0] <= a < b <= b0[p0 + 1], and has positive width.
+    Likewise for ``q1``."""
+    both = np.concatenate((q0.breaks, q1.breaks))
+    order = np.argsort(both, kind="stable")
+    breaks = both[order]
     a, b = breaks[:-1], breaks[1:]
     keep = b > a
     ends = np.stack((a[keep], b[keep]))
-    mid = 0.5 * (ends[0] + ends[1])
-    p0 = q0.piece_of(mid)
-    p1 = q1.piece_of(mid)
+    # breaks of q1 among the first i + 1 sorted breaks, and so of q0
+    n1 = np.cumsum(order >= q0.breaks.size)[:-1][keep]
+    p1 = n1 - 1
+    p0 = np.flatnonzero(keep) - n1
     return ends, p0, p1, q0.affine_at(ends, p0), q1.affine_at(ends, p1)
 
 
@@ -372,6 +378,13 @@ class MonotonePlan:
                 np.insert(d_a, at + 1, d_root), np.insert(d_b, at, d_root),
                 *np.repeat(cells, 1 + cross, axis=1))
 
+    @cached_property
+    def _support_gap(self) -> bool:
+        """Whether either density vanishes on a cell inside its support;
+        found on the first ``interpolate`` and kept for the plan."""
+        return any(np.any(np.diff(np.flatnonzero(rho > 0)) > 1)
+                   for rho in (self.rho0, self.rho1))
+
     def sq_distance(self) -> float:
         """Exact integral of (Q0 - Q1)^2 du: ``_sq_cost`` over the
         intervals."""
@@ -386,10 +399,9 @@ class MonotonePlan:
         endpoint density itself.
         """
         _require(0.0 <= t <= 1.0, "t", "must lie in [0,1]", t)
-        for rho in (self.rho0, self.rho1):
-            if np.any(np.diff(np.flatnonzero(rho > 0)) > 1):
-                raise DegenerateDensity(
-                    "density vanishes on an interior grid cell of its support")
+        if self._support_gap:
+            raise DegenerateDensity(
+                "density vanishes on an interior grid cell of its support")
         if t == 0.0:
             return self.rho0.copy()
         if t == 1.0:

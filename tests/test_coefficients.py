@@ -252,6 +252,65 @@ def test_array_t_matches_scalar_calls_bit_for_bit(K, N):
                          for row in thetas]).tobytes())
 
 
+def masked_sigma(kappa, t, thetas):
+    """``sigma_vals`` spelt out: the sin or sinh ratio, t at theta = 0 and
+    inf on the closed branch, each replaced by mask."""
+    th = np.asarray(thetas, dtype=float)
+    shape = np.broadcast_shapes(np.shape(t), th.shape)
+    if kappa == 0:
+        return np.full(shape, t, dtype=float)
+    z = math.sqrt(abs(kappa)) * th
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kappa > 0:
+            vals = np.sin(t * z) / np.sin(z)
+        else:
+            vals = (np.exp((t - 1.0) * z)
+                    * (np.expm1(-2.0 * t * z) / np.expm1(-2.0 * z)))
+    out = np.where(z > 0, vals, t)
+    if kappa > 0:
+        out[np.broadcast_to(z >= math.pi, shape)] = math.inf
+    return out
+
+
+def masked_tau(K, N, t, thetas):
+    """tau with both masks applied on every call: inf on the closed branch,
+    0 at t = 0, t * (sigma/t)^(1 - 1/N) elsewhere."""
+    sig = masked_sigma(K / (N - 1.0), t, thetas)
+    closed = np.isinf(sig)
+    out = np.where(closed, math.inf, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = t * (sig / t) ** (1.0 - 1.0 / N)
+    np.copyto(out, vals, where=~closed & (t > 0.0))
+    return out
+
+
+# K >= 0 gives kappa = K/(N-1) <= 0; K < 0 gives kappa > 0 and reaches the
+# closed branch
+TAU_MASK_CASES = [(K, N) for K in (-9.0, -1.0, 0.0, 0.5, 4.0, 300.0)
+                  for N in (-0.2, -1.0, -3.0)]
+
+
+@pytest.mark.parametrize("K, N", TAU_MASK_CASES)
+def test_tau_matches_the_fully_masked_formula(K, N):
+    rng = np.random.default_rng(13)
+    thetas = np.abs(rng.normal(scale=2.0, size=(5, 9)))
+    thetas[0, :2] = 0.0
+    thetas[1, :3] = (1e-9, 40.0, 700.0)  # with K = 300, z reaches ~7000
+    fracs = np.array([1e-9, 0.125, 0.5, 0.875, 1.0])
+    ts = [0.0, 0.3, 1.0, np.float64(0.7), fracs[:, None, None],
+          np.concatenate(([0.0], fracs))[:, None, None],
+          np.linspace(0.05, 0.95, thetas.shape[1])]
+    for t in ts:
+        for th in (thetas, thetas[1, 2], [0.0]):
+            got, ref = tau_vals(K, N, t, th), masked_tau(K, N, t, th)
+            assert isinstance(got, np.ndarray) and got.shape == ref.shape
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            # the CD* coefficients are the ratio itself, masked as before
+            for kappa in (K / N, K / (N - 1.0)):
+                got, ref = sigma_vals(kappa, t, th), masked_sigma(kappa, t, th)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("bad, where", [
     (math.nan, "t[2, 0] = nan"), (-0.1, "t[2, 0] = -0.1"),
     (1.5, "t[2, 0] = 1.5")])

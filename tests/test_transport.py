@@ -853,14 +853,22 @@ def test_interpolation_geodesic_property():
             assert abs(dst - (t - s) * d01) <= tol
 
 
+def _piece_of(q, u):
+    """The piece of ``q`` that holds each mass in ``u``, by binary search:
+    the last break at or below it, within the pieces."""
+    idx = np.searchsorted(q.breaks, u, side="right") - 1
+    return np.clip(idx, 0, q.breaks.size - 2)
+
+
 def merged_intervals(q0, q1):
-    """Mass intervals on which both quantiles are affine, unsplit."""
+    """Mass intervals on which both quantiles are affine, unsplit, with the
+    pieces that hold each interval's midpoint."""
     breaks = np.union1d(q0.breaks, q1.breaks)
     a, b = breaks[:-1], breaks[1:]
     keep = b > a
     a, b = a[keep], b[keep]
     mid = 0.5 * (a + b)
-    return a, b, mid, q0.piece_of(mid), q1.piece_of(mid)
+    return a, b, mid, _piece_of(q0, mid), _piece_of(q1, mid)
 
 
 def cell_quantiles(space, rho0, rho1):
@@ -1183,6 +1191,86 @@ def test_cell_quantile_matches_compressed_quantile():
         for field in ("breaks", "x_lo", "x_hi", "cells"):
             a, b = getattr(got, field), getattr(ref, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def narrow_bumps(space, rng):
+    """A density of 1 to 3 narrow Gaussian bumps with no floor: far from
+    the bumps the cell masses fall below the rounding of the total, or
+    to 0."""
+    x = space.grid
+    rho = np.zeros_like(x)
+    for _ in range(int(rng.integers(1, 4))):
+        c = rng.uniform(x[0], x[-1])
+        rho += np.exp(-((x - c) / rng.uniform(0.05, 0.3)) ** 2)
+    return rho / (rho.sum() * space.h)
+
+
+def test_quantile_breaks_never_decrease():
+    # the sequential cumulative sum over the pairwise total can round past
+    # 1 before the last break, which is set to 1
+    rng = np.random.default_rng(41)
+    for m in (128, 256, 512):
+        sp = segment(m, L=4.0)
+        for _ in range(20):
+            plan = MonotonePlan.build(sp, narrow_bumps(sp, rng),
+                                      narrow_bumps(sp, rng))
+            for q in (plan.q0, plan.q1):
+                assert q.breaks[0] == 0.0 and q.breaks[-1] == 1.0
+                assert np.all(np.diff(q.breaks) >= 0.0)
+            assert plan.u_lo.min() == 0.0 and plan.u_hi.max() == 1.0
+
+
+def label_masses(rng):
+    """Pairs of cell masses that stress the labelling of merged intervals:
+    cells of mass 0, masses about one ulp of the running sum or below it
+    (pieces one ulp wide, or of width 0), a tiny last mass, both quantiles
+    equal (every break shared) and uniform masses (some breaks shared)."""
+    def masses(m):
+        w = rng.lognormal(size=m)
+        w[rng.random(m) < 0.2] = 0.0
+        ulps = rng.random(m) < 0.4
+        w[ulps] = (np.finfo(float).eps * max(w.sum(), 1.0)
+                   * rng.choice([0.25, 0.5, 1.0, 1.5, 2.0, 3.0], ulps.sum()))
+        if rng.random() < 0.3:
+            w[-1] = 1e-30
+        if w.max() == 0.0:
+            w[0] = 1.0
+        return w
+
+    for _ in range(1500):
+        w0 = masses(int(rng.integers(1, 24)))
+        yield w0, masses(int(rng.integers(1, 24)))
+        yield w0, w0.copy()
+    for k0, k1 in ((1, 1), (3, 6), (4, 8), (5, 7), (10, 20)):
+        yield np.ones(k0), np.ones(k1)
+
+
+def test_merged_intervals_lie_in_their_labelled_pieces():
+    # b_j <= a < b <= b_{j+1} on both quantiles, so each labelled piece has
+    # positive width; the old merge searched the midpoints and agrees
+    # wherever the midpoint lies strictly inside its interval
+    rng = np.random.default_rng(43)
+    narrow = 0
+    for w0, w1 in label_masses(rng):
+        q0, q1 = (PiecewiseQuantile.from_cells(np.arange(w.size, dtype=float),
+                                               np.arange(1, w.size + 1.0), w)
+                  for w in (w0, w1))
+        ends, p0, p1, x0, x1 = transport._merge(q0, q1)
+        a, b = ends
+        assert a[0] == 0.0 and b[-1] == 1.0
+        assert np.array_equal(a[1:], b[:-1]) and np.all(a < b)
+        for q, p in ((q0, p0), (q1, p1)):
+            assert np.all((q.breaks[p] <= a) & (b <= q.breaks[p + 1]))
+        ref_ends, ref_p0, ref_p1, ref_x0, ref_x1 = union_merge(q0, q1)
+        assert np.array_equal(ends, ref_ends)
+        mid = 0.5 * (a + b)
+        inside = (a < mid) & (mid < b)
+        narrow += int(np.sum(~inside))
+        for got, ref in ((p0, ref_p0), (p1, ref_p1), (x0, ref_x0),
+                         (x1, ref_x1)):
+            got, ref = got[..., inside], ref[..., inside]
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert narrow > 0
 
 
 @pytest.mark.parametrize("pairs", [circle_pairs, seeded_circles])
